@@ -6,103 +6,4 @@ finite-world logical truth.  Independent classical evaluators referee
 the semantics, and a Hilbert-style checker validates proof scripts over
 the five disjunction/negation axioms.
 """
-from .meanings import (
-    Meaning,
-    StructureMismatch,
-    atom_meaning,
-    disjoin,
-    is_true,
-    meaning,
-    meaning_in_world,
-    member_key,
-    memberwise_union,
-    negate,
-    render_meaning,
-    sorted_members,
-    swap_family,
-    transversals,
-)
-from .ontology import (
-    Complex,
-    Pair,
-    World,
-    WorldError,
-    all_pairs,
-    existing_complexes,
-    load_world,
-    opposite,
-    pair_key,
-    parse_world,
-    swap,
-)
-from .fosem import (
-    Binding,
-    FoVerdict,
-    PredicateTemplate,
-    default_binding,
-    enumerate_worlds,
-    eval_fo,
-    instance_meaning,
-    logical_truth,
-)
-from .oracle import (
-    Disagreement,
-    EquivalenceReport,
-    SweepConfig,
-    TarskiModel,
-    check_equivalence,
-    enumerate_formulas,
-    formula_depth,
-    model_from_world,
-    quantifier_count,
-    tarski_eval,
-    truth_table_eval,
-)
-from .proof import (
-    AXIOMS,
-    ProofError,
-    ProofReport,
-    ProofScript,
-    apply_mp,
-    apply_substitution,
-    axiom_instance,
-    check_proof,
-    load_script,
-    parse_script,
-)
-from .propsem import (
-    PropAssignment,
-    Proposition,
-    Verdict,
-    canonical_assignments,
-    classify,
-    constant_name,
-    declared_assignment,
-    default_world,
-    enumerate_assignments,
-    eval_prop,
-    proposition,
-    sampled_assignments,
-)
-from .syntax import (
-    CaptureError,
-    Exists,
-    ForAll,
-    Formula,
-    FormulaSyntaxError,
-    Not,
-    Or,
-    PredApp,
-    PropVar,
-    conjoin,
-    equivalent,
-    free_variables,
-    implies,
-    parse,
-    predicates,
-    print_formula,
-    prop_variables,
-    substitute,
-)
-
 __version__ = "0.1.0"

@@ -34,17 +34,19 @@ from .propsem import (
     eval_prop,
 )
 from .syntax import (
+    PROP_LETTERS,
     FormulaSyntaxError,
     free_variables,
     parse,
     predicates,
     print_formula,
     prop_variables,
+    variable_names,
 )
 
 __all__ = ["main"]
 
-_PROP_NAMES = ("p", "q", "r", "s", "t", "u", "v", "w")
+_PROP_NAMES = variable_names(PROP_LETTERS, 8)
 
 
 def _add_policy(p: argparse.ArgumentParser) -> None:
@@ -353,7 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fo_valid)
 
     p = sub.add_parser("compare", help="sweep evaluators against classical oracles")
-    p.add_argument("--vars", type=int, default=3, help="propositional variables (default: 3)")
+    p.add_argument(
+        "--vars",
+        type=int,
+        default=3,
+        help=f"number of propositional variables, taken in the order "
+        f"{' '.join(_PROP_NAMES)} (default: 3)",
+    )
     p.add_argument("--prop-depth", type=int, default=2, help="connective depth bound (default: 2)")
     p.add_argument(
         "--prop-size",

@@ -19,13 +19,11 @@ Evaluation runs one unified induction:
     member by member; (Ex)q pools all members of all instances into
     one family.
 
-The universal merge uses the canonical member order (all-diagonal
-members first) and repeats a shorter family's last member when counts
-differ, which keeps the merge total and makes its truth value exactly
-the conjunction of the instance truth values; the existential family
-union is exactly the disjunction.  `memberwise_union` is the strict
-public form of the same operation: it requires equal member counts and
-raises StructureMismatch otherwise.
+The universal merge (`memberwise_union`) uses the canonical member
+order (all-diagonal members first) and repeats a shorter family's last
+member when counts differ, which keeps the merge total and makes its
+truth value exactly the conjunction of the instance truth values; the
+existential family union is exactly the disjunction.
 """
 from __future__ import annotations
 
@@ -34,7 +32,6 @@ from dataclasses import dataclass
 
 from .meanings import (
     Meaning,
-    StructureMismatch,
     atom_meaning,
     disjoin,
     is_true,
@@ -44,6 +41,7 @@ from .meanings import (
 from .ontology import World
 from .propsem import PropAssignment, constant_name, enumerate_assignments
 from .syntax import (
+    IND_LETTERS,
     Exists,
     ForAll,
     Formula,
@@ -54,22 +52,17 @@ from .syntax import (
     free_variables,
     predicates,
     prop_variables,
+    variable_names,
 )
 
 __all__ = [
     "Binding",
     "FoVerdict",
-    "PredicateTemplate",
-    "StructureMismatch",
     "default_binding",
     "enumerate_worlds",
     "eval_fo",
-    "instance_meaning",
     "logical_truth",
-    "memberwise_union",
 ]
-
-_POOL_NAMES = ("x", "y", "z")
 
 
 @dataclass
@@ -99,33 +92,9 @@ def default_binding(world: World, min_pool: int = 3) -> Binding:
     individuals = sorted(world.individuals)
     if not individuals:
         raise ValueError("world has no individuals")
-    size = max(len(individuals), min_pool)
-    names = []
-    suffix = 0
-    while len(names) < size:
-        for base in _POOL_NAMES:
-            names.append(base if suffix == 0 else f"{base}{suffix}")
-            if len(names) == size:
-                break
-        suffix += 1
+    names = variable_names(IND_LETTERS, max(len(individuals), min_pool))
     xi = {v: individuals[i % len(individuals)] for i, v in enumerate(names)}
-    return Binding(world=world, pool=tuple(names), xi=xi)
-
-
-@dataclass(frozen=True)
-class PredicateTemplate:
-    """A monadic predicate with its marked argument position."""
-
-    predicate: str
-    marked: tuple[int, ...] = (0,)
-
-
-def instance_meaning(template: PredicateTemplate | str, var: str, binding: Binding) -> Meaning:
-    """Atom meaning of the predicate at the individual xi(var)."""
-    name = template.predicate if isinstance(template, PredicateTemplate) else template
-    if var not in binding.xi:
-        raise ValueError(f"unbound individual variable {var}")
-    return atom_meaning(binding.world, name, (binding.xi[var],))
+    return Binding(world=world, pool=names, xi=xi)
 
 
 def eval_fo(
@@ -162,7 +131,7 @@ def eval_fo(
             instances = [
                 atom_meaning(world, g.predicate, (binding.xi[z],)) for z in binding.pool
             ]
-            return memberwise_union(instances, pad=True)
+            return memberwise_union(instances)
         if isinstance(g, Or):
             return disjoin(ev(g.left, env), ev(g.right, env))
         if isinstance(g, Not):
@@ -171,7 +140,7 @@ def eval_fo(
             instances = [
                 ev(g.body, {**env, g.variable: binding.xi[z]}) for z in binding.pool
             ]
-            return memberwise_union(instances, pad=True)
+            return memberwise_union(instances)
         if isinstance(g, Exists):
             members = frozenset()
             for z in binding.pool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .ontology import Pair, World, pair_key, swap
+from .ontology import Pair, World, existing_complexes, pair_key, swap
 
 Member = frozenset  # frozenset[Pair]
 
@@ -69,8 +69,6 @@ def render_meaning(m: Meaning) -> str:
 
 def meaning_in_world(m: Meaning, w: World) -> bool:
     """Do all base complexes of m exist in w?"""
-    from .ontology import existing_complexes
-
     existing = existing_complexes(w)
     return all(p.base in existing for member in m.members for p in member)
 
@@ -139,28 +137,16 @@ def negate(m: Meaning, policy: str = "minimal") -> Meaning:
 # ---------------------------------------------------------------------------
 # member-wise union
 
-class StructureMismatch(ValueError):
-    """Raised when meanings cannot be merged member by member."""
-
-
-def memberwise_union(meanings, pad: bool = False) -> Meaning:
+def memberwise_union(meanings) -> Meaning:
     """Union of corresponding members under the canonical order.
 
-    The inputs must agree on member count; corresponding members (k-th
-    in canonical order) are unioned.  With pad=True a shorter family
-    repeats its last member instead, so any non-empty input list can be
-    merged; the quantifier evaluator relies on that totalized form.
+    The k-th members in canonical order are unioned; a shorter family
+    repeats its last member, so any non-empty list of meanings merges.
     """
-    items = [m for m in meanings]
-    if not items:
+    sorted_families = [sorted_members(m) for m in meanings]
+    if not sorted_families:
         raise ValueError("member-wise union of no meanings")
-    sorted_families = [sorted_members(m) for m in items]
-    counts = {len(f) for f in sorted_families}
-    if len(counts) > 1 and not pad:
-        raise StructureMismatch(
-            f"member counts differ: {sorted(len(f) for f in sorted_families)}"
-        )
-    width = max(counts)
+    width = max(map(len, sorted_families))
     merged = []
     for k in range(width):
         bucket: set[Pair] = set()

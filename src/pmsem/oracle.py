@@ -34,10 +34,12 @@ from .syntax import (
     Or,
     PredApp,
     PropVar,
+    children,
     free_variables,
     predicates,
     print_formula,
     prop_variables,
+    subformulas,
 )
 
 __all__ = [
@@ -126,27 +128,11 @@ def tarski_eval(
 # formula enumeration
 
 def formula_depth(f: Formula) -> int:
-    if isinstance(f, (PropVar, PredApp)):
-        return 0
-    if isinstance(f, Not):
-        return 1 + formula_depth(f.operand)
-    if isinstance(f, Or):
-        return 1 + max(formula_depth(f.left), formula_depth(f.right))
-    if isinstance(f, (ForAll, Exists)):
-        return 1 + formula_depth(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return max((1 + formula_depth(g) for g in children(f)), default=0)
 
 
 def quantifier_count(f: Formula) -> int:
-    if isinstance(f, (PropVar, PredApp)):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_count(f.operand)
-    if isinstance(f, Or):
-        return quantifier_count(f.left) + quantifier_count(f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return 1 + quantifier_count(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return sum(isinstance(g, (ForAll, Exists)) for g in subformulas(f))
 
 
 def enumerate_formulas(
@@ -319,6 +305,7 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
     """Sweep the meaning evaluators against the classical oracles."""
     prop_eval = prop_eval or eval_prop
     fo_eval = fo_eval or eval_fo
+    policies = config.policies
     report = EquivalenceReport(config=config)
 
     if config.include_prop:
@@ -336,36 +323,15 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
             count=config.count,
             size_bound=config.size_bound,
         )
+        report.prop_checks = len(formulas) * len(assignments) * len(policies)
         for f in formulas:
             text = print_formula(f)
             for idx, h in enumerate(assignments):
                 expected = truth_table_eval(f, h.truths())
                 got = {}
-                for policy in config.policies:
-                    report.prop_checks += 1
+                for policy in policies:
                     got[policy] = is_true(prop_eval(f, h, policy))
-                    if got[policy] != expected:
-                        report.record(
-                            Disagreement(
-                                section="prop",
-                                formula=text,
-                                context=f"assignment {idx}: {h.describe() or 'empty'}",
-                                expected=str(expected).lower(),
-                                got=f"{policy}: {str(got[policy]).lower()}",
-                            )
-                        )
-                if len(set(got.values())) > 1:
-                    report.record(
-                        Disagreement(
-                            section="policy",
-                            formula=text,
-                            context=f"assignment {idx}: {h.describe() or 'empty'}",
-                            expected="policy-independent truth",
-                            got=str(
-                                {k: str(v).lower() for k, v in sorted(got.items())}
-                            ),
-                        )
-                    )
+                _check_point(report, "prop", text, expected, got, idx, h)
 
     if config.include_fo:
         formulas = enumerate_formulas(
@@ -397,32 +363,49 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
                     )
                 else:
                     assignments = [PropAssignment(values={}, world=w)]
+                report.fo_checks += len(assignments) * len(policies)
                 for h in assignments:
                     expected = tarski_eval(f, model, None, h.truths())
                     got = {}
-                    for policy in config.policies:
-                        report.fo_checks += 1
+                    for policy in policies:
                         got[policy] = is_true(fo_eval(f, binding, h, policy))
-                        if got[policy] != expected:
-                            report.record(
-                                Disagreement(
-                                    section="fo",
-                                    formula=text,
-                                    context=f"{describe_world(w)}; {h.describe() or 'no variables'}",
-                                    expected=str(expected).lower(),
-                                    got=f"{policy}: {str(got[policy]).lower()}",
-                                )
-                            )
-                    if len(set(got.values())) > 1:
-                        report.record(
-                            Disagreement(
-                                section="policy",
-                                formula=text,
-                                context=describe_world(w),
-                                expected="policy-independent truth",
-                                got=str(
-                                    {k: str(v).lower() for k, v in sorted(got.items())}
-                                ),
-                            )
-                        )
+                    _check_point(report, "fo", text, expected, got, w, h)
     return report
+
+
+def _check_point(report, section, text, expected, got, where, h) -> None:
+    """Record each policy whose truth at one point differs from the
+    classical value, then any split between the policies.
+
+    where is the assignment's index (prop) or the world (fo).  The
+    context strings are built only when a record is made.
+    """
+    context = None
+    for policy, value in got.items():
+        if value != expected:
+            if context is None:
+                if section == "prop":
+                    context = policy_context = f"assignment {where}: {h.describe() or 'empty'}"
+                else:
+                    policy_context = describe_world(where)
+                    context = f"{policy_context}; {h.describe() or 'no variables'}"
+            report.record(
+                Disagreement(
+                    section=section,
+                    formula=text,
+                    context=context,
+                    expected=str(expected).lower(),
+                    got=f"{policy}: {str(value).lower()}",
+                )
+            )
+    # Truths are booleans, so policies can only split where one is wrong.
+    if context is not None and len(set(got.values())) > 1:
+        report.record(
+            Disagreement(
+                section="policy",
+                formula=text,
+                context=policy_context,
+                expected="policy-independent truth",
+                got=str({k: str(v).lower() for k, v in sorted(got.items())}),
+            )
+        )

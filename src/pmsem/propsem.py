@@ -30,12 +30,11 @@ from .meanings import (
     meaning,
     negate,
 )
-from .ontology import Complex, Pair, World, existing_complexes, pair_key
+from .ontology import Complex, Pair, World, all_pairs
 from .syntax import Formula, Not, Or, PredApp, PropVar, prop_variables
 
 __all__ = [
     "PropAssignment",
-    "Proposition",
     "Verdict",
     "canonical_assignments",
     "classify",
@@ -44,7 +43,6 @@ __all__ = [
     "default_world",
     "enumerate_assignments",
     "eval_prop",
-    "proposition",
     "sampled_assignments",
 ]
 
@@ -89,16 +87,6 @@ def eval_prop(f: Formula, h: PropAssignment, policy: str = "minimal") -> Meaning
     if isinstance(f, PredApp):
         raise ValueError("eval_prop takes propositional formulas; use eval_fo for predicates")
     raise ValueError("eval_prop takes propositional formulas; use eval_fo for quantifiers")
-
-
-@dataclass(frozen=True)
-class Proposition:
-    formula: Formula
-    meaning: Meaning
-
-
-def proposition(f: Formula, h: PropAssignment, policy: str = "minimal") -> Proposition:
-    return Proposition(formula=f, meaning=eval_prop(f, h, policy))
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +149,7 @@ def sampled_assignments(
     if size_bound < 1:
         raise ValueError("size bound must be at least 1")
     names = sorted(set(variables))
-    pool = [
-        Pair(c, diag)
-        for c in sorted(existing_complexes(world))
-        for diag in (True, False)
-    ]
-    pool.sort(key=pair_key)
+    pool = list(all_pairs(world))  # random.sample is slower on a tuple
     if not pool:
         raise ValueError("world has no complexes to sample from")
     rng = random.Random(seed)

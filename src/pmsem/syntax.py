@@ -1,4 +1,4 @@
-"""Formulas in dot notation: AST, parser, printer, substitution.
+"""Formulas in dot notation: AST, parser, printer, structure walks.
 
 Surface language (ASCII):
 
@@ -54,10 +54,21 @@ formula f.
 Parsed formulas are desugared: only PropVar, PredApp, Or, Not, ForAll
 and Exists nodes exist.  =>, <=> and conjunction build their expansions
 at parse time.
+
+Parsed trees are bounded: at most MAX_DEPTH levels and MAX_NODES nodes
+once desugared, or parse raises FormulaSyntaxError.  The recursive
+walks (printer, evaluators, oracles) take one or two stack frames per
+level, so the depth bound keeps them far below the interpreter's
+recursion limit; the node bound caps the doubling that <=> desugaring
+causes by copying both sides.  Each parenthesis group counts as a level
+while parsing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+MAX_DEPTH = 100
+MAX_NODES = 10_000
 
 
 class FormulaSyntaxError(ValueError):
@@ -66,10 +77,6 @@ class FormulaSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class CaptureError(ValueError):
-    """Raised when a substitution would capture a variable."""
 
 
 class Formula:
@@ -125,12 +132,22 @@ def equivalent(left: Formula, right: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # lexer
 
-_PROP_START = "pqr"
-_IND_START = "xyz"
+# Variables are a start letter and an optional number: [p-r][0-9]* for
+# propositional, [x-z][0-9]* for individual variables.
+PROP_LETTERS = "pqr"
+IND_LETTERS = "xyz"
+
+
+def variable_names(letters: str, count: int) -> tuple[str, ...]:
+    """The first count variable names over letters: p q r p1 q1 r1 p2 ..."""
+    return tuple(
+        letters[i % len(letters)] + (str(i // len(letters)) if i >= len(letters) else "")
+        for i in range(count)
+    )
 
 
 def _is_ind_var(s: str) -> bool:
-    return bool(s) and s[0] in _IND_START and (len(s) == 1 or s[1:].isdigit())
+    return bool(s) and s[0] in IND_LETTERS and (len(s) == 1 or s[1:].isdigit())
 
 
 @dataclass(frozen=True)
@@ -184,14 +201,14 @@ def _lex(text: str) -> list[_Token]:
             tokens.append(_Token("OR", "v", 0, i))
             i += 1
             continue
-        if ch in _PROP_START:
+        if ch in PROP_LETTERS:
             j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
             tokens.append(_Token("PROPVAR", text[i:j], 0, i))
             i = j
             continue
-        if ch in _IND_START:
+        if ch in IND_LETTERS:
             j = i + 1
             while j < n and text[j].isdigit():
                 j += 1
@@ -232,6 +249,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # levels above the operand or soup being parsed
 
     def peek(self, offset: int = 0) -> _Token:
         return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
@@ -256,7 +274,37 @@ class _Parser:
             self.consume_operator(op)
             items.append(op)
             items.append(self.parse_operand())
-        return _resolve(items)
+            if len(items) > 2 * MAX_NODES:
+                raise _too_large(op.pos)
+        return self.resolve(items)
+
+    def resolve(self, items: list[object]) -> Formula:
+        """Resolve an operand/operator soup into a tree, loosest split first."""
+        if len(items) == 1:
+            return items[0]  # type: ignore[return-value]
+        if self.depth >= MAX_DEPTH:
+            raise _too_deep(items[1].pos)  # type: ignore[attr-defined]
+        best = None
+        best_index = -1
+        for idx in range(1, len(items), 2):
+            op: _Op = items[idx]  # type: ignore[assignment]
+            key = (op.force, _LOOSENESS[op.kind])
+            if best is None or key > best:
+                best, best_index = key, idx
+            elif key == best and op.kind not in _RIGHT_ASSOC:
+                best_index = idx  # left-assoc: split at the last occurrence
+        op = items[best_index]  # type: ignore[assignment]
+        self.depth += 1
+        left = self.resolve(items[:best_index])
+        right = self.resolve(items[best_index + 1 :])
+        self.depth -= 1
+        if op.kind == "OR":
+            return Or(left, right)
+        if op.kind == "IMPLIES":
+            return implies(left, right)
+        if op.kind == "IFF":
+            return equivalent(left, right)
+        return conjoin(left, right)
 
     def peek_operator(self) -> _Op | None:
         tok = self.peek()
@@ -292,6 +340,14 @@ class _Parser:
             self.take()
 
     def parse_operand(self) -> Formula:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _too_deep(self.peek().pos)
+        f = self._parse_operand()
+        self.depth -= 1
+        return f
+
+    def _parse_operand(self) -> Formula:
         tok = self.peek()
         if tok.kind == "NOT":
             self.take()
@@ -368,38 +424,37 @@ class _Parser:
         return PredApp(name.value, arg.value)
 
 
-def _resolve(items: list[object]) -> Formula:
-    """Resolve an operand/operator soup into a tree, loosest split first."""
-    if len(items) == 1:
-        return items[0]  # type: ignore[return-value]
-    best = None
-    best_index = -1
-    for idx in range(1, len(items), 2):
-        op: _Op = items[idx]  # type: ignore[assignment]
-        key = (op.force, _LOOSENESS[op.kind])
-        if best is None or key > best:
-            best, best_index = key, idx
-        elif key == best and op.kind not in _RIGHT_ASSOC:
-            best_index = idx  # left-assoc: split at the last occurrence
-    op = items[best_index]  # type: ignore[assignment]
-    left = _resolve(items[:best_index])
-    right = _resolve(items[best_index + 1 :])
-    if op.kind == "OR":
-        return Or(left, right)
-    if op.kind == "IMPLIES":
-        return implies(left, right)
-    if op.kind == "IFF":
-        return equivalent(left, right)
-    return conjoin(left, right)
-
-
 def parse(text: str) -> Formula:
     parser = _Parser(_lex(text))
     formula = parser.parse_expr(cutoff=None)
     trailing = parser.take()
     if trailing.kind != "END":
         raise FormulaSyntaxError(f"unexpected trailing {trailing.value!r}", trailing.pos)
+    _check_bounds(formula)
     return formula
+
+
+def _too_deep(pos: int) -> FormulaSyntaxError:
+    return FormulaSyntaxError(f"formula nested deeper than {MAX_DEPTH} levels", pos)
+
+
+def _too_large(pos: int) -> FormulaSyntaxError:
+    return FormulaSyntaxError(f"formula has more than {MAX_NODES} nodes", pos)
+
+
+def _check_bounds(f: Formula) -> None:
+    """Raise FormulaSyntaxError if the desugared tree is out of bounds."""
+    stack = [(f, 1)]
+    nodes = 0
+    while stack:
+        g, depth = stack.pop()
+        nodes += 1
+        if nodes > MAX_NODES:
+            raise _too_large(0)
+        if depth > MAX_DEPTH:
+            raise _too_deep(0)
+        for child in children(g):
+            stack.append((child, depth + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +486,33 @@ def _operand_text(f: Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# variables, substitution, variants
+# structure walks
+
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of f, left to right."""
+    if isinstance(f, (PropVar, PredApp)):
+        return ()
+    if isinstance(f, Not):
+        return (f.operand,)
+    if isinstance(f, Or):
+        return (f.left, f.right)
+    if isinstance(f, (ForAll, Exists)):
+        return (f.body,)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def subformulas(f: Formula) -> list[Formula]:
+    """f and all of its subformulas, level by level."""
+    out = [f]
+    for g in out:  # also visits the children appended on the way
+        out.extend(children(g))
+    return out
+
 
 def free_variables(f: Formula) -> frozenset[str]:
     """Free individual variables of f."""
+    # Direct recursion: eval_fo calls this once per check, and a walk
+    # over `children` is measurably slower on the quantified sweep.
     if isinstance(f, PropVar):
         return frozenset()
     if isinstance(f, PredApp):
@@ -449,72 +527,8 @@ def free_variables(f: Formula) -> frozenset[str]:
 
 
 def prop_variables(f: Formula) -> frozenset[str]:
-    if isinstance(f, PropVar):
-        return frozenset({f.name})
-    if isinstance(f, PredApp):
-        return frozenset()
-    if isinstance(f, Not):
-        return prop_variables(f.operand)
-    if isinstance(f, Or):
-        return prop_variables(f.left) | prop_variables(f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return prop_variables(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(g.name for g in subformulas(f) if isinstance(g, PropVar))
 
 
 def predicates(f: Formula) -> frozenset[str]:
-    if isinstance(f, PropVar):
-        return frozenset()
-    if isinstance(f, PredApp):
-        return frozenset({f.predicate})
-    if isinstance(f, Not):
-        return predicates(f.operand)
-    if isinstance(f, Or):
-        return predicates(f.left) | predicates(f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return predicates(f.body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def substitute(f: Formula, var: str, replacement: str) -> Formula:
-    """Replace free occurrences of individual variable var by replacement.
-
-    Raises CaptureError if a free occurrence sits under a quantifier
-    binding the replacement variable.
-    """
-    if isinstance(f, (PropVar,)):
-        return f
-    if isinstance(f, PredApp):
-        return PredApp(f.predicate, replacement) if f.argument == var else f
-    if isinstance(f, Not):
-        return Not(substitute(f.operand, var, replacement))
-    if isinstance(f, Or):
-        return Or(substitute(f.left, var, replacement), substitute(f.right, var, replacement))
-    if isinstance(f, (ForAll, Exists)):
-        if f.variable == var:
-            return f
-        if f.variable == replacement and var in free_variables(f.body):
-            raise CaptureError(
-                f"substituting {replacement} for {var} is captured by ({f.variable})"
-            )
-        body = substitute(f.body, var, replacement)
-        return type(f)(f.variable, body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-@dataclass(frozen=True)
-class VariantSet:
-    """The variants of f obtained by renaming free variable `variable`."""
-
-    base: Formula
-    variable: str
-    members: tuple[tuple[str, Formula], ...]
-
-
-def variants(f: Formula, var: str, pool: tuple[str, ...] | list[str]) -> VariantSet:
-    if not pool:
-        raise ValueError("variant pool is empty")
-    if var not in free_variables(f):
-        raise ValueError(f"{var} is not free in the formula")
-    members = tuple((z, substitute(f, var, z)) for z in pool)
-    return VariantSet(base=f, variable=var, members=members)
+    return frozenset(g.predicate for g in subformulas(f) if isinstance(g, PredApp))

@@ -1,10 +1,12 @@
 """Command line behavior: output, exit codes, determinism."""
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from pmsem.cli import main
+from pmsem.syntax import MAX_DEPTH, MAX_NODES, PropVar, parse
 
 PROOFS = Path(__file__).resolve().parent.parent / "proofs"
 
@@ -46,6 +48,50 @@ def test_parse_error_exits_2(capsys):
     code, _, err = run(capsys, "parse", "p v")
     assert code == 2
     assert "error" in err
+
+
+def formula_commands(tmp_path, text):
+    """argv lists that parse text: each formula command and a proof line."""
+    script = tmp_path / "line.proof"
+    script.write_text(f"1 {text} ; AX Taut p=p\n")
+    commands = [[c, text] for c in ("parse", "eval", "taut", "fo-valid")]
+    return commands + [["check-proof", str(script)]]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["~" * 3000 + "p", " v ".join(["p"] * 600), " <=> ".join(["p"] * 30)],
+    ids=["deep-negation", "long-chain", "biconditional-chain"],
+)
+def test_formula_out_of_bounds_exits_2(tmp_path, capsys, text):
+    for argv in formula_commands(tmp_path, text):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv[0]
+        assert (code, out) == (2, ""), argv[0]
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def balanced(height):
+    """A full disjunction tree of p with the given number of levels."""
+    if height == 1:
+        return "p"
+    half = balanced(height - 1)
+    return f"({half} v {half})"
+
+
+def test_formulas_at_the_bounds_are_decided(tmp_path, capsys):
+    deep = "~" * (MAX_DEPTH - 1) + "p"
+    wide = balanced(MAX_NODES.bit_length() - 1)  # the largest full tree within MAX_NODES
+    for text in (deep, wide):
+        for argv in formula_commands(tmp_path, text):
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1) and err == "", (argv[0], err)
+    # a valid proof line at the depth bound
+    script = tmp_path / "deep.proof"
+    inner = "~" * (MAX_DEPTH - 3) + "p"
+    script.write_text(f"1 ~p v ({inner} v p) ; AX Add p={inner}, q=p\n")
+    assert run(capsys, "check-proof", str(script))[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +261,15 @@ def test_compare_sampled_reports_are_byte_identical(tmp_path, capsys):
     assert main(args + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_compare_sweeps_variables_that_parse_back(capsys):
+    for n in range(9):
+        code, out, _ = run(capsys, "compare", "--vars", str(n), "--prop-depth", "0", "--json")
+        names = json.loads(out)["config"]["prop_vars"]
+        assert code == 0 and len(names) == n
+        assert all(parse(v) == PropVar(v) for v in names)
+    assert run(capsys, "compare", "--vars", "8", "--prop-depth", "1")[0] == 0
 
 
 def test_compare_text_header_reports_seed(capsys):

@@ -7,7 +7,6 @@ from pmsem.fosem import (
     default_binding,
     enumerate_worlds,
     eval_fo,
-    instance_meaning,
     logical_truth,
 )
 from pmsem.meanings import is_true, meaning, render_meaning
@@ -39,6 +38,9 @@ def test_default_binding_covers_domain():
     b = default_binding(w())
     assert set(b.xi.values()) == {"a", "b"}
     assert len(b.pool) >= 3
+    b = default_binding(w(individuals=("a", "b", "c", "d")))
+    assert b.pool == ("x", "y", "z", "x1")
+    assert b.xi == {"x": "a", "y": "b", "z": "c", "x1": "d"}
 
 
 def test_default_binding_min_pool():
@@ -55,12 +57,6 @@ def test_binding_requires_surjectivity():
 def test_binding_requires_valuation_cover():
     with pytest.raises(ValueError):
         Binding(world=w(), pool=("x", "y"), xi={"x": "a"})
-
-
-def test_instance_meaning_at_individual():
-    b = Binding(world=w(), pool=("x", "y"), xi={"x": "a", "y": "b"})
-    assert instance_meaning("S", "x", b) == meaning({diag("a")})
-    assert instance_meaning("S", "y", b) == meaning({flip("b")})
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +131,10 @@ def test_free_variable_base_mode_any():
     b = default_binding(w())
     m = eval_fo(parse("S(x)"), b, base_mode="any", any_variable="x")
     assert is_true(m) == (b.xi["x"] == "a")
+    b = Binding(world=w(), pool=("x", "y"), xi={"x": "a", "y": "b"})
+    f = parse("S(x)")
+    assert eval_fo(f, b, base_mode="any", any_variable="x") == meaning({diag("a")})
+    assert eval_fo(f, b, base_mode="any", any_variable="y") == meaning({flip("b")})
 
 
 def test_base_mode_any_requires_variable():

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from pmsem.meanings import (
     Meaning,
-    StructureMismatch,
     atom_meaning,
     disjoin,
     is_true,
@@ -250,13 +249,8 @@ def test_memberwise_union_identity_on_one_input():
     assert memberwise_union([m]) == m
 
 
-def test_memberwise_union_requires_matching_counts():
-    with pytest.raises(StructureMismatch):
-        memberwise_union([meaning({A}), meaning({B}, {C})])
-
-
 def test_memberwise_union_pads_short_families():
-    m = memberwise_union([meaning({A}), meaning({B}, {C})], pad=True)
+    m = memberwise_union([meaning({A}), meaning({B}, {C})])
     assert len(m.members) == 2
 
 

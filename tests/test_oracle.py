@@ -1,4 +1,7 @@
 """Classical evaluators, formula enumeration and agreement sweeps."""
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,9 +18,20 @@ from pmsem.oracle import (
     truth_table_eval,
 )
 from pmsem.propsem import eval_prop
-from pmsem.syntax import Not, Or, PropVar, parse, print_formula
+from pmsem.syntax import Exists, ForAll, Not, Or, PropVar, parse, print_formula
 
 p = PropVar("p")
+
+# Whole reports of the fault-injected sweeps below, so that a change to
+# any record, its order or its context shows.
+FAULT_REPORTS = json.loads(
+    (Path(__file__).resolve().parent / "data" / "fault_reports.json").read_text()
+)
+
+
+def assert_pinned(name, report):
+    assert json.loads(json.dumps(report.to_dict())) == FAULT_REPORTS[name]["dict"]
+    assert report.to_text() == "\n".join(FAULT_REPORTS[name]["text"])
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +218,18 @@ def test_corrupted_negation_is_caught():
     assert first.formula == "~p"  # minimal witness: smallest broken formula
     assert first.context.startswith("assignment 0")
 
+    # the same fault under one policy only also splits the policies
+    def full_skips_negation(f, h, policy="minimal"):
+        if policy == "full" and isinstance(f, Not):
+            return eval_prop(f.operand, h, policy)
+        return eval_prop(f, h, policy)
+
+    for name, config in (
+        ("prop", SweepConfig(prop_vars=("p", "q"), max_depth=2)),
+        ("sampled", SweepConfig(prop_vars=("p",), max_depth=2, mode="sampled", seed=5, count=3)),
+    ):
+        assert_pinned(name, check_equivalence(config, prop_eval=full_skips_negation))
+
 
 def test_corrupted_fo_evaluator_is_caught():
     from pmsem.fosem import eval_fo
@@ -223,6 +249,22 @@ def test_corrupted_fo_evaluator_is_caught():
     report = check_equivalence(config, fo_eval=broken)
     assert not report.ok
     assert report.disagreements[0].section == "fo"
+
+    def minimal_negates_quantified(f, binding, assignment=None, policy="minimal"):
+        m = eval_fo(f, binding, assignment, policy)
+        if policy == "minimal" and isinstance(f, (ForAll, Exists)):
+            return negate(m, policy)
+        return m
+
+    config = SweepConfig(
+        include_prop=False,
+        include_fo=True,
+        fo_ind_vars=("x",),
+        fo_prop_vars=("p",),
+        fo_max_size=4,
+        fo_max_individuals=1,
+    )
+    assert_pinned("fo", check_equivalence(config, fo_eval=minimal_negates_quantified))
 
 
 def test_report_dict_shape():

@@ -13,7 +13,6 @@ from pmsem.propsem import (
     default_world,
     enumerate_assignments,
     eval_prop,
-    proposition,
     sampled_assignments,
 )
 from pmsem.syntax import parse
@@ -70,13 +69,6 @@ def test_eval_rejects_uncovered_variable():
 def test_eval_rejects_quantified_formulas():
     with pytest.raises(ValueError):
         eval_prop(parse("(x).S(x)"), h_of())
-
-
-def test_proposition_carries_formula_and_meaning():
-    f = parse("~p")
-    pr = proposition(f, h_of(p=P_TRUE))
-    assert pr.formula == f
-    assert pr.meaning == eval_prop(f, h_of(p=P_TRUE))
 
 
 # ---------------------------------------------------------------------------

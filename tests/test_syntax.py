@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pmsem.syntax import (
-    CaptureError,
     Exists,
     ForAll,
     FormulaSyntaxError,
@@ -19,8 +18,6 @@ from pmsem.syntax import (
     predicates,
     print_formula,
     prop_variables,
-    substitute,
-    variants,
 )
 
 p, q, r = PropVar("p"), PropVar("q"), PropVar("r")
@@ -175,7 +172,7 @@ def test_printing_is_deterministic(f):
 
 
 # ---------------------------------------------------------------------------
-# variables and substitution
+# variables
 
 def test_free_variables_of_atom():
     assert free_variables(PredApp("S", "x")) == {"x"}
@@ -194,45 +191,3 @@ def test_prop_variables_ignore_individuals():
     f = parse("(x). S(x) v p")
     assert prop_variables(f) == {"p"}
     assert predicates(f) == {"S"}
-
-
-def test_substitute_free_occurrence():
-    assert substitute(PredApp("S", "x"), "x", "y") == PredApp("S", "y")
-
-
-def test_substitute_skips_bound_occurrence():
-    f = ForAll("x", PredApp("S", "x"))
-    assert substitute(f, "x", "y") == f
-
-
-def test_substitute_reaches_into_other_scopes():
-    f = Or(PredApp("S", "x"), ForAll("y", PredApp("R", "y")))
-    assert substitute(f, "x", "z") == Or(
-        PredApp("S", "z"), ForAll("y", PredApp("R", "y"))
-    )
-
-
-def test_substitute_refuses_capture():
-    f = ForAll("y", Or(PredApp("R", "y"), PredApp("S", "x")))
-    with pytest.raises(CaptureError):
-        substitute(f, "x", "y")
-
-
-def test_variants_enumerates_renamings():
-    vs = variants(PredApp("S", "x"), "x", ("x", "y"))
-    assert vs.members == (
-        ("x", PredApp("S", "x")),
-        ("y", PredApp("S", "y")),
-    )
-
-
-def test_variants_rename_in_context():
-    f = Or(PredApp("S", "x"), p)
-    vs = variants(f, "x", ("y",))
-    assert vs.members == (("y", Or(PredApp("S", "y"), p)),)
-
-
-def test_variants_propagate_capture_error():
-    f = ForAll("y", Or(PredApp("R", "y"), PredApp("S", "x")))
-    with pytest.raises(CaptureError):
-        variants(f, "x", ("y",))
