@@ -24,14 +24,27 @@ order (all-diagonal members first) and repeats a shorter family's last
 member when counts differ, which keeps the merge total and makes its
 truth value exactly the conjunction of the instance truth values; the
 existential family union is exactly the disjunction.
+
+Memos.  Evaluation builds each subformula's Meaning once per
+environment and keeps it in a memo: one table per environment (the
+tuple of variable -> individual entries the enclosing quantifiers
+set), keyed by subformula.  A Binding whose `memo` is set carries that
+memo across calls made with the assignment it was made for: the
+agreement sweep (`oracle.check_equivalence`) sets one for each world
+and assignment, evaluates every formula there, and drops it.  Other
+callers (`logical_truth`, the CLI) pass a plain Binding, and each call
+then keeps its own memo for the one formula it evaluates; it serves the
+quantifier instances that repeat when pool variables share an
+individual (the pool has at least three variables).
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .meanings import (
     Meaning,
+    Memo,
     atom_meaning,
     disjoin,
     is_true,
@@ -72,6 +85,8 @@ class Binding:
     world: World
     pool: tuple[str, ...]
     xi: dict[str, str]
+    # Set by the sweep that owns this point; never copied by replace().
+    memo: Memo | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.pool:
@@ -113,42 +128,67 @@ def eval_fo(
             raise ValueError("base mode 'any' needs a designated variable")
         if any_variable not in binding.xi:
             raise ValueError(f"designated variable {any_variable} is not in the pool valuation")
-    unbound = free_variables(f) - set(binding.xi)
-    if unbound:
-        raise ValueError(f"unbound individual variables: {sorted(unbound)}")
     world = binding.world
+    xi = binding.xi
+    pool_values = [xi[z] for z in binding.pool]
+    memo = binding.memo
+    if memo is not None and memo.assignment is assignment:
+        tables, interned = memo.table((policy, base_mode, any_variable)), memo.interned
+    else:
+        tables, interned = {}, None
 
-    def ev(g: Formula, env: dict[str, str]) -> Meaning:
-        if isinstance(g, PropVar):
+    def ev(g: Formula, env: dict[str, str], table: dict) -> Meaning:
+        if isinstance(g, Or):
+            m = disjoin(
+                table.get(g.left) or ev(g.left, env, table),
+                table.get(g.right) or ev(g.right, env, table),
+            )
+        elif isinstance(g, Not):
+            m = negate(table.get(g.operand) or ev(g.operand, env, table), policy)
+        elif isinstance(g, PredApp):
+            if g.argument in env:
+                m = atom_meaning(world, g.predicate, (env[g.argument],))
+            elif g.argument not in xi:
+                unbound = sorted(free_variables(f) - set(xi))
+                raise ValueError(f"unbound individual variables: {unbound}")
+            elif base_mode == "any":
+                m = atom_meaning(world, g.predicate, (xi[any_variable],))
+            else:
+                m = memberwise_union([atom_meaning(world, g.predicate, (d,)) for d in pool_values])
+        elif isinstance(g, PropVar):
             if assignment is None or g.name not in assignment.values:
                 raise ValueError(f"assignment does not cover variable {g.name}")
-            return assignment.values[g.name]
-        if isinstance(g, PredApp):
-            if g.argument in env:
-                return atom_meaning(world, g.predicate, (env[g.argument],))
-            if base_mode == "any":
-                return atom_meaning(world, g.predicate, (binding.xi[any_variable],))
-            instances = [
-                atom_meaning(world, g.predicate, (binding.xi[z],)) for z in binding.pool
-            ]
-            return memberwise_union(instances)
-        if isinstance(g, Or):
-            return disjoin(ev(g.left, env), ev(g.right, env))
-        if isinstance(g, Not):
-            return negate(ev(g.operand, env), policy)
-        if isinstance(g, ForAll):
-            instances = [
-                ev(g.body, {**env, g.variable: binding.xi[z]}) for z in binding.pool
-            ]
-            return memberwise_union(instances)
-        if isinstance(g, Exists):
-            members = frozenset()
-            for z in binding.pool:
-                members |= ev(g.body, {**env, g.variable: binding.xi[z]}).members
-            return Meaning(members)
-        raise TypeError(f"not a formula: {g!r}")
+            m = assignment.values[g.name]
+        elif isinstance(g, (ForAll, Exists)):
+            # The body's Meaning with g's variable at each pool value.
+            instances = []
+            for d in pool_values:
+                inner = {**env, g.variable: d}
+                key = tuple(inner.items())
+                inner_table = tables.get(key)
+                if inner_table is None:
+                    inner_table = tables[key] = {}
+                instances.append(inner_table.get(g.body) or ev(g.body, inner, inner_table))
+            if isinstance(g, ForAll):
+                m = memberwise_union(instances)
+            else:
+                m = Meaning(frozenset().union(*(i.members for i in instances)))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        if interned is not None:
+            m = interned.setdefault(m, m)
+        table[g] = m
+        return m
 
-    return ev(f, {})
+    root = tables.get(())
+    if root is None:
+        root = tables[()] = {}
+    try:
+        return root.get(f) or ev(f, {}, root)
+    finally:
+        # ev refers to itself; emptying its cell frees the tables of a
+        # throwaway memo now, not at the next cyclic garbage collection.
+        del ev
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +202,12 @@ class FoVerdict:
     witness_assignment: PropAssignment | None = None
 
 
+# Most worlds enumerate_worlds builds.  The acceptance sweeps need at
+# most 20 per vocabulary, and `pm fo-valid` by default 2^k + 4^k + 8^k
+# for a formula with k predicates: 584 for three.
+MAX_WORLDS = 2**16
+
+
 def enumerate_worlds(
     predicate_names,
     prop_vars,
@@ -172,9 +218,21 @@ def enumerate_worlds(
     Domains {a}, {a, b}, ... and every subset of facts, smaller and
     lexicographically earlier subsets first.  Constants carrying the
     propositional variables are declared true; assignment sweeps vary
-    their values, so world enumeration does not.
+    their values, so world enumeration does not.  There are
+    sum(2^(k*n) for n in 1..max_individuals) worlds over k predicates;
+    more than MAX_WORLDS raises ValueError before any is built.
     """
     preds = sorted(set(predicate_names))
+    if max_individuals < 1:
+        raise ValueError(f"worlds need at least 1 individual, got {max_individuals}")
+    total = 0
+    for n in range(1, max_individuals + 1):
+        total += 2 ** (len(preds) * n)
+        if total > MAX_WORLDS:
+            raise ValueError(
+                f"more than {MAX_WORLDS} worlds over {len(preds)} predicate(s) "
+                f"with up to {max_individuals} individuals"
+            )
     constants = tuple((constant_name(v), True) for v in sorted(set(prop_vars)))
     letters = [chr(ord("a") + i) for i in range(max_individuals)]
     out = []

@@ -13,6 +13,10 @@ drawn from the family's union that intersect every member.  The
 `minimal` policy keeps only inclusion-minimal hitting sets; `full`
 keeps them all.  `swap_family` pushes the tag swap through a family
 pointwise.
+
+A `Memo` holds the Meanings already computed at one evaluation point,
+so that the evaluators can build each formula's Meaning from those of
+its subformulas in about one connective step.
 """
 from __future__ import annotations
 
@@ -71,6 +75,31 @@ def meaning_in_world(m: Meaning, w: World) -> bool:
     """Do all base complexes of m exist in w?"""
     existing = existing_complexes(w)
     return all(p.base in existing for member in m.members for p in member)
+
+
+class Memo:
+    """Meanings computed at one point, for a sweep over many formulas.
+
+    `tables` maps an evaluation context to a formula -> Meaning table:
+    the policy for `eval_prop`; for `eval_fo` the (policy, base mode,
+    designated variable) triple, whose entry maps each environment
+    tuple to its own table.  `interned` keeps one object per distinct
+    Meaning, so that equal Meanings of different formulas share memory.
+    `assignment` is the assignment a Binding's memo belongs to.
+    """
+
+    __slots__ = ("assignment", "tables", "interned")
+
+    def __init__(self, assignment=None):
+        self.assignment = assignment
+        self.tables: dict = {}
+        self.interned: dict[Meaning, Meaning] = {}
+
+    def table(self, context) -> dict:
+        table = self.tables.get(context)
+        if table is None:
+            table = self.tables[context] = {}
+        return table
 
 
 # ---------------------------------------------------------------------------

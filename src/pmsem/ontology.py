@@ -14,7 +14,7 @@ on complexes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class WorldError(ValueError):

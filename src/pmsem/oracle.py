@@ -17,13 +17,27 @@ more.
 reports every point where the meaning evaluators and the classical
 evaluators disagree, and every point where the two transversal policies
 disagree with each other.  Reports are deterministic and JSON-ready.
+
+The sweep runs point by point.  The propositional section takes each
+assignment in turn; the quantified section groups the formulas by
+vocabulary (their predicates, or S when they have none, and their
+propositional variables, in first-seen order), enumerates the worlds
+of each vocabulary once, and takes each world and assignment in turn.
+Each point gets a fresh memo (`meanings.Memo`, carried by the point's
+assignment or binding), so every formula's Meaning is built in about
+one connective step from those of its subformulas, which
+`enumerate_formulas` lists first; the memo is dropped when the point
+is done, so memory holds one point's Meanings at a time.  Only the
+disagreeing points are kept, and each section records them afterwards
+in (formula, world, assignment) order, so the report lists its
+witnesses as a formula-by-formula sweep would.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 
 from .fosem import default_binding, enumerate_worlds, eval_fo
-from .meanings import is_true
+from .meanings import Memo, is_true
 from .ontology import World
 from .propsem import PropAssignment, enumerate_assignments, eval_prop
 from .syntax import (
@@ -307,6 +321,7 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
     fo_eval = fo_eval or eval_fo
     policies = config.policies
     report = EquivalenceReport(config=config)
+    _check_bounds(config)
 
     if config.include_prop:
         formulas = enumerate_formulas(
@@ -324,14 +339,17 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
             size_bound=config.size_bound,
         )
         report.prop_checks = len(formulas) * len(assignments) * len(policies)
-        for f in formulas:
-            text = print_formula(f)
-            for idx, h in enumerate(assignments):
-                expected = truth_table_eval(f, h.truths())
-                got = {}
-                for policy in policies:
-                    got[policy] = is_true(prop_eval(f, h, policy))
-                _check_point(report, "prop", text, expected, got, idx, h)
+        misses = []
+        for idx, h in enumerate(assignments):
+            point = PropAssignment(values=h.values, world=h.world)
+            point.memo = Memo()
+            truths = h.truths()
+            for i, f in enumerate(formulas):
+                expected = truth_table_eval(f, truths)
+                got = [is_true(prop_eval(f, point, policy)) for policy in policies]
+                if got.count(expected) != len(got):
+                    misses.append(((i, idx), expected, got, idx, h))
+        _replay(report, "prop", formulas, policies, misses)
 
     if config.include_fo:
         formulas = enumerate_formulas(
@@ -344,12 +362,15 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
             closed_only=True,
         )
         report.fo_formulas = len(formulas)
-        for f in formulas:
-            text = print_formula(f)
-            pvars = sorted(prop_variables(f))
-            preds = sorted(predicates(f)) or ["S"]
+        # Each formula is checked over the worlds of its own vocabulary.
+        vocabularies: dict[tuple, list[int]] = {}
+        for i, f in enumerate(formulas):
+            key = (tuple(sorted(predicates(f)) or ["S"]), tuple(sorted(prop_variables(f))))
+            vocabularies.setdefault(key, []).append(i)
+        misses = []
+        for (preds, pvars), members in vocabularies.items():
             worlds = enumerate_worlds(preds, pvars, config.fo_max_individuals)
-            for w in worlds:
+            for wdx, w in enumerate(worlds):
                 model = model_from_world(w)
                 binding = default_binding(w)
                 if pvars:
@@ -363,14 +384,44 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
                     )
                 else:
                     assignments = [PropAssignment(values={}, world=w)]
-                report.fo_checks += len(assignments) * len(policies)
-                for h in assignments:
-                    expected = tarski_eval(f, model, None, h.truths())
-                    got = {}
-                    for policy in policies:
-                        got[policy] = is_true(fo_eval(f, binding, h, policy))
-                    _check_point(report, "fo", text, expected, got, w, h)
+                report.fo_checks += len(members) * len(assignments) * len(policies)
+                for adx, h in enumerate(assignments):
+                    binding.memo = Memo(h)
+                    truths = h.truths()
+                    for i in members:
+                        f = formulas[i]
+                        expected = tarski_eval(f, model, None, truths)
+                        got = [is_true(fo_eval(f, binding, h, policy)) for policy in policies]
+                        if got.count(expected) != len(got):
+                            misses.append(((i, wdx, adx), expected, got, w, h))
+        _replay(report, "fo", formulas, policies, misses)
     return report
+
+
+def _check_bounds(config: SweepConfig) -> None:
+    """Reject bounds under which an included section would check nothing.
+
+    `enumerate_worlds` rejects an individual count below 1.
+    """
+    bounds = []
+    if config.include_prop:
+        bounds += [("depth", config.max_depth, 0), ("size", config.max_size, 1)]
+    if config.include_fo:
+        bounds += [
+            ("quantified depth", config.fo_max_depth, 0),
+            ("quantified size", config.fo_max_size, 1),
+        ]
+    for name, value, least in bounds:
+        if value is not None and value < least:
+            raise ValueError(f"sweep {name} must be at least {least}, got {value}")
+
+
+def _replay(report, section, formulas, policies, misses) -> None:
+    """Record the disagreeing points in (formula, world, assignment) order."""
+    misses.sort(key=lambda miss: miss[0])
+    for key, expected, got, where, h in misses:
+        text = print_formula(formulas[key[0]])
+        _check_point(report, section, text, expected, dict(zip(policies, got)), where, h)
 
 
 def _check_point(report, section, text, expected, got, where, h) -> None:

@@ -15,21 +15,23 @@ world's existing complexes from a seeded generator.
 
 `classify` sweeps assignments and reports tautology / contradiction /
 contingent with witness assignments.
+
+Memos.  `eval_prop` builds a formula's Meaning from the Meanings of its
+subformulas, kept in a memo.  An assignment whose `memo` is set carries
+that memo across calls: the agreement sweep (`oracle.check_equivalence`)
+makes such an assignment for each point, evaluates every formula there,
+and drops it.  Every other caller (`classify`, the CLI, the proof
+checker) passes a plain assignment, and each call then evaluates the
+whole tree: a memo that lives for one call costs more in hashing than
+the few subformulas it could share.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .meanings import (
-    Meaning,
-    atom_meaning,
-    disjoin,
-    is_true,
-    meaning,
-    negate,
-)
+from .meanings import Memo, Meaning, disjoin, is_true, meaning, negate
 from .ontology import Complex, Pair, World, all_pairs
 from .syntax import Formula, Not, Or, PredApp, PropVar, prop_variables
 
@@ -64,6 +66,8 @@ class PropAssignment:
 
     values: dict[str, Meaning]
     world: World
+    # Set by the sweep that owns this point; never copied by replace().
+    memo: Memo | None = field(default=None, init=False, repr=False, compare=False)
 
     def truths(self) -> dict[str, bool]:
         return {var: is_true(m) for var, m in self.values.items()}
@@ -75,18 +79,48 @@ class PropAssignment:
 
 def eval_prop(f: Formula, h: PropAssignment, policy: str = "minimal") -> Meaning:
     """Meaning of a propositional formula under h."""
-    if isinstance(f, PropVar):
+    memo = h.memo
+    if memo is None:
+        return _eval_prop(f, h.values, policy, None, None)
+    table = memo.table(policy)
+    return table.get(f) or _eval_prop(f, h.values, policy, table, memo.interned)
+
+
+def _eval_prop(f, values, policy, table, interned) -> Meaning:
+    """Evaluate f, reading and recording subformula Meanings in table.
+
+    Without a table (None) every subformula is evaluated afresh.  An
+    empty table and a miss are both falsy, and Meanings never are, so
+    `table and table.get(g) or ...` recurses exactly when g is not
+    recorded.  interned, when given, maps each Meaning to its one
+    shared copy.
+    """
+    if isinstance(f, Or):
+        left, right = f.left, f.right
+        m = disjoin(
+            table and table.get(left) or _eval_prop(left, values, policy, table, interned),
+            table and table.get(right) or _eval_prop(right, values, policy, table, interned),
+        )
+    elif isinstance(f, Not):
+        operand = f.operand
+        m = negate(
+            table and table.get(operand) or _eval_prop(operand, values, policy, table, interned),
+            policy,
+        )
+    elif isinstance(f, PropVar):
         try:
-            return h.values[f.name]
+            m = values[f.name]
         except KeyError:
             raise ValueError(f"assignment does not cover variable {f.name}") from None
-    if isinstance(f, Or):
-        return disjoin(eval_prop(f.left, h, policy), eval_prop(f.right, h, policy))
-    if isinstance(f, Not):
-        return negate(eval_prop(f.operand, h, policy), policy)
-    if isinstance(f, PredApp):
+    elif isinstance(f, PredApp):
         raise ValueError("eval_prop takes propositional formulas; use eval_fo for predicates")
-    raise ValueError("eval_prop takes propositional formulas; use eval_fo for quantifiers")
+    else:
+        raise ValueError("eval_prop takes propositional formulas; use eval_fo for quantifiers")
+    if table is not None:
+        if interned is not None:
+            m = interned.setdefault(m, m)
+        table[f] = m
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -80,38 +80,56 @@ class FormulaSyntaxError(ValueError):
 
 
 class Formula:
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        # Cached on the node: the memoized sweeps hash every subformula
+        # they look up, and the generated dataclass hash would rehash the
+        # whole subtree each time.  Same value as the generated hash.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(tuple(getattr(self, name) for name in self.__dataclass_fields__))
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen, slotted dataclass formula node with the cached hash."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class PropVar(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class PredApp(Formula):
     predicate: str
     argument: str
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class ForAll(Formula):
     variable: str
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Exists(Formula):
     variable: str
     body: Formula

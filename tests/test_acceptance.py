@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from pmsem.cli import main
-from pmsem.meanings import is_true, meaning_in_world
+from pmsem.meanings import meaning_in_world
 from pmsem.oracle import (
     SweepConfig,
     check_equivalence,
@@ -27,7 +27,7 @@ from pmsem.oracle import (
 )
 from pmsem.proof import check_proof, load_script
 from pmsem.propsem import canonical_assignments, classify, eval_prop
-from pmsem.syntax import parse, print_formula, prop_variables
+from pmsem.syntax import parse, prop_variables
 
 ROOT = Path(__file__).resolve().parent.parent
 PROOFS = ROOT / "proofs"

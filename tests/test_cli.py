@@ -205,6 +205,25 @@ def test_fo_valid_rejects_open_formula(capsys):
     assert code == 2
 
 
+def assert_usage_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_fo_valid_rejects_empty_world_bound(capsys, bound):
+    assert_usage_error(capsys, "fo-valid", "(x).S(x)", "--max-individuals", bound)
+
+
+def test_fo_valid_world_budget(capsys):
+    start = time.perf_counter()
+    assert_usage_error(capsys, "fo-valid", "(x).S(x)", "--max-individuals", "30")
+    assert time.perf_counter() - start < 1
+    code, out, _ = run(capsys, "fo-valid", "(x).S(x) v ~S(x)", "--max-individuals", "3")
+    assert code == 0 and out.startswith("logical_truth (14 worlds checked)")
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -270,6 +289,20 @@ def test_compare_sweeps_variables_that_parse_back(capsys):
         assert code == 0 and len(names) == n
         assert all(parse(v) == PropVar(v) for v in names)
     assert run(capsys, "compare", "--vars", "8", "--prop-depth", "1")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--no-prop", "--fo", "--fo-individuals", "0"],
+        ["--prop-depth", "-1"],
+        ["--vars", "2", "--prop-size", "0"],
+        ["--no-prop", "--fo", "--fo-depth", "-1"],
+        ["--no-prop", "--fo", "--fo-size", "0"],
+    ],
+)
+def test_compare_rejects_bounds_that_check_nothing(capsys, argv):
+    assert_usage_error(capsys, "compare", *argv)
 
 
 def test_compare_text_header_reports_seed(capsys):

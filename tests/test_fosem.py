@@ -9,10 +9,10 @@ from pmsem.fosem import (
     eval_fo,
     logical_truth,
 )
-from pmsem.meanings import is_true, meaning, render_meaning
+from pmsem.meanings import Memo, is_true, meaning, render_meaning
 from pmsem.ontology import Complex, Pair, World
-from pmsem.propsem import declared_assignment
-from pmsem.syntax import parse
+from pmsem.propsem import canonical_assignments, declared_assignment
+from pmsem.syntax import Exists, ForAll, Not, Or, PredApp, PropVar, parse, print_formula
 
 
 def w(facts=("a",), individuals=("a", "b")):
@@ -150,6 +150,69 @@ def test_unknown_base_mode_rejected():
 def test_render_universal_example():
     m = eval_fo(parse("(x).S(x)"), default_binding(w(facts=("a", "b"))))
     assert render_meaning(m) == "{{<S(a)+,=>, <S(b)+,=>}}"
+
+
+# ---------------------------------------------------------------------------
+# memo-carrying bindings
+
+IND_VARS = st.sampled_from(("x", "y"))
+
+FO_TREES = st.recursive(
+    st.one_of(st.builds(PredApp, st.sampled_from(("S", "R")), IND_VARS), st.just(PropVar("p"))),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(Or, sub, sub),
+        st.builds(ForAll, IND_VARS, sub),
+        st.builds(Exists, IND_VARS, sub),
+        st.builds(lambda f: Or(f, parse(print_formula(f))), sub),
+    ),
+    max_leaves=3,
+)
+
+FACTS = [(r, (i,)) for r in ("R", "S") for i in ("a", "b")]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            FO_TREES,
+            st.sampled_from(("minimal", "full")),
+            st.sampled_from([("all", None), ("any", "x"), ("any", "y")]),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    st.sampled_from([("a",), ("a", "b")]),
+    st.sets(st.sampled_from(FACTS)),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_memo_binding_matches_fresh_evaluation(calls, individuals, facts, p_true):
+    """One memo-carrying binding serves formulas in any order, under
+    interleaved policies and base modes, with the Meanings a fresh
+    evaluation gives."""
+    world = World(
+        individuals=individuals,
+        relations=(("R", 1), ("S", 1)),
+        facts=frozenset(f for f in facts if f[1][0] in individuals),
+        constants=(("P", True),),
+    )
+    h = canonical_assignments(["p"], world)[0 if p_true else 1]
+    point = default_binding(h.world)
+    point.memo = Memo(h)
+    for f, policy, (base_mode, any_variable) in calls:
+        fresh = eval_fo(f, default_binding(h.world), h, policy, base_mode, any_variable)
+        assert eval_fo(f, point, h, policy, base_mode, any_variable) == fresh
+
+
+def test_memo_is_not_served_to_another_assignment():
+    world = World(individuals=("a",), relations=(("S", 1),), constants=(("P", True),))
+    h_true, h_false = canonical_assignments(["p"], world)
+    binding = default_binding(world)
+    binding.memo = Memo(h_true)
+    f = parse("(x).p")
+    assert is_true(eval_fo(f, binding, h_true))
+    assert not is_true(eval_fo(f, binding, h_false))
 
 
 # ---------------------------------------------------------------------------

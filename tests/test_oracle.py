@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmsem.meanings import is_true, meaning, negate
-from pmsem.ontology import Complex, Pair, World
+from pmsem.meanings import negate
+from pmsem.ontology import World
 from pmsem.oracle import (
     SweepConfig,
     check_equivalence,
@@ -265,6 +265,28 @@ def test_corrupted_fo_evaluator_is_caught():
         fo_max_individuals=1,
     )
     assert_pinned("fo", check_equivalence(config, fo_eval=minimal_negates_quantified))
+
+    # Formulas of different vocabularies interleave in the report, as
+    # the sweep's own order (formula, world, assignment) has them.
+    def full_negates_quantified_where_all_facts_hold(f, binding, assignment=None, policy="minimal"):
+        m = eval_fo(f, binding, assignment, policy)
+        world = binding.world
+        every_fact = len(world.facts) == len(world.relations)  # one individual
+        if policy == "full" and isinstance(f, (ForAll, Exists)) and every_fact:
+            return negate(m, policy)
+        return m
+
+    config = SweepConfig(
+        include_prop=False,
+        include_fo=True,
+        fo_predicates=("S", "R"),
+        fo_ind_vars=("x",),
+        fo_prop_vars=("p",),
+        fo_max_size=4,
+        fo_max_individuals=1,
+    )
+    report = check_equivalence(config, fo_eval=full_negates_quantified_where_all_facts_hold)
+    assert_pinned("fo_two", report)
 
 
 def test_report_dict_shape():

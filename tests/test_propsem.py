@@ -1,8 +1,10 @@
 """Propositional evaluation, assignments and the tautology decision."""
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmsem.meanings import is_true, meaning, meaning_in_world, render_meaning
+from pmsem.meanings import Memo, is_true, meaning, meaning_in_world, render_meaning
 from pmsem.ontology import Complex, Pair, World
 from pmsem.propsem import (
     PropAssignment,
@@ -15,7 +17,7 @@ from pmsem.propsem import (
     eval_prop,
     sampled_assignments,
 )
-from pmsem.syntax import parse
+from pmsem.syntax import Not, Or, PropVar, equivalent, parse, print_formula
 
 P_TRUE = meaning({Pair(Complex("P", (), True), True)})
 P_FALSE = meaning({Pair(Complex("P", (), False), False)})
@@ -203,3 +205,57 @@ def test_render_of_negated_disjunction():
     h = h_of(p=P_TRUE, q=Q_FALSE)
     m = eval_prop(parse("~(p v q)"), h)
     assert render_meaning(m) == "{{<P+,0>, <Q-,=>}}"
+
+
+# ---------------------------------------------------------------------------
+# memo-carrying assignments
+
+def copied(f):
+    """A structurally equal tree that shares no node with f."""
+    return parse(print_formula(f))
+
+
+PROP_TREES = st.recursive(
+    st.sampled_from([PropVar("p"), PropVar("q")]),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(Or, sub, sub),
+        st.builds(equivalent, sub, sub),
+        st.builds(lambda f: Or(f, copied(f)), sub),
+    ),
+    max_leaves=4,
+)
+
+
+def memo_point(h):
+    point = PropAssignment(values=h.values, world=h.world)
+    point.memo = Memo()
+    return point
+
+
+@given(
+    st.lists(st.tuples(PROP_TREES, st.sampled_from(("minimal", "full"))), min_size=1, max_size=12),
+    st.integers(0, 3),
+    st.one_of(st.none(), st.integers(0, 2**16)),
+)
+@settings(max_examples=60, deadline=None)
+def test_memo_point_matches_fresh_evaluation(calls, index, seed):
+    """One memo-carrying point serves formulas in any order and under
+    interleaved policies with the Meanings a fresh evaluation gives."""
+    if seed is None:
+        h = canonical_assignments(["p", "q"])[index]
+    else:
+        h = sampled_assignments(["p", "q"], default_world(["p", "q"]), seed, 1, size_bound=2)[0]
+    point = memo_point(h)
+    for f, policy in calls:
+        assert eval_prop(f, point, policy) == eval_prop(f, h, policy)
+        assert eval_prop(copied(f), point, policy) == eval_prop(f, h, policy)
+
+
+def test_memo_stays_with_its_point():
+    h, other = canonical_assignments(["p"])
+    point = memo_point(h)
+    assert is_true(eval_prop(parse("p"), point))
+    assert replace(point, values=other.values).memo is None
+    assert not is_true(eval_prop(parse("p"), replace(point, values=other.values)))
+
