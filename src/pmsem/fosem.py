@@ -3,65 +3,31 @@
 A Binding fixes the world, an ordered pool of individual variables,
 and a valuation xi of pool variables onto individuals (onto: every
 individual is some variable's value; by default one variable per
-individual).
+individual).  `eval_fo` evaluates a formula under a binding and a
+propositional assignment through the one recursion of `propsem`,
+whose docstring states the induction and the memo design.
 
-Evaluation runs one unified induction:
-
-  * propositional variables come from the propositional assignment;
-  * a predicate application whose variable was bound by an enclosing
-    quantifier takes the atom meaning at that variable's individual;
-  * a free predicate application takes, under base mode "all", the
-    member-wise union of its atom meanings across the whole pool, and
-    under base mode "any" the atom meaning at one designated variable;
-  * disjunction and negation run the propositional cores on the
-    computed Meanings;
-  * (x)q merges the instance meanings of q at every pool variable
-    member by member; (Ex)q pools all members of all instances into
-    one family.
-
-The universal merge (`memberwise_union`) uses the canonical member
-order (all-diagonal members first) and repeats a shorter family's last
-member when counts differ, which keeps the merge total and makes its
-truth value exactly the conjunction of the instance truth values; the
-existential family union is exactly the disjunction.
-
-Memos.  Evaluation builds each subformula's Meaning once per
-environment and keeps it in a memo: one table per environment (the
-tuple of variable -> individual entries the enclosing quantifiers
-set), keyed by subformula.  A Binding whose `memo` is set carries that
-memo across calls made with the assignment it was made for: the
-agreement sweep (`oracle.check_equivalence`) sets one for each world
-and assignment, evaluates every formula there, and drops it.  Other
-callers (`logical_truth`, the CLI) pass a plain Binding, and each call
-then keeps its own memo for the one formula it evaluates; it serves the
-quantifier instances that repeat when pool variables share an
-individual (the pool has at least three variables).
+`enumerate_worlds` lists every small world over a vocabulary, and
+`logical_truth` checks a closed formula in each of them.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 
-from .meanings import (
-    Meaning,
-    Memo,
-    atom_meaning,
-    disjoin,
-    is_true,
-    memberwise_union,
-    negate,
-)
+from .meanings import Meaning, Memo, is_true
 from .ontology import World
-from .propsem import PropAssignment, constant_name, enumerate_assignments
+from .propsem import (
+    PropAssignment,
+    _Context,
+    _ev,
+    _Unbound,
+    constant_name,
+    enumerate_assignments,
+)
 from .syntax import (
     IND_LETTERS,
-    Exists,
-    ForAll,
     Formula,
-    Not,
-    Or,
-    PredApp,
-    PropVar,
     free_variables,
     predicates,
     prop_variables,
@@ -128,67 +94,22 @@ def eval_fo(
             raise ValueError("base mode 'any' needs a designated variable")
         if any_variable not in binding.xi:
             raise ValueError(f"designated variable {any_variable} is not in the pool valuation")
-    world = binding.world
-    xi = binding.xi
-    pool_values = [xi[z] for z in binding.pool]
     memo = binding.memo
     if memo is not None and memo.assignment is assignment:
-        tables, interned = memo.table((policy, base_mode, any_variable)), memo.interned
+        ctx = memo.contexts.get((policy, base_mode, any_variable))
     else:
-        tables, interned = {}, None
-
-    def ev(g: Formula, env: dict[str, str], table: dict) -> Meaning:
-        if isinstance(g, Or):
-            m = disjoin(
-                table.get(g.left) or ev(g.left, env, table),
-                table.get(g.right) or ev(g.right, env, table),
-            )
-        elif isinstance(g, Not):
-            m = negate(table.get(g.operand) or ev(g.operand, env, table), policy)
-        elif isinstance(g, PredApp):
-            if g.argument in env:
-                m = atom_meaning(world, g.predicate, (env[g.argument],))
-            elif g.argument not in xi:
-                unbound = sorted(free_variables(f) - set(xi))
-                raise ValueError(f"unbound individual variables: {unbound}")
-            elif base_mode == "any":
-                m = atom_meaning(world, g.predicate, (xi[any_variable],))
-            else:
-                m = memberwise_union([atom_meaning(world, g.predicate, (d,)) for d in pool_values])
-        elif isinstance(g, PropVar):
-            if assignment is None or g.name not in assignment.values:
-                raise ValueError(f"assignment does not cover variable {g.name}")
-            m = assignment.values[g.name]
-        elif isinstance(g, (ForAll, Exists)):
-            # The body's Meaning with g's variable at each pool value.
-            instances = []
-            for d in pool_values:
-                inner = {**env, g.variable: d}
-                key = tuple(inner.items())
-                inner_table = tables.get(key)
-                if inner_table is None:
-                    inner_table = tables[key] = {}
-                instances.append(inner_table.get(g.body) or ev(g.body, inner, inner_table))
-            if isinstance(g, ForAll):
-                m = memberwise_union(instances)
-            else:
-                m = Meaning(frozenset().union(*(i.members for i in instances)))
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        if interned is not None:
-            m = interned.setdefault(m, m)
-        table[g] = m
-        return m
-
-    root = tables.get(())
-    if root is None:
-        root = tables[()] = {}
+        memo = ctx = None
+    if ctx is None:
+        values = assignment.values if assignment is not None else {}
+        any_value = binding.xi[any_variable] if base_mode == "any" else None
+        ctx = _Context(values, policy, {}, memo and memo.interned, binding, any_value)
+        if memo is not None:
+            memo.contexts[(policy, base_mode, any_variable)] = ctx
     try:
-        return root.get(f) or ev(f, {}, root)
-    finally:
-        # ev refers to itself; emptying its cell frees the tables of a
-        # throwaway memo now, not at the next cyclic garbage collection.
-        del ev
+        return ctx.root.get(f) or _ev(f, {}, ctx.root, ctx)
+    except _Unbound:
+        unbound = sorted(free_variables(f) - set(binding.xi))
+        raise ValueError(f"unbound individual variables: {unbound}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +193,9 @@ def logical_truth(
     checked = 0
     for w in worlds:
         binding = default_binding(w)
-        if pvars:
-            assignments = enumerate_assignments(
-                pvars, w, mode, seed=seed, count=count, size_bound=size_bound
-            )
-        else:
-            assignments = [PropAssignment(values={}, world=w)]
+        assignments = enumerate_assignments(
+            pvars, w, mode, seed=seed, count=count, size_bound=size_bound
+        )
         for h in assignments:
             checked += 1
             if not is_true(eval_fo(f, binding, h, policy)):

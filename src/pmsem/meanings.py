@@ -14,13 +14,13 @@ drawn from the family's union that intersect every member.  The
 keeps them all.  `swap_family` pushes the tag swap through a family
 pointwise.
 
-A `Memo` holds the Meanings already computed at one evaluation point,
-so that the evaluators can build each formula's Meaning from those of
-its subformulas in about one connective step.
+A `Memo` holds the Meanings already computed at one evaluation point
+(see `propsem`).
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .ontology import Pair, World, existing_complexes, pair_key, swap
@@ -29,7 +29,7 @@ Member = frozenset  # frozenset[Pair]
 
 POLICIES = ("minimal", "full")
 
-_FULL_POLICY_LIMIT = 2**18
+_TRANSVERSAL_LIMIT = 2**18
 
 
 @dataclass(frozen=True)
@@ -80,26 +80,17 @@ def meaning_in_world(m: Meaning, w: World) -> bool:
 class Memo:
     """Meanings computed at one point, for a sweep over many formulas.
 
-    `tables` maps an evaluation context to a formula -> Meaning table:
-    the policy for `eval_prop`; for `eval_fo` the (policy, base mode,
-    designated variable) triple, whose entry maps each environment
-    tuple to its own table.  `interned` keeps one object per distinct
-    Meaning, so that equal Meanings of different formulas share memory.
-    `assignment` is the assignment a Binding's memo belongs to.
+    `contexts` holds the evaluation contexts and `interned` one object
+    per distinct Meaning; `assignment` is the assignment a Binding's
+    memo belongs to.  The `propsem` docstring says how they are used.
     """
 
-    __slots__ = ("assignment", "tables", "interned")
+    __slots__ = ("assignment", "contexts", "interned")
 
     def __init__(self, assignment=None):
         self.assignment = assignment
-        self.tables: dict = {}
+        self.contexts: dict = {}
         self.interned: dict[Meaning, Meaning] = {}
-
-    def table(self, context) -> dict:
-        table = self.tables.get(context)
-        if table is None:
-            table = self.tables[context] = {}
-        return table
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +101,9 @@ def transversals(family, policy: str = "minimal") -> frozenset[frozenset[Pair]]:
 
     minimal: inclusion-minimal hitting sets only.
     full: every subset of the union that meets each member.
+
+    Either policy raises ValueError rather than build more than
+    _TRANSVERSAL_LIMIT candidates (choice sets, or subsets of the union).
     """
     members = [frozenset(m) for m in family]
     if not members:
@@ -117,6 +111,11 @@ def transversals(family, policy: str = "minimal") -> frozenset[frozenset[Pair]]:
     if any(not m for m in members):
         raise ValueError("transversal family has an empty member")
     if policy == "minimal":
+        if math.prod(map(len, members)) > _TRANSVERSAL_LIMIT:
+            raise ValueError(
+                f"minimal transversal of {len(members)} members has more than "
+                f"{_TRANSVERSAL_LIMIT} choice sets"
+            )
         candidates = {frozenset(choice) for choice in itertools.product(*members)}
         out = {
             c
@@ -126,7 +125,7 @@ def transversals(family, policy: str = "minimal") -> frozenset[frozenset[Pair]]:
         return frozenset(out)
     if policy == "full":
         union = sorted(frozenset().union(*members), key=pair_key)
-        if 2 ** len(union) > _FULL_POLICY_LIMIT:
+        if 2 ** len(union) > _TRANSVERSAL_LIMIT:
             raise ValueError(f"full transversal family over {len(union)} pairs is too large")
         out = set()
         for size in range(1, len(union) + 1):

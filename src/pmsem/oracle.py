@@ -1,8 +1,10 @@
 """Independent classical evaluators and agreement sweeps.
 
-`truth_table_eval` and `tarski_eval` decide formulas the classical way
-(boolean recursion, finite-model quantification).  They share the AST
-with the meaning evaluators and nothing else, so they can referee them.
+`tarski_eval` decides formulas the classical way: boolean recursion,
+and quantification over a finite model, which a propositional formula
+does not need; `truth_table_eval` is its propositional case.  It shares
+the AST with the meaning evaluators and nothing else, so it can referee
+them.
 
 `enumerate_formulas` lists formulas exhaustively in a stable order:
 by node count, atoms first, then negations, disjunctions and quantified
@@ -23,11 +25,9 @@ assignment in turn; the quantified section groups the formulas by
 vocabulary (their predicates, or S when they have none, and their
 propositional variables, in first-seen order), enumerates the worlds
 of each vocabulary once, and takes each world and assignment in turn.
-Each point gets a fresh memo (`meanings.Memo`, carried by the point's
-assignment or binding), so every formula's Meaning is built in about
-one connective step from those of its subformulas, which
-`enumerate_formulas` lists first; the memo is dropped when the point
-is done, so memory holds one point's Meanings at a time.  Only the
+Each point gets a fresh memo, dropped when the point is done (see
+`propsem`), and `enumerate_formulas` lists every formula after its
+subformulas, so each formula costs about one connective step.  Only the
 disagreeing points are kept, and each section records them afterwards
 in (formula, world, assignment) order, so the report lists its
 witnesses as a formula-by-formula sweep would.
@@ -76,16 +76,7 @@ __all__ = [
 
 def truth_table_eval(f: Formula, valuation: dict[str, bool]) -> bool:
     """Classical boolean value of a propositional formula."""
-    if isinstance(f, PropVar):
-        try:
-            return valuation[f.name]
-        except KeyError:
-            raise ValueError(f"valuation does not cover {f.name}") from None
-    if isinstance(f, Not):
-        return not truth_table_eval(f.operand, valuation)
-    if isinstance(f, Or):
-        return truth_table_eval(f.left, valuation) or truth_table_eval(f.right, valuation)
-    raise ValueError("truth_table_eval takes propositional formulas")
+    return tarski_eval(f, None, None, valuation)
 
 
 @dataclass
@@ -105,36 +96,42 @@ def model_from_world(w: World) -> TarskiModel:
 
 def tarski_eval(
     f: Formula,
-    model: TarskiModel,
+    model: TarskiModel | None = None,
     env: dict[str, str] | None = None,
     valuation: dict[str, bool] | None = None,
 ) -> bool:
-    """Classical satisfaction over a finite model."""
-    env = env or {}
+    """Classical satisfaction over a finite model; a propositional
+    formula needs no model."""
     if isinstance(f, PropVar):
-        if valuation is not None and f.name in valuation:
+        try:
             return valuation[f.name]
-        raise ValueError(f"no truth value for propositional variable {f.name}")
-    if isinstance(f, PredApp):
-        if f.argument not in env:
-            raise ValueError(f"unbound individual variable {f.argument}")
-        return (f.predicate, (env[f.argument],)) in model.facts
+        except (KeyError, TypeError):  # TypeError: no valuation at all
+            raise ValueError(f"no truth value for propositional variable {f.name}") from None
     if isinstance(f, Not):
         return not tarski_eval(f.operand, model, env, valuation)
     if isinstance(f, Or):
         return tarski_eval(f.left, model, env, valuation) or tarski_eval(
             f.right, model, env, valuation
         )
+    if isinstance(f, PredApp):
+        if env is None or f.argument not in env:
+            raise ValueError(f"unbound individual variable {f.argument}")
+        return (f.predicate, (env[f.argument],)) in model.facts
+    if model is None:
+        raise ValueError("quantified formulas need a model")
+    # Loops, not generators: a closure would give every call, the
+    # propositional ones included, cell variables to set up.
+    env = env or {}
     if isinstance(f, ForAll):
-        return all(
-            tarski_eval(f.body, model, {**env, f.variable: d}, valuation)
-            for d in model.domain
-        )
+        for d in model.domain:
+            if not tarski_eval(f.body, model, {**env, f.variable: d}, valuation):
+                return False
+        return True
     if isinstance(f, Exists):
-        return any(
-            tarski_eval(f.body, model, {**env, f.variable: d}, valuation)
-            for d in model.domain
-        )
+        for d in model.domain:
+            if tarski_eval(f.body, model, {**env, f.variable: d}, valuation):
+                return True
+        return False
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -323,6 +320,10 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
     report = EquivalenceReport(config=config)
     _check_bounds(config)
 
+    def points(variables, world):
+        return enumerate_assignments(variables, world, config.mode, seed=config.seed,
+                                     count=config.count, size_bound=config.size_bound)
+
     if config.include_prop:
         formulas = enumerate_formulas(
             prop_vars=config.prop_vars,
@@ -330,14 +331,7 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
             max_size=config.max_size,
         )
         report.prop_formulas = len(formulas)
-        assignments = enumerate_assignments(
-            config.prop_vars,
-            None,
-            config.mode,
-            seed=config.seed,
-            count=config.count,
-            size_bound=config.size_bound,
-        )
+        assignments = points(config.prop_vars, None)
         report.prop_checks = len(formulas) * len(assignments) * len(policies)
         misses = []
         for idx, h in enumerate(assignments):
@@ -373,17 +367,7 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
             for wdx, w in enumerate(worlds):
                 model = model_from_world(w)
                 binding = default_binding(w)
-                if pvars:
-                    assignments = enumerate_assignments(
-                        pvars,
-                        w,
-                        config.mode,
-                        seed=config.seed,
-                        count=config.count,
-                        size_bound=config.size_bound,
-                    )
-                else:
-                    assignments = [PropAssignment(values={}, world=w)]
+                assignments = points(pvars, w)
                 report.fo_checks += len(members) * len(assignments) * len(policies)
                 for adx, h in enumerate(assignments):
                     binding.memo = Memo(h)

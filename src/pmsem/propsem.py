@@ -1,29 +1,46 @@
-"""Propositional evaluation of formulas into Meanings.
+"""Evaluation of formulas into Meanings, and propositional assignments.
 
-An assignment h grounds propositional variables in Meanings over a
-world.  Evaluation follows the connective cores: disjunction unions the
-two families, negation swaps the hitting-set family (or maps a lone
-member to swapped singletons).
+One recursion, `_ev`, gives every formula its Meaning:
 
-`canonical_assignments` enumerates the 2^n classical corners: each
-variable is carried by its own propositional constant (p by P, q1 by
-Q1, ...) and is mapped either to the diagonal positive singleton (true)
-or the flipped negative singleton (false).  Each assignment carries the
-world adjusted so those complexes exist, keeping every base complex
-grounded.  `sampled_assignments` draws arbitrary Meanings over the
-world's existing complexes from a seeded generator.
+  * a propositional variable takes the assignment's Meaning;
+  * disjunction unions the two families; negation swaps the hitting-set
+    family (or maps a lone member to swapped singletons);
+  * a predicate application whose variable an enclosing quantifier
+    bound takes the atom meaning at that variable's individual; a free
+    one takes, under base mode "all", the member-wise union of its atom
+    meanings across the pool, under base mode "any" the atom meaning at
+    the designated variable's individual;
+  * (x)q merges the instance meanings of q at every pool value member
+    by member, so its truth is the conjunction of theirs; (Ex)q pools
+    all members of all instances, their disjunction.
+
+`eval_prop` runs it without a binding, where predicates and quantifiers
+are errors; `fosem.eval_fo` runs it with one.
+
+Memos.  Each subformula's Meaning is recorded once per environment
+(the variable -> individual entries the enclosing quantifiers set), so
+a formula whose subformulas are recorded costs about one connective
+step.  The agreement sweep (`oracle.check_equivalence`) gives each point
+a `meanings.Memo` (`PropAssignment.memo`, `Binding.memo`), dropped when
+the point is done.  It keeps the tables in one `_Context` per policy,
+base mode and designated variable, and interns Meanings so that equal
+ones share an object; a Binding's memo serves only the assignment it
+was made for.  Without a memo `eval_prop` records nothing (a table for
+one call costs more in hashing than it saves), and `eval_fo` keeps
+tables for the one call, which serve the quantifier instances that
+repeat when pool variables share an individual.
+
+Assignments.  `canonical_assignments` enumerates the 2^n classical
+corners: each variable is carried by its own propositional constant (p
+by P, q1 by Q1, ...) and is mapped either to the diagonal positive
+singleton (true) or the flipped negative singleton (false).  Each
+assignment carries the world adjusted so those complexes exist,
+keeping every base complex grounded.  `sampled_assignments` draws
+arbitrary Meanings over the world's existing complexes from a seeded
+generator.  Over no variables both give the one empty assignment.
 
 `classify` sweeps assignments and reports tautology / contradiction /
 contingent with witness assignments.
-
-Memos.  `eval_prop` builds a formula's Meaning from the Meanings of its
-subformulas, kept in a memo.  An assignment whose `memo` is set carries
-that memo across calls: the agreement sweep (`oracle.check_equivalence`)
-makes such an assignment for each point, evaluates every formula there,
-and drops it.  Every other caller (`classify`, the CLI, the proof
-checker) passes a plain assignment, and each call then evaluates the
-whole tree: a memo that lives for one call costs more in hashing than
-the few subformulas it could share.
 """
 from __future__ import annotations
 
@@ -31,9 +48,18 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .meanings import Memo, Meaning, disjoin, is_true, meaning, negate
+from .meanings import (
+    Memo,
+    Meaning,
+    atom_meaning,
+    disjoin,
+    is_true,
+    meaning,
+    memberwise_union,
+    negate,
+)
 from .ontology import Complex, Pair, World, all_pairs
-from .syntax import Formula, Not, Or, PredApp, PropVar, prop_variables
+from .syntax import Exists, ForAll, Formula, Not, Or, PredApp, PropVar, prop_variables
 
 __all__ = [
     "PropAssignment",
@@ -81,45 +107,102 @@ def eval_prop(f: Formula, h: PropAssignment, policy: str = "minimal") -> Meaning
     """Meaning of a propositional formula under h."""
     memo = h.memo
     if memo is None:
-        return _eval_prop(f, h.values, policy, None, None)
-    table = memo.table(policy)
-    return table.get(f) or _eval_prop(f, h.values, policy, table, memo.interned)
+        return _ev(f, None, None, _Context(h.values, policy))
+    ctx = memo.contexts.get(policy)
+    if ctx is None:
+        ctx = memo.contexts[policy] = _Context(h.values, policy, {}, memo.interned)
+    return ctx.root.get(f) or _ev(f, None, ctx.root, ctx)
 
 
-def _eval_prop(f, values, policy, table, interned) -> Meaning:
-    """Evaluate f, reading and recording subformula Meanings in table.
+class _Context:
+    """What `_ev` reads besides the formula, its environment and table.
+
+    root is the empty environment's table and tables maps each
+    environment to its own; interned maps each Meaning to its shared
+    copy.  Without a binding xi is None and no later field is set.
+    """
+
+    __slots__ = ("values", "policy", "root", "interned", "xi", "tables", "world",
+                 "pool_values", "any_value")
+
+    def __init__(self, values, policy, root=None, interned=None, binding=None, any_value=None):
+        self.values = values
+        self.policy = policy
+        self.root = root
+        self.interned = interned
+        if binding is None:
+            self.xi = None
+        else:
+            self.xi = binding.xi
+            self.tables = {(): root}
+            self.world = binding.world
+            self.pool_values = [binding.xi[z] for z in binding.pool]
+            self.any_value = any_value
+
+
+class _Unbound(Exception):
+    """A predicate's variable is neither quantified nor in the pool."""
+
+
+def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
+    """Meaning of g in environment env, recorded in table.
 
     Without a table (None) every subformula is evaluated afresh.  An
     empty table and a miss are both falsy, and Meanings never are, so
     `table and table.get(g) or ...` recurses exactly when g is not
-    recorded.  interned, when given, maps each Meaning to its one
-    shared copy.
+    recorded.
     """
-    if isinstance(f, Or):
-        left, right = f.left, f.right
+    if isinstance(g, Or):
+        left, right = g.left, g.right
         m = disjoin(
-            table and table.get(left) or _eval_prop(left, values, policy, table, interned),
-            table and table.get(right) or _eval_prop(right, values, policy, table, interned),
+            table and table.get(left) or _ev(left, env, table, ctx),
+            table and table.get(right) or _ev(right, env, table, ctx),
         )
-    elif isinstance(f, Not):
-        operand = f.operand
-        m = negate(
-            table and table.get(operand) or _eval_prop(operand, values, policy, table, interned),
-            policy,
-        )
-    elif isinstance(f, PropVar):
+    elif isinstance(g, Not):
+        operand = g.operand
+        m = negate(table and table.get(operand) or _ev(operand, env, table, ctx), ctx.policy)
+    elif isinstance(g, PropVar):
         try:
-            m = values[f.name]
+            m = ctx.values[g.name]
         except KeyError:
-            raise ValueError(f"assignment does not cover variable {f.name}") from None
-    elif isinstance(f, PredApp):
-        raise ValueError("eval_prop takes propositional formulas; use eval_fo for predicates")
+            raise ValueError(f"assignment does not cover variable {g.name}") from None
+    elif ctx.xi is None:
+        kind = "predicates" if isinstance(g, PredApp) else "quantifiers"
+        raise ValueError(f"eval_prop takes propositional formulas; use eval_fo for {kind}")
+    elif isinstance(g, PredApp):
+        if g.argument in env:
+            m = atom_meaning(ctx.world, g.predicate, (env[g.argument],))
+        elif g.argument not in ctx.xi:
+            raise _Unbound
+        elif ctx.any_value is not None:
+            m = atom_meaning(ctx.world, g.predicate, (ctx.any_value,))
+        else:
+            atoms = []  # a comprehension's closure would slow every call
+            for d in ctx.pool_values:
+                atoms.append(atom_meaning(ctx.world, g.predicate, (d,)))
+            m = memberwise_union(atoms)
+    elif isinstance(g, (ForAll, Exists)):
+        # The body's Meaning with g's variable at each pool value.
+        tables = ctx.tables
+        instances = []
+        for d in ctx.pool_values:
+            inner = {**env, g.variable: d}
+            key = tuple(inner.items())
+            inner_table = tables.get(key)
+            if inner_table is None:
+                inner_table = tables[key] = {}
+            instances.append(inner_table.get(g.body) or _ev(g.body, inner, inner_table, ctx))
+        if isinstance(g, ForAll):
+            m = memberwise_union(instances)
+        else:
+            m = Meaning(frozenset().union(*(i.members for i in instances)))
     else:
-        raise ValueError("eval_prop takes propositional formulas; use eval_fo for quantifiers")
+        raise TypeError(f"not a formula: {g!r}")
     if table is not None:
+        interned = ctx.interned
         if interned is not None:
             m = interned.setdefault(m, m)
-        table[f] = m
+        table[g] = m
     return m
 
 
@@ -168,6 +251,11 @@ def declared_assignment(variables, world: World) -> PropAssignment:
     return PropAssignment(values=values, world=world)
 
 
+# Largest size bound: at most that many members of at most that many
+# pairs per sampled Meaning.  Callers use 2 or 3.
+MAX_SIZE_BOUND = 16
+
+
 def sampled_assignments(
     variables,
     world: World,
@@ -182,7 +270,11 @@ def sampled_assignments(
         raise ValueError("sampled mode needs a positive count")
     if size_bound < 1:
         raise ValueError("size bound must be at least 1")
+    if size_bound > MAX_SIZE_BOUND:
+        raise ValueError(f"size bound must be at most {MAX_SIZE_BOUND}")
     names = sorted(set(variables))
+    if not names:
+        return [PropAssignment(values={}, world=world)]
     pool = list(all_pairs(world))  # random.sample is slower on a tuple
     if not pool:
         raise ValueError("world has no complexes to sample from")

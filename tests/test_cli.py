@@ -1,12 +1,16 @@
 """Command line behavior: output, exit codes, determinism."""
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmsem.cli import main
-from pmsem.syntax import MAX_DEPTH, MAX_NODES, PropVar, parse
+from pmsem.oracle import enumerate_formulas
+from pmsem.syntax import MAX_DEPTH, MAX_NODES, PropVar, parse, print_formula
 
 PROOFS = Path(__file__).resolve().parent.parent / "proofs"
 
@@ -142,6 +146,44 @@ def test_taut_sampled_requires_seed(capsys):
     code, _, err = run(capsys, "taut", "p v ~p", "--mode", "sampled", "--count", "5")
     assert code == 2
     assert "seed" in err
+
+
+def test_minimal_transversal_budget(capsys):
+    cyclic = "~~((p v ~q) . (q v ~r) . (r v ~p1) . (p1 v ~p))"
+    start = time.perf_counter()
+    assert_usage_error(capsys, "taut", cyclic)
+    assert time.perf_counter() - start < 1
+    code, out, _ = run(capsys, "taut", cyclic, "--policy", "full")
+    assert (code, out) == (
+        1,
+        "contingent\n  true under p=true, p1=true, q=true, r=true\n"
+        "  false under p=true, p1=true, q=true, r=false\n",
+    )
+
+
+SAMPLED = ["--mode", "sampled", "--seed", "1", "--count", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "p"], ["taut", "p"], ["fo-valid", "(x).S(x) v p"], ["compare", "--vars", "1"]],
+    ids=lambda argv: argv[0],
+)
+def test_size_bound_budget(capsys, argv):
+    start = time.perf_counter()
+    assert_usage_error(capsys, *argv, *SAMPLED, "--size-bound", "100000000")
+    assert time.perf_counter() - start < 1
+
+
+def test_sampled_mode_without_variables(capsys):
+    code, out, err = run(capsys, "eval", "S(x)", *SAMPLED)
+    assert (code, out) == (2, "")
+    assert err == "error: eval_prop takes propositional formulas; use eval_fo for predicates\n"
+    code, out, _ = run(capsys, "fo-valid", "(x).S(x) v ~S(x)", *SAMPLED)
+    assert code == 0 and out.startswith("logical_truth (14 worlds checked)")
+    assert_usage_error(capsys, "fo-valid", "(x).S(x) v ~S(x)", "--mode", "sampled")
+    code, out, _ = run(capsys, "compare", "--vars", "0", *SAMPLED)
+    assert code == 0 and "propositional: 0 formulas, 0 checks" in out
 
 
 # ---------------------------------------------------------------------------
@@ -368,3 +410,122 @@ def test_out_flag_writes_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert target.read_text().strip() == "tautology"
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under random invocations
+
+SMALL = st.integers(-2, 3).map(str)
+FORMULA_TEXTS = st.one_of(
+    st.sampled_from([
+        print_formula(f) for f in enumerate_formulas(("p", "q"), max_depth=3, max_size=5)
+    ]),
+    st.sampled_from([
+        print_formula(f)
+        for f in enumerate_formulas(("p",), ("S", "R"), max_depth=3, max_quantifiers=2,
+                                    max_size=4)
+    ]),
+    st.text(alphabet=" .~(),<=>vpqrxyz01SRE#", max_size=16),
+)
+
+
+def value(strategy):
+    return strategy.map(lambda v: [v])
+
+
+ENUMERATION = {
+    # A sampled mode mostly with its seed and count, sometimes without.
+    "--mode": st.one_of(
+        st.just(["canonical"]),
+        st.tuples(SMALL, SMALL).map(lambda sc: ["sampled", "--seed", sc[0], "--count", sc[1]]),
+        st.just(["sampled"]),
+    ),
+    "--seed": value(SMALL),
+    "--count": value(SMALL),
+    "--size-bound": value(SMALL),
+}
+POLICY = {"--policy": value(st.sampled_from(["minimal", "full"]))}
+SWITCH = st.just([])
+OUTPUT = {"--json": SWITCH, "--out": SWITCH}  # --out takes the fixture's path
+
+
+def command_options(files):
+    """Each subcommand's flags, each with a strategy for the words after it."""
+    worlds = value(st.sampled_from([files["world"], files["proof"], files["missing"]]))
+    return {
+        "parse": {**OUTPUT},
+        "eval": {"--world": worlds, **POLICY, **ENUMERATION, **OUTPUT},
+        "taut": {"--world": worlds, **POLICY, **ENUMERATION, **OUTPUT},
+        "fo-eval": {
+            "--model": worlds,
+            "--world": worlds,
+            "--base-mode": value(st.sampled_from(["all", "any:x", "any:z9", "any", "bogus"])),
+            **POLICY,
+            **OUTPUT,
+        },
+        "fo-valid": {"--max-individuals": value(SMALL), **POLICY, **ENUMERATION, **OUTPUT},
+        "compare": {
+            "--vars": value(SMALL),
+            "--prop-depth": value(SMALL),
+            "--no-prop": SWITCH,
+            "--fo": SWITCH,
+            "--fo-predicates": value(st.sampled_from(["S", "S,R", "", "s", "S,S"])),
+            "--fo-prop-vars": value(st.sampled_from(["", "p", "p,q", "x"])),
+            "--fo-ind-vars": value(st.sampled_from(["x,y", "x", "", "p", "x,x"])),
+            "--fo-depth": value(SMALL),
+            "--fo-quantifiers": value(SMALL),
+            "--policy": value(st.sampled_from(["minimal", "full", "both"])),
+            **ENUMERATION,
+            **OUTPUT,
+        },
+        "check-proof": {"--no-semantic": SWITCH, **POLICY, **OUTPUT},
+    }
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    world = root / "w.txt"
+    world.write_text("individual a\nindividual b\nrelation S/1\nfact S(a)\nprop P true\n")
+    proofs = sorted(str(p) for p in PROOFS.rglob("*.proof"))
+    return {
+        "world": str(world),
+        "proof": proofs[0],
+        "proofs": proofs,
+        "missing": str(root / "missing.txt"),
+        "out": str(root / "out.txt"),
+    }
+
+
+@st.composite
+def invocations(draw, files):
+    options = command_options(files)
+    command = draw(st.sampled_from(sorted(options)))
+    argv = [command]
+    if command == "check-proof":
+        argv.append(draw(st.sampled_from(files["proofs"] + [files["world"], files["missing"]])))
+    elif command != "compare":
+        argv.append(draw(FORMULA_TEXTS))
+        if command == "fo-eval" and draw(st.booleans()):
+            argv += ["--model", files["world"]]
+    else:
+        # The default sweeps take seconds; every example bounds them.
+        argv += ["--prop-size", draw(SMALL), "--fo-size", draw(SMALL)]
+        argv += ["--fo-individuals", draw(st.integers(-1, 2).map(str))]
+    flags = options[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=5, unique=True)):
+        argv += [flag] + draw(flags[flag])
+        if flag == "--out":
+            argv.append(files["out"])
+    return argv
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=2000)
+def test_exit_code_contract(fuzz_files, data):
+    argv = data.draw(invocations(fuzz_files), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

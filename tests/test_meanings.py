@@ -132,6 +132,16 @@ def test_every_transversal_hits_every_member():
             assert all(t & m for m in fam)
 
 
+def test_minimal_transversal_budget():
+    # 19 disjoint members of two pairs: 2^19 choice sets, past the budget.
+    fam = [
+        frozenset({Pair(Complex("S", (f"a{i}",), True), d) for d in (True, False)})
+        for i in range(19)
+    ]
+    with pytest.raises(ValueError, match="choice sets"):
+        transversals(fam, "minimal")
+
+
 # ---------------------------------------------------------------------------
 # swap family
 

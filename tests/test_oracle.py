@@ -95,6 +95,11 @@ def test_tarski_uses_valuation_for_prop_vars():
     assert not tarski_eval(f, _model(()), None, {"p": False})
 
 
+def test_tarski_needs_a_model_for_quantifiers():
+    with pytest.raises(ValueError):
+        tarski_eval(parse("(x).p"), None, None, {"p": True})
+
+
 def test_tarski_rejects_unbound_individual():
     with pytest.raises(ValueError):
         tarski_eval(parse("S(x)"), _model(("a",)))

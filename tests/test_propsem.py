@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pmsem.meanings import Memo, is_true, meaning, meaning_in_world, render_meaning
 from pmsem.ontology import Complex, Pair, World
 from pmsem.propsem import (
+    MAX_SIZE_BOUND,
     PropAssignment,
     canonical_assignments,
     classify,
@@ -124,6 +125,36 @@ def test_sampled_assignments_respect_size_bound():
 def test_sampled_mode_requires_seed():
     with pytest.raises(ValueError):
         enumerate_assignments(["p"], None, "sampled", seed=None, count=5)
+
+
+@pytest.mark.parametrize("variables", [[], ["p"]])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(seed=None, count=5),
+        dict(seed=1, count=None),
+        dict(seed=1, count=0),
+        dict(seed=1, count=5, size_bound=0),
+        dict(seed=1, count=5, size_bound=MAX_SIZE_BOUND + 1),
+    ],
+)
+def test_sampled_mode_rejects_bad_inputs(variables, kwargs):
+    with pytest.raises(ValueError):
+        enumerate_assignments(variables, default_world(["p"]), "sampled", **kwargs)
+
+
+def test_sampled_assignments_at_the_size_bound():
+    (h,) = sampled_assignments(["p"], default_world(["p"]), seed=1, count=1,
+                               size_bound=MAX_SIZE_BOUND)
+    assert len(h.values["p"].members) <= MAX_SIZE_BOUND
+
+
+@pytest.mark.parametrize("world", [default_world([]), default_world(["p"])], ids=["empty", "P"])
+@pytest.mark.parametrize("kwargs", [{}, dict(mode="sampled", seed=1, count=5)])
+def test_no_variables_give_one_empty_assignment(world, kwargs):
+    (h,) = enumerate_assignments([], world, **kwargs)
+    assert h.values == {}
+    assert h.world == world
 
 
 def test_unknown_mode_rejected():
