@@ -134,7 +134,7 @@ def enumerate_worlds(
     prop_vars,
     max_individuals: int = 3,
 ) -> list[World]:
-    """Every world over the given unary relations, up to max_individuals.
+    """Every world over the given predicates, up to max_individuals.
 
     Domains {a}, {a, b}, ... and every subset of facts, smaller and
     lexicographically earlier subsets first.  Constants carrying the
@@ -165,7 +165,7 @@ def enumerate_worlds(
                 out.append(
                     World(
                         individuals=individuals,
-                        relations=tuple((p, 1) for p in preds),
+                        predicates=tuple(preds),
                         facts=frozenset(chosen),
                         constants=constants,
                     )

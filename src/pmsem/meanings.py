@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 from .ontology import Pair, World, existing_complexes, pair_key, swap
 
-Member = frozenset  # frozenset[Pair]
-
 POLICIES = ("minimal", "full")
 
 _TRANSVERSAL_LIMIT = 2**18

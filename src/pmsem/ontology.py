@@ -1,10 +1,12 @@
 """Worlds of elementary complexes and the tagged pairs built over them.
 
-A World fixes finitely many individuals, relations with arities, the
-facts that hold, and truth values for propositional constants (0-ary
-relations).  For every relation and argument tuple exactly one complex
-exists: the positive one when the fact holds, otherwise the negative
-one.  `existing_complexes` returns that collection.
+A World fixes finitely many individuals, monadic predicates (the only
+relations a formula can name), the facts that hold, each a predicate
+over one individual, and truth values for propositional constants.
+For every predicate and individual exactly one complex exists: the
+positive one when the fact holds, otherwise the negative one; a
+constant's complex has no arguments.  `existing_complexes` returns
+that collection.
 
 A Pair tags an existing complex either `diagonal` (the complex paired
 with itself) or `flipped` (the complex paired with its opposite).
@@ -13,7 +15,7 @@ on complexes.
 """
 from __future__ import annotations
 
-import itertools
+import re
 from dataclasses import dataclass
 
 
@@ -62,7 +64,7 @@ def pair_key(p: Pair) -> tuple:
 @dataclass(frozen=True)
 class World:
     individuals: tuple[str, ...] = ()
-    relations: tuple[tuple[str, int], ...] = ()  # (name, arity), arity >= 1
+    predicates: tuple[str, ...] = ()
     facts: frozenset[tuple[str, tuple[str, ...]]] = frozenset()
     constants: tuple[tuple[str, bool], ...] = ()  # propositional constants
 
@@ -72,27 +74,22 @@ class World:
             if name in seen:
                 raise WorldError(f"duplicate individual {name}")
             seen.add(name)
-        arities = dict(self.relations)
-        if len(arities) != len(self.relations):
+        predicates = set(self.predicates)
+        if len(predicates) != len(self.predicates):
             raise WorldError("duplicate relation declaration")
         names = dict(self.constants)
         if len(names) != len(self.constants):
             raise WorldError("duplicate propositional constant")
-        overlap = set(arities) & set(names)
+        overlap = predicates & set(names)
         if overlap:
             raise WorldError(f"name used as both relation and constant: {sorted(overlap)}")
         for rel, args in self.facts:
-            if rel not in arities:
+            if rel not in predicates:
                 raise WorldError(f"fact over undeclared relation {rel}")
-            if len(args) != arities[rel]:
-                raise WorldError(f"fact {rel}{args} does not match arity {arities[rel]}")
-            for a in args:
-                if a not in seen:
-                    raise WorldError(f"fact mentions undeclared individual {a}")
-
-    @property
-    def arities(self) -> dict[str, int]:
-        return dict(self.relations)
+            if len(args) != 1:
+                raise WorldError(f"fact {rel}{args} must name one individual")
+            if args[0] not in seen:
+                raise WorldError(f"fact mentions undeclared individual {args[0]}")
 
     @property
     def constant_values(self) -> dict[str, bool]:
@@ -104,10 +101,8 @@ class World:
             if relation not in values:
                 raise WorldError(f"unknown propositional constant {relation}")
             return values[relation]
-        if relation not in self.arities:
+        if relation not in self.predicates:
             raise WorldError(f"unknown relation {relation}")
-        if len(args) != self.arities[relation]:
-            raise WorldError(f"{relation} expects {self.arities[relation]} arguments")
         for a in args:
             if a not in self.individuals:
                 raise WorldError(f"unknown individual {a}")
@@ -125,30 +120,23 @@ class World:
         known.update(values)
         return World(
             individuals=self.individuals,
-            relations=self.relations,
+            predicates=self.predicates,
             facts=self.facts,
             constants=tuple(sorted(known.items())),
         )
 
 
 def existing_complexes(w: World) -> frozenset[Complex]:
-    """Every complex that exists in w: one polarity per relation/argument tuple."""
-    out = []
-    for rel, arity in w.relations:
-        for args in itertools.product(w.individuals, repeat=arity):
-            out.append(w.existing(rel, args))
-    for name, value in w.constants:
-        out.append(Complex(name, (), value))
+    """Every complex that exists in w: one polarity per predicate and
+    individual, and per constant."""
+    out = [w.existing(p, (ind,)) for p in w.predicates for ind in w.individuals]
+    out += [Complex(name, (), value) for name, value in w.constants]
     return frozenset(out)
 
 
 def all_pairs(w: World) -> tuple[Pair, ...]:
     """Every tagged pair over the complexes existing in w, canonically ordered."""
-    pairs = [
-        Pair(c, diag)
-        for c in sorted(existing_complexes(w))
-        for diag in (True, False)
-    ]
+    pairs = [Pair(c, diag) for c in existing_complexes(w) for diag in (True, False)]
     return tuple(sorted(pairs, key=pair_key))
 
 
@@ -156,16 +144,19 @@ def all_pairs(w: World) -> tuple[Pair, ...]:
 # world files
 #
 #   individual a
-#   relation S/1
-#   fact S(a)
+#   relation S/1        (predicates are monadic: /1 only)
+#   fact S(a)           (one individual)
 #   prop P true
 #
 # Blank lines and lines starting with '#' are skipped; any other
 # directive is an error.
 
+_FACT = re.compile(r"([^(),]+)\(([^(),]+)\)")
+
+
 def parse_world(text: str, source: str = "<string>") -> World:
     individuals: list[str] = []
-    relations: list[tuple[str, int]] = []
+    predicates: list[str] = []
     facts: set[tuple[str, tuple[str, ...]]] = set()
     constants: list[tuple[str, bool]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -180,17 +171,15 @@ def parse_world(text: str, source: str = "<string>") -> World:
                 raise WorldError(f"{where}: individual takes one name")
             individuals.append(parts[1])
         elif directive == "relation":
-            if len(parts) != 2 or "/" not in parts[1]:
-                raise WorldError(f"{where}: expected 'relation NAME/ARITY'")
-            name, _, arity_text = parts[1].partition("/")
-            if not arity_text.isdigit() or int(arity_text) < 1:
-                raise WorldError(f"{where}: bad arity {arity_text!r}")
-            relations.append((name, int(arity_text)))
+            name, _, arity = parts[-1].partition("/")
+            if len(parts) != 2 or not name or arity != "1":
+                raise WorldError(f"{where}: expected 'relation NAME/1'")
+            predicates.append(name)
         elif directive == "fact":
-            if len(parts) != 2:
-                raise WorldError(f"{where}: expected 'fact NAME(args)'")
-            name, args = _parse_fact(parts[1], where)
-            facts.add((name, args))
+            fact = _FACT.fullmatch(parts[-1])
+            if len(parts) != 2 or fact is None:
+                raise WorldError(f"{where}: expected 'fact NAME(individual)'")
+            facts.add((fact[1], (fact[2],)))
         elif directive == "prop":
             if len(parts) != 3 or parts[2] not in ("true", "false"):
                 raise WorldError(f"{where}: expected 'prop NAME true|false'")
@@ -200,22 +189,12 @@ def parse_world(text: str, source: str = "<string>") -> World:
     try:
         return World(
             individuals=tuple(individuals),
-            relations=tuple(relations),
+            predicates=tuple(predicates),
             facts=frozenset(facts),
             constants=tuple(constants),
         )
     except WorldError as exc:
         raise WorldError(f"{source}: {exc}") from None
-
-
-def _parse_fact(text: str, where: str) -> tuple[str, tuple[str, ...]]:
-    if "(" not in text or not text.endswith(")"):
-        raise WorldError(f"{where}: malformed fact {text!r}")
-    name, _, rest = text.partition("(")
-    inner = rest[:-1]
-    if not name or not inner:
-        raise WorldError(f"{where}: malformed fact {text!r}")
-    return name, tuple(part.strip() for part in inner.split(","))
 
 
 def load_world(path: str) -> World:

@@ -44,12 +44,14 @@ from .syntax import (
     Exists,
     ForAll,
     Formula,
+    FormulaSyntaxError,
     Not,
     Or,
     PredApp,
     PropVar,
     children,
     free_variables,
+    parse,
     predicates,
     print_formula,
     prop_variables,
@@ -162,8 +164,9 @@ def enumerate_formulas(
     """
     if max_size is None:
         max_size = 2 ** (max_depth + 1) - 1
-    atoms: list[Formula] = [PropVar(v) for v in prop_vars]
+    atoms = [PropVar(v) for v in prop_vars]
     atoms += [PredApp(p, v) for p in predicate_names for v in ind_vars]
+    atoms = list(dict.fromkeys(atoms))  # a repeated name gives one atom
     depths: dict[Formula, int] = {a: 0 for a in atoms}
     quants: dict[Formula, int] = {a: 0 for a in atoms}
     by_size: dict[int, list[Formula]] = {1: list(atoms)}
@@ -318,7 +321,7 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
     fo_eval = fo_eval or eval_fo
     policies = config.policies
     report = EquivalenceReport(config=config)
-    _check_bounds(config)
+    _check_config(config)
 
     def points(variables, world):
         return enumerate_assignments(variables, world, config.mode, seed=config.seed,
@@ -382,22 +385,36 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
     return report
 
 
-def _check_bounds(config: SweepConfig) -> None:
-    """Reject bounds under which an included section would check nothing.
+def _check_config(config: SweepConfig) -> None:
+    """Reject bounds under which an included section would check nothing,
+    and names that would not parse back from the formulas printed.
 
     `enumerate_worlds` rejects an individual count below 1.
     """
     bounds = []
+    names = []  # (kind, name, text, the formula text must parse to)
     if config.include_prop:
         bounds += [("depth", config.max_depth, 0), ("size", config.max_size, 1)]
+        names += [("a propositional variable", v, v, PropVar(v)) for v in config.prop_vars]
     if config.include_fo:
         bounds += [
             ("quantified depth", config.fo_max_depth, 0),
             ("quantified size", config.fo_max_size, 1),
         ]
+        names += [("a propositional variable", v, v, PropVar(v)) for v in config.fo_prop_vars]
+        names += [("an individual variable", v, f"S({v})", PredApp("S", v))
+                  for v in config.fo_ind_vars]
+        names += [("a predicate", p, f"{p}(x)", PredApp(p, "x")) for p in config.fo_predicates]
     for name, value, least in bounds:
         if value is not None and value < least:
             raise ValueError(f"sweep {name} must be at least {least}, got {value}")
+    for kind, name, text, formula in names:
+        try:
+            ok = parse(text) == formula
+        except FormulaSyntaxError:
+            ok = False
+        if not ok:
+            raise ValueError(f"cannot sweep {name!r} as {kind}: {text!r} does not parse back")
 
 
 def _replay(report, section, formulas, policies, misses) -> None:

@@ -38,6 +38,7 @@ assignment carries the world adjusted so those complexes exist,
 keeping every base complex grounded.  `sampled_assignments` draws
 arbitrary Meanings over the world's existing complexes from a seeded
 generator.  Over no variables both give the one empty assignment.
+Either raises ValueError rather than build more than MAX_ASSIGNMENTS.
 
 `classify` sweeps assignments and reports tautology / contradiction /
 contingent with witness assignments.
@@ -214,6 +215,11 @@ def _canonical_pair(variable: str, value: bool) -> Meaning:
     return meaning({Pair(c, value)})
 
 
+# Most assignments one enumeration builds: 12 canonical variables, or a
+# sampled count of 4,096.  Each assignment carries its own World.
+MAX_ASSIGNMENTS = 2**12
+
+
 def canonical_assignments(variables, world: World | None = None) -> list[PropAssignment]:
     """The 2^n corner assignments, true combinations first.
 
@@ -222,6 +228,10 @@ def canonical_assignments(variables, world: World | None = None) -> list[PropAss
     assigned complexes are the existing ones.
     """
     names = sorted(set(variables))
+    if 2 ** len(names) > MAX_ASSIGNMENTS:
+        raise ValueError(
+            f"{len(names)} variables give more than {MAX_ASSIGNMENTS} canonical assignments"
+        )
     if world is None:
         world = default_world(names)
     declared = world.constant_values
@@ -268,6 +278,8 @@ def sampled_assignments(
         raise ValueError("sampled mode needs a seed")
     if count is None or count < 1:
         raise ValueError("sampled mode needs a positive count")
+    if count > MAX_ASSIGNMENTS:
+        raise ValueError(f"sampled count must be at most {MAX_ASSIGNMENTS}")
     if size_bound < 1:
         raise ValueError("size bound must be at least 1")
     if size_bound > MAX_SIZE_BOUND:

@@ -15,6 +15,11 @@ Surface language (ASCII):
     existential              (Ex). f
     grouping                 ( f )  or dots, see below
 
+Names are ASCII: a character outside the classes above, a non-ASCII
+letter or digit included, is an unknown symbol.  "v" is disjunction
+only when no letter or digit follows it.  The lexer is one regular
+expression over these classes.
+
 Dot convention.  Dots play three roles, disambiguated by position:
 
   1. A dot group flanking a binary connective widens its scope:
@@ -65,7 +70,9 @@ while parsing.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 MAX_DEPTH = 100
 MAX_NODES = 10_000
@@ -164,84 +171,38 @@ def variable_names(letters: str, count: int) -> tuple[str, ...]:
     )
 
 
-def _is_ind_var(s: str) -> bool:
-    return bool(s) and s[0] in IND_LETTERS and (len(s) == 1 or s[1:].isdigit())
-
-
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # PROPVAR INDVAR PREDNAME OR IMPLIES IFF NOT DOTS LPAREN RPAREN COMMA END
     value: str
     count: int
     pos: int
 
 
+_IND_VAR = f"[{IND_LETTERS}][0-9]*"
+_EXISTS_PREFIX = re.compile(f"E{_IND_VAR}")
+
+# One token, after optional whitespace, per match; any other character
+# is UNKNOWN.  Trailing whitespace matches nothing.
+_TOKENS = re.compile(
+    rf"""\s*(?:
+      (?P<DOTS>\.+) | (?P<NOT>~) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
+    | (?P<IFF><=>) | (?P<IMPLIES>=>) | (?P<OR>v(?![A-Za-z0-9]))
+    | (?P<PROPVAR>[{PROP_LETTERS}][0-9]*) | (?P<INDVAR>{_IND_VAR})
+    | (?P<PREDNAME>[A-Z][A-Za-z0-9]*) | (?P<UNKNOWN>\S)
+    )""",
+    re.VERBOSE,
+)
+
+
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == ".":
-            j = i
-            while j < n and text[j] == ".":
-                j += 1
-            tokens.append(_Token("DOTS", text[i:j], j - i, i))
-            i = j
-            continue
-        if ch == "~":
-            tokens.append(_Token("NOT", "~", 0, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("LPAREN", "(", 0, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("RPAREN", ")", 0, i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(_Token("COMMA", ",", 0, i))
-            i += 1
-            continue
-        if text.startswith("<=>", i):
-            tokens.append(_Token("IFF", "<=>", 0, i))
-            i += 3
-            continue
-        if text.startswith("=>", i):
-            tokens.append(_Token("IMPLIES", "=>", 0, i))
-            i += 2
-            continue
-        if ch == "v" and not (i + 1 < n and text[i + 1].isalnum()):
-            tokens.append(_Token("OR", "v", 0, i))
-            i += 1
-            continue
-        if ch in PROP_LETTERS:
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("PROPVAR", text[i:j], 0, i))
-            i = j
-            continue
-        if ch in IND_LETTERS:
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INDVAR", text[i:j], 0, i))
-            i = j
-            continue
-        if ch.isupper():
-            j = i + 1
-            while j < n and text[j].isalnum():
-                j += 1
-            tokens.append(_Token("PREDNAME", text[i:j], 0, i))
-            i = j
-            continue
-        raise FormulaSyntaxError(f"unknown symbol {ch!r}", i)
-    tokens.append(_Token("END", "", 0, n))
+    for m in _TOKENS.finditer(text):
+        kind = m.lastgroup
+        value = m[kind]
+        if kind == "UNKNOWN":
+            raise FormulaSyntaxError(f"unknown symbol {value!r}", m.start(kind))
+        tokens.append(_Token(kind, value, len(value) if kind == "DOTS" else 0, m.start(kind)))
+    tokens.append(_Token("END", "", 0, len(text)))
     return tokens
 
 
@@ -402,8 +363,7 @@ class _Parser:
             return ("forall", first.value)
         if (
             first.kind == "PREDNAME"
-            and first.value[0] == "E"
-            and _is_ind_var(first.value[1:])
+            and _EXISTS_PREFIX.fullmatch(first.value)
             and second.kind == "RPAREN"
         ):
             return ("exists", first.value[1:])

@@ -54,6 +54,12 @@ def test_parse_error_exits_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("text", ["p\u00b2", "p\u0661 v q", "\u00c9x(x)"])
+def test_names_outside_ascii_exit_2(capsys, text):
+    for command in ("parse", "eval", "taut"):
+        assert_usage_error(capsys, command, text)
+
+
 def formula_commands(tmp_path, text):
     """argv lists that parse text: each formula command and a proof line."""
     script = tmp_path / "line.proof"
@@ -201,6 +207,25 @@ def test_fo_eval_false_formula_exits_1(capsys, world_file):
     assert "false" in out
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("relation R/2", "expected 'relation NAME/1'"),
+        ("relation S", "expected 'relation NAME/1'"),
+        ("relation R/1\nfact R(a,b)", "expected 'fact NAME(individual)'"),
+        ("relation S/1\nfact S(a)(b)", "expected 'fact NAME(individual)'"),
+        ("relation S/1\nfact S(c)", "fact mentions undeclared individual c"),
+    ],
+)
+def test_world_file_relations_are_monadic(tmp_path, capsys, lines, message):
+    path = tmp_path / "w.txt"
+    path.write_text(f"individual a\nindividual b\n{lines}\n")
+    code, out, err = run(capsys, "fo-eval", "(x).S(x)", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert message in err
+
+
 def test_fo_eval_needs_model(capsys):
     code, _, err = run(capsys, "fo-eval", "(x). S(x)")
     assert code == 2
@@ -345,6 +370,44 @@ def test_compare_sweeps_variables_that_parse_back(capsys):
 )
 def test_compare_rejects_bounds_that_check_nothing(capsys, argv):
     assert_usage_error(capsys, "compare", *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--fo-predicates", "s"],
+        ["--fo-predicates", "S,"],
+        ["--fo-ind-vars", ","],
+        ["--fo-ind-vars", "p"],
+        ["--fo-ind-vars", "x, y"],
+        ["--fo-prop-vars", "x"],
+        ["--fo-prop-vars", "P"],
+    ],
+)
+def test_compare_rejects_names_that_do_not_parse_back(capsys, argv):
+    assert_usage_error(capsys, "compare", "--no-prop", "--fo", "--fo-size", "1", *argv)
+
+
+def test_compare_sweeps_a_repeated_name_once(capsys):
+    def counts(prop_vars):
+        code, out, _ = run(
+            capsys, "compare", "--no-prop", "--fo", "--fo-size", "3",
+            "--fo-individuals", "1", "--fo-prop-vars", prop_vars, "--json",
+        )
+        data = json.loads(out)
+        return code, data["fo_formulas"], data["fo_checks"]
+
+    assert counts("p,p") == counts("p") == (0, 68, 400)
+
+
+def test_assignment_budget(capsys):
+    start = time.perf_counter()
+    thirteen = " v ".join(f"p{i}" for i in range(13))
+    assert_usage_error(capsys, "taut", thirteen)
+    assert_usage_error(capsys, "taut", "p", "--mode", "sampled", "--seed", "1", "--count", "4097")
+    assert_usage_error(capsys, "compare", "--vars", "1", "--mode", "sampled", "--seed", "1",
+                       "--count", "100000")
+    assert time.perf_counter() - start < 1
 
 
 def test_compare_text_header_reports_seed(capsys):

@@ -18,7 +18,7 @@ from pmsem.syntax import Exists, ForAll, Not, Or, PredApp, PropVar, parse, print
 def w(facts=("a",), individuals=("a", "b")):
     return World(
         individuals=tuple(individuals),
-        relations=(("S", 1),),
+        predicates=("S",),
         facts=frozenset({("S", (i,)) for i in facts}),
     )
 
@@ -112,7 +112,7 @@ def test_negated_quantifier():
 def test_prop_variable_mixes_with_quantifier():
     world = World(
         individuals=("a", "b"),
-        relations=(("S", 1),),
+        predicates=("S",),
         facts=frozenset(),
         constants=(("P", True),),
     )
@@ -193,7 +193,7 @@ def test_memo_binding_matches_fresh_evaluation(calls, individuals, facts, p_true
     evaluation gives."""
     world = World(
         individuals=individuals,
-        relations=(("R", 1), ("S", 1)),
+        predicates=("R", "S"),
         facts=frozenset(f for f in facts if f[1][0] in individuals),
         constants=(("P", True),),
     )
@@ -206,7 +206,7 @@ def test_memo_binding_matches_fresh_evaluation(calls, individuals, facts, p_true
 
 
 def test_memo_is_not_served_to_another_assignment():
-    world = World(individuals=("a",), relations=(("S", 1),), constants=(("P", True),))
+    world = World(individuals=("a",), predicates=("S",), constants=(("P", True),))
     h_true, h_false = canonical_assignments(["p"], world)
     binding = default_binding(world)
     binding.memo = Memo(h_true)

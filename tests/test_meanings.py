@@ -26,7 +26,7 @@ C = Pair(Complex("P", (), True), True)
 def w_two():
     return World(
         individuals=("a", "b"),
-        relations=(("S", 1),),
+        predicates=("S",),
         facts=frozenset({("S", ("a",))}),
     )
 

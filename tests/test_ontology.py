@@ -16,13 +16,13 @@ from pmsem.ontology import (
 
 
 def w_one():
-    return World(individuals=("a",), relations=(("S", 1),), facts=frozenset({("S", ("a",))}))
+    return World(individuals=("a",), predicates=("S",), facts=frozenset({("S", ("a",))}))
 
 
 def w_two():
     return World(
         individuals=("a", "b"),
-        relations=(("S", 1),),
+        predicates=("S",),
         facts=frozenset({("S", ("a",))}),
     )
 
@@ -95,22 +95,6 @@ def test_missing_fact_becomes_negative():
     )
 
 
-def test_binary_relation_enumerates_all_tuples():
-    w = World(
-        individuals=("a", "b"),
-        relations=(("R", 2),),
-        facts=frozenset({("R", ("a", "b"))}),
-    )
-    assert existing_complexes(w) == frozenset(
-        {
-            Complex("R", ("a", "b"), True),
-            Complex("R", ("a", "a"), False),
-            Complex("R", ("b", "a"), False),
-            Complex("R", ("b", "b"), False),
-        }
-    )
-
-
 def test_one_polarity_per_tuple():
     existing = existing_complexes(w_two())
     keys = {(c.relation, c.args) for c in existing}
@@ -142,7 +126,7 @@ def test_fact_requires_declared_individuals():
     with pytest.raises(WorldError):
         World(
             individuals=("a",),
-            relations=(("S", 1),),
+            predicates=("S",),
             facts=frozenset({("S", ("b",))}),
         )
 
@@ -151,7 +135,7 @@ def test_fact_arity_must_match():
     with pytest.raises(WorldError):
         World(
             individuals=("a",),
-            relations=(("S", 1),),
+            predicates=("S",),
             facts=frozenset({("S", ("a", "a"))}),
         )
 

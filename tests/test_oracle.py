@@ -71,7 +71,7 @@ def test_truth_table_rejects_missing_variable():
 def _model(facts, individuals=("a", "b")):
     w = World(
         individuals=tuple(individuals),
-        relations=(("S", 1),),
+        predicates=("S",),
         facts=frozenset({("S", (i,)) for i in facts}),
     )
     return model_from_world(w)
@@ -133,6 +133,16 @@ def test_depth_two_three_vars_count():
 def test_enumeration_is_duplicate_free():
     out = enumerate_formulas(prop_vars=("p", "q"), max_depth=2)
     assert len(out) == len(set(out))
+
+
+def test_repeated_names_give_one_atom():
+    assert enumerate_formulas(prop_vars=("p", "p"), max_depth=1) == enumerate_formulas(
+        prop_vars=("p",), max_depth=1
+    )
+    report = check_equivalence(SweepConfig(prop_vars=("p", "p"), max_depth=1))
+    assert (report.prop_formulas, report.prop_checks) == (3, 12)
+    atoms = enumerate_formulas(predicate_names=("S", "S"), ind_vars=("x", "x"), max_depth=0)
+    assert atoms == [parse("S(x)")]
 
 
 def test_size_budget_caps_node_count():
@@ -276,7 +286,7 @@ def test_corrupted_fo_evaluator_is_caught():
     def full_negates_quantified_where_all_facts_hold(f, binding, assignment=None, policy="minimal"):
         m = eval_fo(f, binding, assignment, policy)
         world = binding.world
-        every_fact = len(world.facts) == len(world.relations)  # one individual
+        every_fact = len(world.facts) == len(world.predicates)  # one individual
         if policy == "full" and isinstance(f, (ForAll, Exists)) and every_fact:
             return negate(m, policy)
         return m

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pmsem.meanings import Memo, is_true, meaning, meaning_in_world, render_meaning
 from pmsem.ontology import Complex, Pair, World
 from pmsem.propsem import (
+    MAX_ASSIGNMENTS,
     MAX_SIZE_BOUND,
     PropAssignment,
     canonical_assignments,
@@ -141,6 +142,16 @@ def test_sampled_mode_requires_seed():
 def test_sampled_mode_rejects_bad_inputs(variables, kwargs):
     with pytest.raises(ValueError):
         enumerate_assignments(variables, default_world(["p"]), "sampled", **kwargs)
+
+
+def test_assignment_budget():
+    names = [f"p{i}" for i in range(13)]
+    with pytest.raises(ValueError, match=str(MAX_ASSIGNMENTS)):
+        canonical_assignments(names)
+    with pytest.raises(ValueError, match=str(MAX_ASSIGNMENTS)):
+        sampled_assignments(["p"], default_world(["p"]), seed=1, count=MAX_ASSIGNMENTS + 1)
+    assert len(sampled_assignments([], default_world([]), seed=1, count=MAX_ASSIGNMENTS)) == 1
+    assert len(canonical_assignments(names[:4])) == 16
 
 
 def test_sampled_assignments_at_the_size_bound():

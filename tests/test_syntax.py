@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pmsem.syntax import (
+    _lex,
     Exists,
     ForAll,
     FormulaSyntaxError,
@@ -121,6 +122,61 @@ def test_parse_rejects_malformed(text):
 def test_syntax_error_reports_position():
     with pytest.raises(FormulaSyntaxError, match="position"):
         parse("p v")
+
+
+# ---------------------------------------------------------------------------
+# lexing
+
+def tokens(text):
+    return [(t.kind, t.value, t.count, t.pos) for t in _lex(text)]
+
+
+def test_lexer_reads_names_and_dots():
+    assert tokens("(Ex1)..S(x1) v p12") == [
+        ("LPAREN", "(", 0, 0),
+        ("PREDNAME", "Ex1", 0, 1),
+        ("RPAREN", ")", 0, 4),
+        ("DOTS", "..", 2, 5),
+        ("PREDNAME", "S", 0, 7),
+        ("LPAREN", "(", 0, 8),
+        ("INDVAR", "x1", 0, 9),
+        ("RPAREN", ")", 0, 11),
+        ("OR", "v", 0, 13),
+        ("PROPVAR", "p12", 0, 15),
+        ("END", "", 0, 18),
+    ]
+
+
+def test_lexer_edge_cases():
+    assert parse("p12") == PropVar("p12")
+    assert parse("(Ex1).S(x1)") == Exists("x1", PredApp("S", "x1"))
+    assert parse("p <=> q") == equivalent(p, q)
+    assert parse("p<=>q=>r") == equivalent(p, implies(q, r))
+    assert parse("p\tv\x1cq \n") == Or(p, q)
+    assert [t.kind for t in _lex("p,q")] == ["PROPVAR", "COMMA", "PROPVAR", "END"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vx", "unknown symbol 'v' (at position 0)"),  # v then a letter is no connective
+        ("p v1", "unknown symbol 'v' (at position 2)"),
+        ("p <= q", "unknown symbol '<' (at position 2)"),
+        ("p v #", "unknown symbol '#' (at position 4)"),
+        ("p .", "dangling dots (at position 2)"),
+        (". p", "dangling dots (at position 0)"),
+        ("p ..", "dangling dots (at position 2)"),
+        ("p\u00b2", "unknown symbol '\u00b2' (at position 1)"),  # names are ASCII
+        ("p\u0661 v q", "unknown symbol '\u0661' (at position 1)"),
+        ("\u00c9x(x)", "unknown symbol '\u00c9' (at position 0)"),
+        ("S\u00e9(x)", "unknown symbol '\u00e9' (at position 1)"),
+    ],
+)
+def test_lexer_errors_name_symbol_and_position(text, message):
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse(text)
+    assert str(info.value) == message
+    assert info.value.position == int(message.rsplit(" ", 1)[1].rstrip(")"))
 
 
 # ---------------------------------------------------------------------------
