@@ -103,10 +103,9 @@ def _parse_base_mode(text: str) -> tuple[str, str | None]:
 
 
 def _load_model(args: argparse.Namespace):
-    path = getattr(args, "model", None) or getattr(args, "world", None)
-    if path is None:
+    if args.model is None:
         raise ValueError("a world file is required (--model PATH)")
-    return load_world(path)
+    return load_world(args.model)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fo-eval", help="evaluate a monadic formula in one world")
     p.add_argument("formula")
     p.add_argument("--model", help="world file (individuals, relations, facts)")
-    p.add_argument("--world", help="alias for --model")
     p.add_argument(
         "--base-mode",
         default="all",

@@ -1,10 +1,11 @@
 """Quantified evaluation of monadic formulas into Meanings.
 
-A Binding fixes the world, an ordered pool of individual variables,
-and a valuation xi of pool variables onto individuals (onto: every
-individual is some variable's value; by default one variable per
-individual).  `eval_fo` evaluates a formula under a binding and a
-propositional assignment through the one recursion of `propsem`,
+A Binding is a world and a valuation xi of individual variables onto
+its individuals (onto: every individual is some variable's value; by
+default one variable per individual, and at least x, y and z).  The
+valuation gives free variables their values; quantifiers range over
+the world's individuals.  `eval_fo` evaluates a formula under a binding
+and a propositional assignment through the one recursion of `propsem`,
 whose docstring states the induction and the memo design.
 
 `enumerate_worlds` lists every small world over a vocabulary, and
@@ -13,9 +14,9 @@ whose docstring states the induction and the memo design.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .meanings import Meaning, Memo, is_true
+from .meanings import Meaning, is_true
 from .ontology import World
 from .propsem import (
     PropAssignment,
@@ -46,36 +47,31 @@ __all__ = [
 
 @dataclass
 class Binding:
-    """World, variable pool, and pool valuation for quantified evaluation."""
+    """A world and a valuation of individual variables onto its individuals."""
 
     world: World
-    pool: tuple[str, ...]
     xi: dict[str, str]
-    # Set by the sweep that owns this point; never copied by replace().
-    memo: Memo | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.pool:
-            raise ValueError("binding pool is empty")
-        for v in self.pool:
-            if v not in self.xi:
-                raise ValueError(f"pool variable {v} has no value")
+        if not self.xi:
+            raise ValueError("binding valuation is empty")
         individuals = set(self.world.individuals)
         for v, ind in self.xi.items():
             if ind not in individuals:
                 raise ValueError(f"{v} is bound to unknown individual {ind}")
-        if individuals - {self.xi[v] for v in self.pool}:
-            raise ValueError("pool valuation must cover every individual")
+        if individuals - set(self.xi.values()):
+            raise ValueError("valuation must cover every individual")
 
 
-def default_binding(world: World, min_pool: int = 3) -> Binding:
-    """One pool variable per individual (x, y, z, x1, ...), in name order."""
+def default_binding(world: World) -> Binding:
+    """One variable per individual (x, y, z, x1, ...), in name order, and
+    at least x, y and z, which repeat the individuals of a smaller world."""
     individuals = sorted(world.individuals)
     if not individuals:
         raise ValueError("world has no individuals")
-    names = variable_names(IND_LETTERS, max(len(individuals), min_pool))
+    names = variable_names(IND_LETTERS, max(len(individuals), len(IND_LETTERS)))
     xi = {v: individuals[i % len(individuals)] for i, v in enumerate(names)}
-    return Binding(world=world, pool=names, xi=xi)
+    return Binding(world=world, xi=xi)
 
 
 def eval_fo(
@@ -93,18 +89,15 @@ def eval_fo(
         if any_variable is None:
             raise ValueError("base mode 'any' needs a designated variable")
         if any_variable not in binding.xi:
-            raise ValueError(f"designated variable {any_variable} is not in the pool valuation")
-    memo = binding.memo
-    if memo is not None and memo.assignment is assignment:
-        ctx = memo.contexts.get((policy, base_mode, any_variable))
-    else:
-        memo = ctx = None
-    if ctx is None:
+            raise ValueError(f"designated variable {any_variable} is not in the valuation")
+    memo = assignment.memo if assignment is not None else None
+    ctx = memo and memo.get((policy, base_mode, any_variable))
+    if not ctx or ctx.binding is not binding:
         values = assignment.values if assignment is not None else {}
         any_value = binding.xi[any_variable] if base_mode == "any" else None
-        ctx = _Context(values, policy, {}, memo and memo.interned, binding, any_value)
+        ctx = _Context(values, policy, {}, None if memo is None else {}, binding, any_value)
         if memo is not None:
-            memo.contexts[(policy, base_mode, any_variable)] = ctx
+            memo[policy, base_mode, any_variable] = ctx
     try:
         return ctx.root.get(f) or _ev(f, {}, ctx.root, ctx)
     except _Unbound:
@@ -175,7 +168,6 @@ def enumerate_worlds(
 
 def logical_truth(
     f: Formula,
-    worlds=None,
     *,
     max_individuals: int = 3,
     policy: str = "minimal",
@@ -188,8 +180,7 @@ def logical_truth(
     if free_variables(f):
         raise ValueError("logical truth needs a closed formula")
     pvars = sorted(prop_variables(f))
-    if worlds is None:
-        worlds = enumerate_worlds(sorted(predicates(f)) or ["S"], pvars, max_individuals)
+    worlds = enumerate_worlds(sorted(predicates(f)) or ["S"], pvars, max_individuals)
     checked = 0
     for w in worlds:
         binding = default_binding(w)

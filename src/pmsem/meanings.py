@@ -14,8 +14,8 @@ drawn from the family's union that intersect every member.  The
 keeps them all.  `swap_family` pushes the tag swap through a family
 pointwise.
 
-A `Memo` holds the Meanings already computed at one evaluation point
-(see `propsem`).
+This module keeps no state: the memo of an evaluation point lives on
+its assignment (see `propsem`).
 """
 from __future__ import annotations
 
@@ -73,22 +73,6 @@ def meaning_in_world(m: Meaning, w: World) -> bool:
     """Do all base complexes of m exist in w?"""
     existing = existing_complexes(w)
     return all(p.base in existing for member in m.members for p in member)
-
-
-class Memo:
-    """Meanings computed at one point, for a sweep over many formulas.
-
-    `contexts` holds the evaluation contexts and `interned` one object
-    per distinct Meaning; `assignment` is the assignment a Binding's
-    memo belongs to.  The `propsem` docstring says how they are used.
-    """
-
-    __slots__ = ("assignment", "contexts", "interned")
-
-    def __init__(self, assignment=None):
-        self.assignment = assignment
-        self.contexts: dict = {}
-        self.interned: dict[Meaning, Meaning] = {}
 
 
 # ---------------------------------------------------------------------------

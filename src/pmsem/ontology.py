@@ -18,6 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .syntax import PRED_NAME, PROP_VAR
+
 
 class WorldError(ValueError):
     """Raised for malformed world files or inconsistent world data."""
@@ -126,6 +128,11 @@ class World:
         )
 
 
+def constant_name(variable: str) -> str:
+    """The propositional constant carrying a variable: p -> P, q1 -> Q1."""
+    return variable.upper()
+
+
 def existing_complexes(w: World) -> frozenset[Complex]:
     """Every complex that exists in w: one polarity per predicate and
     individual, and per constant."""
@@ -146,10 +153,11 @@ def all_pairs(w: World) -> tuple[Pair, ...]:
 #   individual a
 #   relation S/1        (predicates are monadic: /1 only)
 #   fact S(a)           (one individual)
-#   prop P true
+#   prop P true         (the constant carrying a variable: P, Q1, ...)
 #
 # Blank lines and lines starting with '#' are skipped; any other
-# directive is an error.
+# directive is an error, and so is a relation or constant name that no
+# formula can reach.
 
 _FACT = re.compile(r"([^(),]+)\(([^(),]+)\)")
 
@@ -174,6 +182,8 @@ def parse_world(text: str, source: str = "<string>") -> World:
             name, _, arity = parts[-1].partition("/")
             if len(parts) != 2 or not name or arity != "1":
                 raise WorldError(f"{where}: expected 'relation NAME/1'")
+            if not PRED_NAME.fullmatch(name):
+                raise WorldError(f"{where}: relation {name!r} is not a predicate name")
             predicates.append(name)
         elif directive == "fact":
             fact = _FACT.fullmatch(parts[-1])
@@ -183,7 +193,10 @@ def parse_world(text: str, source: str = "<string>") -> World:
         elif directive == "prop":
             if len(parts) != 3 or parts[2] not in ("true", "false"):
                 raise WorldError(f"{where}: expected 'prop NAME true|false'")
-            constants.append((parts[1], parts[2] == "true"))
+            name = parts[1]
+            if not PROP_VAR.fullmatch(name.lower()) or constant_name(name.lower()) != name:
+                raise WorldError(f"{where}: constant {name!r} carries no propositional variable")
+            constants.append((name, parts[2] == "true"))
         else:
             raise WorldError(f"{where}: unknown directive {directive!r}")
     try:

@@ -25,19 +25,20 @@ assignment in turn; the quantified section groups the formulas by
 vocabulary (their predicates, or S when they have none, and their
 propositional variables, in first-seen order), enumerates the worlds
 of each vocabulary once, and takes each world and assignment in turn.
-Each point gets a fresh memo, dropped when the point is done (see
-`propsem`), and `enumerate_formulas` lists every formula after its
-subformulas, so each formula costs about one connective step.  Only the
-disagreeing points are kept, and each section records them afterwards
-in (formula, world, assignment) order, so the report lists its
-witnesses as a formula-by-formula sweep would.
+Both sections evaluate each point under a copy of its assignment that
+carries a fresh memo, dropped when the point is done (see `propsem`),
+and `enumerate_formulas` lists every formula after its subformulas, so
+each formula costs about one connective step.  Only the disagreeing
+points are kept, and each section records them afterwards in
+(formula, world, assignment) order, so the report lists its witnesses
+as a formula-by-formula sweep would.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 
 from .fosem import default_binding, enumerate_worlds, eval_fo
-from .meanings import Memo, is_true
+from .meanings import is_true
 from .ontology import World
 from .propsem import PropAssignment, enumerate_assignments, eval_prop
 from .syntax import (
@@ -339,7 +340,7 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
         misses = []
         for idx, h in enumerate(assignments):
             point = PropAssignment(values=h.values, world=h.world)
-            point.memo = Memo()
+            point.memo = {}
             truths = h.truths()
             for i, f in enumerate(formulas):
                 expected = truth_table_eval(f, truths)
@@ -373,12 +374,13 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
                 assignments = points(pvars, w)
                 report.fo_checks += len(members) * len(assignments) * len(policies)
                 for adx, h in enumerate(assignments):
-                    binding.memo = Memo(h)
+                    point = PropAssignment(values=h.values, world=h.world)
+                    point.memo = {}
                     truths = h.truths()
                     for i in members:
                         f = formulas[i]
                         expected = tarski_eval(f, model, None, truths)
-                        got = [is_true(fo_eval(f, binding, h, policy)) for policy in policies]
+                        got = [is_true(fo_eval(f, binding, point, policy)) for policy in policies]
                         if got.count(expected) != len(got):
                             misses.append(((i, wdx, adx), expected, got, w, h))
         _replay(report, "fo", formulas, policies, misses)

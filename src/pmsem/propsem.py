@@ -8,11 +8,11 @@ One recursion, `_ev`, gives every formula its Meaning:
   * a predicate application whose variable an enclosing quantifier
     bound takes the atom meaning at that variable's individual; a free
     one takes, under base mode "all", the member-wise union of its atom
-    meanings across the pool, under base mode "any" the atom meaning at
-    the designated variable's individual;
-  * (x)q merges the instance meanings of q at every pool value member
-    by member, so its truth is the conjunction of theirs; (Ex)q pools
-    all members of all instances, their disjunction.
+    meanings at every individual, under base mode "any" the atom meaning
+    at the designated variable's individual;
+  * (x)q merges the instance meanings of q at every individual of the
+    domain member by member, so its truth is the conjunction of theirs;
+    (Ex)q pools all members of all instances, their disjunction.
 
 `eval_prop` runs it without a binding, where predicates and quantifiers
 are errors; `fosem.eval_fo` runs it with one.
@@ -20,15 +20,17 @@ are errors; `fosem.eval_fo` runs it with one.
 Memos.  Each subformula's Meaning is recorded once per environment
 (the variable -> individual entries the enclosing quantifiers set), so
 a formula whose subformulas are recorded costs about one connective
-step.  The agreement sweep (`oracle.check_equivalence`) gives each point
-a `meanings.Memo` (`PropAssignment.memo`, `Binding.memo`), dropped when
-the point is done.  It keeps the tables in one `_Context` per policy,
-base mode and designated variable, and interns Meanings so that equal
-ones share an object; a Binding's memo serves only the assignment it
-was made for.  Without a memo `eval_prop` records nothing (a table for
-one call costs more in hashing than it saves), and `eval_fo` keeps
-tables for the one call, which serve the quantifier instances that
-repeat when pool variables share an individual.
+step.  The agreement sweep (`oracle.check_equivalence`) gives each
+point a copy of its assignment whose `memo`, a plain dict dropped
+when the point is done, maps each policy (for `eval_fo`, each
+policy, base mode and designated variable) to a `_Context`, which holds
+the tables and interns Meanings so that equal ones share an object.
+A first-order context serves only the Binding it was made for.
+Without a memo `eval_prop` records nothing (a table for one call costs
+more in hashing than it saves), and `eval_fo` keeps tables for the one
+call: the quantifier case keeps a table per environment anyway, and
+the root one serves the subformulas a formula repeats, as the
+expansion of <=> does.
 
 Assignments.  `canonical_assignments` enumerates the 2^n classical
 corners: each variable is carried by its own propositional constant (p
@@ -50,7 +52,6 @@ import random
 from dataclasses import dataclass, field
 
 from .meanings import (
-    Memo,
     Meaning,
     atom_meaning,
     disjoin,
@@ -59,7 +60,7 @@ from .meanings import (
     memberwise_union,
     negate,
 )
-from .ontology import Complex, Pair, World, all_pairs
+from .ontology import Complex, Pair, World, all_pairs, constant_name
 from .syntax import Exists, ForAll, Formula, Not, Or, PredApp, PropVar, prop_variables
 
 __all__ = [
@@ -76,11 +77,6 @@ __all__ = [
 ]
 
 
-def constant_name(variable: str) -> str:
-    """The propositional constant carrying a variable: p -> P, q1 -> Q1."""
-    return variable.upper()
-
-
 def default_world(variables) -> World:
     """A world holding one true propositional constant per variable."""
     constants = tuple((constant_name(v), True) for v in sorted(set(variables)))
@@ -94,7 +90,7 @@ class PropAssignment:
     values: dict[str, Meaning]
     world: World
     # Set by the sweep that owns this point; never copied by replace().
-    memo: Memo | None = field(default=None, init=False, repr=False, compare=False)
+    memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def truths(self) -> dict[str, bool]:
         return {var: is_true(m) for var, m in self.values.items()}
@@ -109,9 +105,9 @@ def eval_prop(f: Formula, h: PropAssignment, policy: str = "minimal") -> Meaning
     memo = h.memo
     if memo is None:
         return _ev(f, None, None, _Context(h.values, policy))
-    ctx = memo.contexts.get(policy)
+    ctx = memo.get(policy)
     if ctx is None:
-        ctx = memo.contexts[policy] = _Context(h.values, policy, {}, memo.interned)
+        ctx = memo[policy] = _Context(h.values, policy, {}, {})
     return ctx.root.get(f) or _ev(f, None, ctx.root, ctx)
 
 
@@ -123,8 +119,8 @@ class _Context:
     copy.  Without a binding xi is None and no later field is set.
     """
 
-    __slots__ = ("values", "policy", "root", "interned", "xi", "tables", "world",
-                 "pool_values", "any_value")
+    __slots__ = ("values", "policy", "root", "interned", "xi", "binding", "tables", "world",
+                 "any_value")
 
     def __init__(self, values, policy, root=None, interned=None, binding=None, any_value=None):
         self.values = values
@@ -135,14 +131,14 @@ class _Context:
             self.xi = None
         else:
             self.xi = binding.xi
+            self.binding = binding
             self.tables = {(): root}
             self.world = binding.world
-            self.pool_values = [binding.xi[z] for z in binding.pool]
             self.any_value = any_value
 
 
 class _Unbound(Exception):
-    """A predicate's variable is neither quantified nor in the pool."""
+    """A predicate's variable is neither quantified nor valued by the binding."""
 
 
 def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
@@ -179,14 +175,14 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
             m = atom_meaning(ctx.world, g.predicate, (ctx.any_value,))
         else:
             atoms = []  # a comprehension's closure would slow every call
-            for d in ctx.pool_values:
+            for d in ctx.world.individuals:
                 atoms.append(atom_meaning(ctx.world, g.predicate, (d,)))
             m = memberwise_union(atoms)
     elif isinstance(g, (ForAll, Exists)):
-        # The body's Meaning with g's variable at each pool value.
+        # The body's Meaning with g's variable at each individual.
         tables = ctx.tables
         instances = []
-        for d in ctx.pool_values:
+        for d in ctx.world.individuals:
             inner = {**env, g.variable: d}
             key = tuple(inner.items())
             inner_table = tables.get(key)

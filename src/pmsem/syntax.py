@@ -158,9 +158,12 @@ def equivalent(left: Formula, right: Formula) -> Formula:
 # lexer
 
 # Variables are a start letter and an optional number: [p-r][0-9]* for
-# propositional, [x-z][0-9]* for individual variables.
+# propositional, [x-z][0-9]* for individual variables.  Predicates are
+# [A-Z][A-Za-z0-9]*.
 PROP_LETTERS = "pqr"
 IND_LETTERS = "xyz"
+PROP_VAR = re.compile(f"[{PROP_LETTERS}][0-9]*")
+PRED_NAME = re.compile("[A-Z][A-Za-z0-9]*")
 
 
 def variable_names(letters: str, count: int) -> tuple[str, ...]:
@@ -187,8 +190,8 @@ _TOKENS = re.compile(
     rf"""\s*(?:
       (?P<DOTS>\.+) | (?P<NOT>~) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
     | (?P<IFF><=>) | (?P<IMPLIES>=>) | (?P<OR>v(?![A-Za-z0-9]))
-    | (?P<PROPVAR>[{PROP_LETTERS}][0-9]*) | (?P<INDVAR>{_IND_VAR})
-    | (?P<PREDNAME>[A-Z][A-Za-z0-9]*) | (?P<UNKNOWN>\S)
+    | (?P<PROPVAR>{PROP_VAR.pattern}) | (?P<INDVAR>{_IND_VAR})
+    | (?P<PREDNAME>{PRED_NAME.pattern}) | (?P<UNKNOWN>\S)
     )""",
     re.VERBOSE,
 )

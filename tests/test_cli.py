@@ -215,6 +215,12 @@ def test_fo_eval_false_formula_exits_1(capsys, world_file):
         ("relation R/1\nfact R(a,b)", "expected 'fact NAME(individual)'"),
         ("relation S/1\nfact S(a)(b)", "expected 'fact NAME(individual)'"),
         ("relation S/1\nfact S(c)", "fact mentions undeclared individual c"),
+        ("relation s/1\nfact s(a)", "w.txt:3: relation 's' is not a predicate name"),
+        ("relation 1S/1", "w.txt:3: relation '1S' is not a predicate name"),
+        ("relation S/1\nprop x true", "w.txt:4: constant 'x' carries no propositional variable"),
+        ("prop p true", "w.txt:3: constant 'p' carries no propositional variable"),
+        ("prop S true", "w.txt:3: constant 'S' carries no propositional variable"),
+        ("prop Q1b false", "w.txt:3: constant 'Q1b' carries no propositional variable"),
     ],
 )
 def test_world_file_relations_are_monadic(tmp_path, capsys, lines, message):
@@ -521,7 +527,6 @@ def command_options(files):
         "taut": {"--world": worlds, **POLICY, **ENUMERATION, **OUTPUT},
         "fo-eval": {
             "--model": worlds,
-            "--world": worlds,
             "--base-mode": value(st.sampled_from(["all", "any:x", "any:z9", "any", "bogus"])),
             **POLICY,
             **OUTPUT,

@@ -1,4 +1,8 @@
 """Quantified evaluation over finite worlds."""
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,10 +13,22 @@ from pmsem.fosem import (
     eval_fo,
     logical_truth,
 )
-from pmsem.meanings import Memo, is_true, meaning, render_meaning
+from pmsem.meanings import POLICIES, is_true, meaning, render_meaning
 from pmsem.ontology import Complex, Pair, World
-from pmsem.propsem import canonical_assignments, declared_assignment
-from pmsem.syntax import Exists, ForAll, Not, Or, PredApp, PropVar, parse, print_formula
+from pmsem.oracle import describe_world, enumerate_formulas
+from pmsem.propsem import PropAssignment, canonical_assignments, declared_assignment
+from pmsem.syntax import (
+    IND_LETTERS,
+    Exists,
+    ForAll,
+    Not,
+    Or,
+    PredApp,
+    PropVar,
+    parse,
+    print_formula,
+    variable_names,
+)
 
 
 def w(facts=("a",), individuals=("a", "b")):
@@ -37,26 +53,26 @@ def flip(ind, positive=False):
 def test_default_binding_covers_domain():
     b = default_binding(w())
     assert set(b.xi.values()) == {"a", "b"}
-    assert len(b.pool) >= 3
+    assert len(b.xi) >= 3
     b = default_binding(w(individuals=("a", "b", "c", "d")))
-    assert b.pool == ("x", "y", "z", "x1")
+    assert tuple(b.xi) == ("x", "y", "z", "x1")
     assert b.xi == {"x": "a", "y": "b", "z": "c", "x1": "d"}
 
 
 def test_default_binding_min_pool():
     b = default_binding(w(individuals=("a",)))
-    assert len(b.pool) == 3
+    assert len(b.xi) == 3
     assert set(b.xi.values()) == {"a"}
 
 
 def test_binding_requires_surjectivity():
     with pytest.raises(ValueError):
-        Binding(world=w(), pool=("x",), xi={"x": "a"})
+        Binding(world=w(), xi={"x": "a"})
 
 
 def test_binding_requires_valuation_cover():
     with pytest.raises(ValueError):
-        Binding(world=w(), pool=("x", "y"), xi={"x": "a"})
+        Binding(world=w(), xi={"x": "a", "y": "c"})
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +147,7 @@ def test_free_variable_base_mode_any():
     b = default_binding(w())
     m = eval_fo(parse("S(x)"), b, base_mode="any", any_variable="x")
     assert is_true(m) == (b.xi["x"] == "a")
-    b = Binding(world=w(), pool=("x", "y"), xi={"x": "a", "y": "b"})
+    b = Binding(world=w(), xi={"x": "a", "y": "b"})
     f = parse("S(x)")
     assert eval_fo(f, b, base_mode="any", any_variable="x") == meaning({diag("a")})
     assert eval_fo(f, b, base_mode="any", any_variable="y") == meaning({flip("b")})
@@ -153,7 +169,7 @@ def test_render_universal_example():
 
 
 # ---------------------------------------------------------------------------
-# memo-carrying bindings
+# memo-carrying assignments
 
 IND_VARS = st.sampled_from(("x", "y"))
 
@@ -188,7 +204,7 @@ FACTS = [(r, (i,)) for r in ("R", "S") for i in ("a", "b")]
 )
 @settings(max_examples=60, deadline=None)
 def test_memo_binding_matches_fresh_evaluation(calls, individuals, facts, p_true):
-    """One memo-carrying binding serves formulas in any order, under
+    """One memo-carrying assignment serves formulas in any order, under
     interleaved policies and base modes, with the Meanings a fresh
     evaluation gives."""
     world = World(
@@ -198,21 +214,30 @@ def test_memo_binding_matches_fresh_evaluation(calls, individuals, facts, p_true
         constants=(("P", True),),
     )
     h = canonical_assignments(["p"], world)[0 if p_true else 1]
-    point = default_binding(h.world)
-    point.memo = Memo(h)
+    binding = default_binding(h.world)
+    point = PropAssignment(values=h.values, world=h.world)
+    point.memo = {}
     for f, policy, (base_mode, any_variable) in calls:
         fresh = eval_fo(f, default_binding(h.world), h, policy, base_mode, any_variable)
-        assert eval_fo(f, point, h, policy, base_mode, any_variable) == fresh
+        assert eval_fo(f, binding, point, policy, base_mode, any_variable) == fresh
 
 
 def test_memo_is_not_served_to_another_assignment():
     world = World(individuals=("a",), predicates=("S",), constants=(("P", True),))
     h_true, h_false = canonical_assignments(["p"], world)
     binding = default_binding(world)
-    binding.memo = Memo(h_true)
+    h_true.memo = {}
     f = parse("(x).p")
     assert is_true(eval_fo(f, binding, h_true))
     assert not is_true(eval_fo(f, binding, h_false))
+
+
+def test_memo_is_not_served_to_another_binding():
+    (h,) = canonical_assignments([], w())
+    h.memo = {}
+    f = parse("(x).S(x)")
+    assert not is_true(eval_fo(f, default_binding(w()), h))
+    assert is_true(eval_fo(f, default_binding(w(facts=("a", "b"))), h))
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +305,64 @@ def test_policy_invariance_under_quantifiers(facts):
         assert is_true(eval_fo(f, b, policy="minimal")) == is_true(
             eval_fo(f, b, policy="full")
         )
+
+
+CLOSED_FO_TREES = st.builds(
+    lambda outer, inner, body: outer("x", inner("y", body)),
+    st.sampled_from((ForAll, Exists)),
+    st.sampled_from((ForAll, Exists)),
+    FO_TREES,
+)
+
+
+@given(
+    CLOSED_FO_TREES,
+    st.sampled_from(("minimal", "full")),
+    st.sampled_from([("a",), ("a", "b"), ("a", "b", "c")]),
+    st.sets(st.sampled_from(FACTS)),
+    st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=4),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_closed_meaning_ignores_the_valuation(f, policy, individuals, facts, extra, rng):
+    """A closed formula takes the same Meaning under every onto
+    valuation, one that repeats individuals included."""
+    world = World(
+        individuals=individuals,
+        predicates=("R", "S"),
+        facts=frozenset(fact for fact in facts if fact[1][0] in individuals),
+        constants=(("P", True),),
+    )
+    values = list(individuals) + [i for i in extra if i in individuals] + [individuals[0]]
+    rng.shuffle(values)
+    xi = dict(zip(variable_names(IND_LETTERS, len(values)), values))
+    (h, _) = canonical_assignments(["p"], world)
+    expected = eval_fo(f, default_binding(world), h, policy)
+    assert eval_fo(f, Binding(world=world, xi=xi), h, policy) == expected
+
+
+# Rendered Meanings of every formula of up to 4 nodes over S, x and y,
+# open ones included, in every world over S of up to 3 individuals,
+# under both policies and three base modes: one sha256 per (world,
+# policy, base mode) over the newline-joined renders.
+MEANING_DIGESTS = Path(__file__).resolve().parent / "data" / "meaning_digests.json"
+BASE_MODES = {"all": ("all", None), "any:x": ("any", "x"), "any:y": ("any", "y")}
+
+
+def test_rendered_meanings_are_pinned():
+    formulas = enumerate_formulas(
+        predicate_names=("S",), ind_vars=("x", "y"), max_depth=5, max_quantifiers=2, max_size=4
+    )
+    assert len(formulas) == 248
+    digests = {}
+    for world in enumerate_worlds(["S"], [], 3):
+        binding = default_binding(world)
+        for policy in POLICIES:
+            for name, (base_mode, any_variable) in BASE_MODES.items():
+                text = "\n".join(
+                    render_meaning(eval_fo(f, binding, None, policy, base_mode, any_variable))
+                    for f in formulas
+                )
+                key = f"{describe_world(world)} | {policy} | {name}"
+                digests[key] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == json.loads(MEANING_DIGESTS.read_text())

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmsem.meanings import Memo, is_true, meaning, meaning_in_world, render_meaning
+from pmsem.meanings import is_true, meaning, meaning_in_world, render_meaning
 from pmsem.ontology import Complex, Pair, World
 from pmsem.propsem import (
     MAX_ASSIGNMENTS,
@@ -271,7 +271,7 @@ PROP_TREES = st.recursive(
 
 def memo_point(h):
     point = PropAssignment(values=h.values, world=h.world)
-    point.memo = Memo()
+    point.memo = {}
     return point
 
 
