@@ -93,12 +93,13 @@ def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _parse_base_mode(text: str) -> tuple[str, str | None]:
+def _parse_base_mode(text: str) -> str | None:
+    """The designated variable of 'any:<var>', or None for 'all'."""
     if text == "all":
-        return "all", None
+        return None
     kind, sep, var = text.partition(":")
     if kind == "any" and sep and var:
-        return "any", var
+        return var
     raise ValueError(f"base mode must be 'all' or 'any:<var>', got {text!r}")
 
 
@@ -199,11 +200,11 @@ def cmd_taut(args: argparse.Namespace) -> int:
 def cmd_fo_eval(args: argparse.Namespace) -> int:
     f = parse(args.formula)
     world = _load_model(args)
-    base_mode, any_variable = _parse_base_mode(args.base_mode)
+    any_variable = _parse_base_mode(args.base_mode)
     binding = default_binding(world)
     pvars = prop_variables(f)
     assignment = declared_assignment(pvars, world) if pvars else None
-    m = eval_fo(f, binding, assignment, args.policy, base_mode, any_variable)
+    m = eval_fo(f, binding, assignment, args.policy, any_variable)
     truth = is_true(m)
     if args.json:
         _emit(args, _dumps({

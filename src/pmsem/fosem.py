@@ -2,11 +2,13 @@
 
 A Binding is a world and a valuation xi of individual variables onto
 its individuals (onto: every individual is some variable's value; by
-default one variable per individual, and at least x, y and z).  The
-valuation gives free variables their values; quantifiers range over
-the world's individuals.  `eval_fo` evaluates a formula under a binding
-and a propositional assignment through the one recursion of `propsem`,
-whose docstring states the induction and the memo design.
+default one variable per individual, and at least x, y and z).
+Quantifiers range over the world's individuals.  A free variable the
+valuation names takes, under base mode "all", every individual, as in
+its universal closure, and under base mode "any:<u>" the value of u.
+`eval_fo` evaluates a formula under a binding and a propositional
+assignment through the one recursion of `propsem`, whose docstring
+states the induction and the memo design.
 
 `enumerate_worlds` lists every small world over a vocabulary, and
 `logical_truth` checks a closed formula in each of them.
@@ -79,27 +81,22 @@ def eval_fo(
     binding: Binding,
     assignment: PropAssignment | None = None,
     policy: str = "minimal",
-    base_mode: str = "all",
     any_variable: str | None = None,
 ) -> Meaning:
-    """Meaning of a monadic formula under binding and assignment."""
-    if base_mode not in ("all", "any"):
-        raise ValueError(f"unknown base mode {base_mode!r}")
-    if base_mode == "any":
-        if any_variable is None:
-            raise ValueError("base mode 'any' needs a designated variable")
-        if any_variable not in binding.xi:
-            raise ValueError(f"designated variable {any_variable} is not in the valuation")
+    """Meaning of a monadic formula under binding and assignment, in
+    base mode "all" (any_variable None) or "any:<any_variable>"."""
+    if any_variable is not None and any_variable not in binding.xi:
+        raise ValueError(f"designated variable {any_variable} is not in the valuation")
     memo = assignment.memo if assignment is not None else None
-    ctx = memo and memo.get((policy, base_mode, any_variable))
+    ctx = memo and memo.get((policy, any_variable))
     if not ctx or ctx.binding is not binding:
         values = assignment.values if assignment is not None else {}
-        any_value = binding.xi[any_variable] if base_mode == "any" else None
-        ctx = _Context(values, policy, {}, None if memo is None else {}, binding, any_value)
+        env = {} if any_variable is None else dict.fromkeys(binding.xi, binding.xi[any_variable])
+        ctx = _Context(values, policy, {}, None if memo is None else {}, binding, env)
         if memo is not None:
-            memo[policy, base_mode, any_variable] = ctx
+            memo[policy, any_variable] = ctx
     try:
-        return ctx.root.get(f) or _ev(f, {}, ctx.root, ctx)
+        return ctx.root.get(f) or _ev(f, ctx.env, ctx.root, ctx)
     except _Unbound:
         unbound = sorted(free_variables(f) - set(binding.xi))
         raise ValueError(f"unbound individual variables: {unbound}") from None
@@ -111,8 +108,8 @@ def eval_fo(
 @dataclass
 class FoVerdict:
     kind: str  # logical_truth | falsifiable
-    worlds_checked: int
-    witness_world: World | None = None
+    worlds_checked: int  # up to the falsifying one, if any
+    witness_world: World | None = None  # grounded in witness_assignment
     witness_assignment: PropAssignment | None = None
 
 
@@ -181,19 +178,17 @@ def logical_truth(
         raise ValueError("logical truth needs a closed formula")
     pvars = sorted(prop_variables(f))
     worlds = enumerate_worlds(sorted(predicates(f)) or ["S"], pvars, max_individuals)
-    checked = 0
-    for w in worlds:
+    for checked, w in enumerate(worlds, 1):
         binding = default_binding(w)
         assignments = enumerate_assignments(
             pvars, w, mode, seed=seed, count=count, size_bound=size_bound
         )
         for h in assignments:
-            checked += 1
             if not is_true(eval_fo(f, binding, h, policy)):
                 return FoVerdict(
                     kind="falsifiable",
                     worlds_checked=checked,
-                    witness_world=w,
+                    witness_world=h.world,
                     witness_assignment=h,
                 )
-    return FoVerdict(kind="logical_truth", worlds_checked=checked)
+    return FoVerdict(kind="logical_truth", worlds_checked=len(worlds))

@@ -42,17 +42,18 @@ from .meanings import is_true
 from .ontology import World
 from .propsem import PropAssignment, enumerate_assignments, eval_prop
 from .syntax import (
+    IND_VAR,
+    PRED_NAME,
+    PROP_VAR,
     Exists,
     ForAll,
     Formula,
-    FormulaSyntaxError,
     Not,
     Or,
     PredApp,
     PropVar,
     children,
     free_variables,
-    parse,
     predicates,
     print_formula,
     prop_variables,
@@ -388,35 +389,33 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
 
 
 def _check_config(config: SweepConfig) -> None:
-    """Reject bounds under which an included section would check nothing,
-    and names that would not parse back from the formulas printed.
+    """Reject a sweep of no section, bounds under which an included
+    section would check nothing, and names outside their syntax class,
+    which would not parse back from the formulas printed.
 
     `enumerate_worlds` rejects an individual count below 1.
     """
+    if not (config.include_prop or config.include_fo):
+        raise ValueError("sweep includes neither the propositional nor the quantified section")
     bounds = []
-    names = []  # (kind, name, text, the formula text must parse to)
+    names = []  # (kind, name, the class it must fullmatch)
     if config.include_prop:
         bounds += [("depth", config.max_depth, 0), ("size", config.max_size, 1)]
-        names += [("a propositional variable", v, v, PropVar(v)) for v in config.prop_vars]
+        names += [("a propositional variable", v, PROP_VAR) for v in config.prop_vars]
     if config.include_fo:
         bounds += [
             ("quantified depth", config.fo_max_depth, 0),
             ("quantified size", config.fo_max_size, 1),
         ]
-        names += [("a propositional variable", v, v, PropVar(v)) for v in config.fo_prop_vars]
-        names += [("an individual variable", v, f"S({v})", PredApp("S", v))
-                  for v in config.fo_ind_vars]
-        names += [("a predicate", p, f"{p}(x)", PredApp(p, "x")) for p in config.fo_predicates]
+        names += [("a propositional variable", v, PROP_VAR) for v in config.fo_prop_vars]
+        names += [("an individual variable", v, IND_VAR) for v in config.fo_ind_vars]
+        names += [("a predicate", p, PRED_NAME) for p in config.fo_predicates]
     for name, value, least in bounds:
         if value is not None and value < least:
             raise ValueError(f"sweep {name} must be at least {least}, got {value}")
-    for kind, name, text, formula in names:
-        try:
-            ok = parse(text) == formula
-        except FormulaSyntaxError:
-            ok = False
-        if not ok:
-            raise ValueError(f"cannot sweep {name!r} as {kind}: {text!r} does not parse back")
+    for kind, name, pattern in names:
+        if not pattern.fullmatch(name):
+            raise ValueError(f"cannot sweep {name!r} as {kind}")
 
 
 def _replay(report, section, formulas, policies, misses) -> None:

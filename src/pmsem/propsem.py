@@ -5,11 +5,12 @@ One recursion, `_ev`, gives every formula its Meaning:
   * a propositional variable takes the assignment's Meaning;
   * disjunction unions the two families; negation swaps the hitting-set
     family (or maps a lone member to swapped singletons);
-  * a predicate application whose variable an enclosing quantifier
-    bound takes the atom meaning at that variable's individual; a free
-    one takes, under base mode "all", the member-wise union of its atom
-    meanings at every individual, under base mode "any" the atom meaning
-    at the designated variable's individual;
+  * a predicate application takes the atom meaning at the individual
+    the environment gives its variable.  `eval_fo` starts the
+    environment: under base mode "any" it maps every valuation variable
+    to the designated variable's individual; under base mode "all" it is
+    empty, and an atom whose variable it lacks is read as its universal
+    closure;
   * (x)q merges the instance meanings of q at every individual of the
     domain member by member, so its truth is the conjunction of theirs;
     (Ex)q pools all members of all instances, their disjunction.
@@ -18,12 +19,12 @@ One recursion, `_ev`, gives every formula its Meaning:
 are errors; `fosem.eval_fo` runs it with one.
 
 Memos.  Each subformula's Meaning is recorded once per environment
-(the variable -> individual entries the enclosing quantifiers set), so
+(the starting entries and those the enclosing quantifiers set), so
 a formula whose subformulas are recorded costs about one connective
 step.  The agreement sweep (`oracle.check_equivalence`) gives each
 point a copy of its assignment whose `memo`, a plain dict dropped
 when the point is done, maps each policy (for `eval_fo`, each
-policy, base mode and designated variable) to a `_Context`, which holds
+policy and designated variable) to a `_Context`, which holds
 the tables and interns Meanings so that equal ones share an object.
 A first-order context serves only the Binding it was made for.
 Without a memo `eval_prop` records nothing (a table for one call costs
@@ -114,15 +115,15 @@ def eval_prop(f: Formula, h: PropAssignment, policy: str = "minimal") -> Meaning
 class _Context:
     """What `_ev` reads besides the formula, its environment and table.
 
-    root is the empty environment's table and tables maps each
+    root is the starting environment env's table and tables maps each
     environment to its own; interned maps each Meaning to its shared
     copy.  Without a binding xi is None and no later field is set.
     """
 
     __slots__ = ("values", "policy", "root", "interned", "xi", "binding", "tables", "world",
-                 "any_value")
+                 "env")
 
-    def __init__(self, values, policy, root=None, interned=None, binding=None, any_value=None):
+    def __init__(self, values, policy, root=None, interned=None, binding=None, env=None):
         self.values = values
         self.policy = policy
         self.root = root
@@ -132,9 +133,9 @@ class _Context:
         else:
             self.xi = binding.xi
             self.binding = binding
-            self.tables = {(): root}
+            self.tables = {tuple(env.items()): root}
             self.world = binding.world
-            self.any_value = any_value
+            self.env = env
 
 
 class _Unbound(Exception):
@@ -171,13 +172,8 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
             m = atom_meaning(ctx.world, g.predicate, (env[g.argument],))
         elif g.argument not in ctx.xi:
             raise _Unbound
-        elif ctx.any_value is not None:
-            m = atom_meaning(ctx.world, g.predicate, (ctx.any_value,))
         else:
-            atoms = []  # a comprehension's closure would slow every call
-            for d in ctx.world.individuals:
-                atoms.append(atom_meaning(ctx.world, g.predicate, (d,)))
-            m = memberwise_union(atoms)
+            m = _ev(ForAll(g.argument, g), env, table, ctx)
     elif isinstance(g, (ForAll, Exists)):
         # The body's Meaning with g's variable at each individual.
         tables = ctx.tables

@@ -163,6 +163,7 @@ def equivalent(left: Formula, right: Formula) -> Formula:
 PROP_LETTERS = "pqr"
 IND_LETTERS = "xyz"
 PROP_VAR = re.compile(f"[{PROP_LETTERS}][0-9]*")
+IND_VAR = re.compile(f"[{IND_LETTERS}][0-9]*")
 PRED_NAME = re.compile("[A-Z][A-Za-z0-9]*")
 
 
@@ -181,8 +182,7 @@ class _Token(NamedTuple):
     pos: int
 
 
-_IND_VAR = f"[{IND_LETTERS}][0-9]*"
-_EXISTS_PREFIX = re.compile(f"E{_IND_VAR}")
+_EXISTS_PREFIX = re.compile(f"E{IND_VAR.pattern}")
 
 # One token, after optional whitespace, per match; any other character
 # is UNKNOWN.  Trailing whitespace matches nothing.
@@ -190,7 +190,7 @@ _TOKENS = re.compile(
     rf"""\s*(?:
       (?P<DOTS>\.+) | (?P<NOT>~) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
     | (?P<IFF><=>) | (?P<IMPLIES>=>) | (?P<OR>v(?![A-Za-z0-9]))
-    | (?P<PROPVAR>{PROP_VAR.pattern}) | (?P<INDVAR>{_IND_VAR})
+    | (?P<PROPVAR>{PROP_VAR.pattern}) | (?P<INDVAR>{IND_VAR.pattern})
     | (?P<PREDNAME>{PRED_NAME.pattern}) | (?P<UNKNOWN>\S)
     )""",
     re.VERBOSE,

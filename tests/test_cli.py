@@ -245,11 +245,9 @@ def test_fo_eval_base_mode_any(capsys, world_file):
     assert code == 0
 
 
-def test_fo_eval_rejects_bad_base_mode(capsys, world_file):
-    code, _, err = run(
-        capsys, "fo-eval", "S(x)", "--model", world_file, "--base-mode", "some"
-    )
-    assert code == 2
+@pytest.mark.parametrize("base_mode", ["some", "any", "any:", "all:x", "any:w"])
+def test_fo_eval_rejects_bad_base_mode(capsys, world_file, base_mode):
+    assert_usage_error(capsys, "fo-eval", "S(x)", "--model", world_file, "--base-mode", base_mode)
 
 
 def test_fo_eval_json(capsys, world_file):
@@ -271,6 +269,18 @@ def test_fo_valid_reports_witness(capsys):
     assert code == 1
     assert "falsifiable" in out
     assert "S(a)" in out
+
+
+def test_fo_valid_counts_worlds_and_grounds_the_witness(capsys):
+    assert run(capsys, "fo-valid", "(x).S(x) v p v ~p") == (
+        0, "logical_truth (14 worlds checked)\n", ""
+    )
+    assert run(capsys, "fo-valid", "(x).S(x) v p") == (
+        1,
+        "falsifiable (1 worlds checked)\n"
+        "  false in individuals {a}; facts {none}; P=false; p=false\n",
+        "",
+    )
 
 
 def test_fo_valid_rejects_open_formula(capsys):
@@ -372,6 +382,7 @@ def test_compare_sweeps_variables_that_parse_back(capsys):
         ["--vars", "2", "--prop-size", "0"],
         ["--no-prop", "--fo", "--fo-depth", "-1"],
         ["--no-prop", "--fo", "--fo-size", "0"],
+        ["--no-prop"],
     ],
 )
 def test_compare_rejects_bounds_that_check_nothing(capsys, argv):

@@ -145,22 +145,18 @@ def test_free_variable_base_mode_all():
 
 def test_free_variable_base_mode_any():
     b = default_binding(w())
-    m = eval_fo(parse("S(x)"), b, base_mode="any", any_variable="x")
+    m = eval_fo(parse("S(x)"), b, any_variable="x")
     assert is_true(m) == (b.xi["x"] == "a")
     b = Binding(world=w(), xi={"x": "a", "y": "b"})
     f = parse("S(x)")
-    assert eval_fo(f, b, base_mode="any", any_variable="x") == meaning({diag("a")})
-    assert eval_fo(f, b, base_mode="any", any_variable="y") == meaning({flip("b")})
+    assert eval_fo(f, b, any_variable="x") == meaning({diag("a")})
+    assert eval_fo(f, b, any_variable="y") == meaning({flip("b")})
 
 
-def test_base_mode_any_requires_variable():
-    with pytest.raises(ValueError):
-        eval_fo(parse("S(x)"), default_binding(w()), base_mode="any")
-
-
-def test_unknown_base_mode_rejected():
-    with pytest.raises(ValueError):
-        eval_fo(parse("S(x)"), default_binding(w()), base_mode="each")
+def test_designated_variable_must_be_in_the_valuation():
+    b = Binding(world=w(), xi={"x": "a", "y": "b"})
+    with pytest.raises(ValueError, match="designated variable z is not in the valuation"):
+        eval_fo(parse("S(x)"), b, any_variable="z")
 
 
 def test_render_universal_example():
@@ -193,7 +189,7 @@ FACTS = [(r, (i,)) for r in ("R", "S") for i in ("a", "b")]
         st.tuples(
             FO_TREES,
             st.sampled_from(("minimal", "full")),
-            st.sampled_from([("all", None), ("any", "x"), ("any", "y")]),
+            st.sampled_from([None, "x", "y"]),
         ),
         min_size=1,
         max_size=10,
@@ -217,9 +213,9 @@ def test_memo_binding_matches_fresh_evaluation(calls, individuals, facts, p_true
     binding = default_binding(h.world)
     point = PropAssignment(values=h.values, world=h.world)
     point.memo = {}
-    for f, policy, (base_mode, any_variable) in calls:
-        fresh = eval_fo(f, default_binding(h.world), h, policy, base_mode, any_variable)
-        assert eval_fo(f, binding, point, policy, base_mode, any_variable) == fresh
+    for f, policy, any_variable in calls:
+        fresh = eval_fo(f, default_binding(h.world), h, policy, any_variable)
+        assert eval_fo(f, binding, point, policy, any_variable) == fresh
 
 
 def test_memo_is_not_served_to_another_assignment():
@@ -277,6 +273,16 @@ def test_logical_truth_requires_closed_formula():
 def test_logical_truth_counts_worlds():
     v = logical_truth(parse("(x). S(x) v ~S(x)"), max_individuals=2)
     assert v.worlds_checked == 6
+    v = logical_truth(parse("(x).S(x) v p v ~p"))
+    assert (v.kind, v.worlds_checked) == ("logical_truth", 14)
+
+
+def test_falsifying_world_is_the_assignments_grounded_world():
+    v = logical_truth(parse("(x).S(x) v p"))
+    assert (v.kind, v.worlds_checked) == ("falsifiable", 1)
+    assert v.witness_world is v.witness_assignment.world
+    assert v.witness_world.constant_values == {"P": False}
+    assert describe_world(v.witness_world) == "individuals {a}; facts {none}; P=false"
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +352,7 @@ def test_closed_meaning_ignores_the_valuation(f, policy, individuals, facts, ext
 # under both policies and three base modes: one sha256 per (world,
 # policy, base mode) over the newline-joined renders.
 MEANING_DIGESTS = Path(__file__).resolve().parent / "data" / "meaning_digests.json"
-BASE_MODES = {"all": ("all", None), "any:x": ("any", "x"), "any:y": ("any", "y")}
+BASE_MODES = {"all": None, "any:x": "x", "any:y": "y"}
 
 
 def test_rendered_meanings_are_pinned():
@@ -358,9 +364,9 @@ def test_rendered_meanings_are_pinned():
     for world in enumerate_worlds(["S"], [], 3):
         binding = default_binding(world)
         for policy in POLICIES:
-            for name, (base_mode, any_variable) in BASE_MODES.items():
+            for name, any_variable in BASE_MODES.items():
                 text = "\n".join(
-                    render_meaning(eval_fo(f, binding, None, policy, base_mode, any_variable))
+                    render_meaning(eval_fo(f, binding, None, policy, any_variable))
                     for f in formulas
                 )
                 key = f"{describe_world(world)} | {policy} | {name}"
