@@ -15,10 +15,18 @@ found, proof invalid), 2 usage or input error.
 Reports are plain text on stdout; --json switches to a stable JSON
 schema and --out redirects to a file.  Sampled modes require --seed and
 report it, so identical invocations give byte-identical output.
+
+`main(argv)` may be called repeatedly in one process.  The parser is
+built on the first call and reused by every later one: `parse_args`
+copies each call's values into a fresh Namespace, and help is formatted
+to the terminal width at the time it is printed.  This holds as long as
+nothing rebinds the `cmd_*` functions, whose references the parser
+takes as defaults when it is built.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -299,7 +307,9 @@ def cmd_check_proof(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `pm` parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="pm",
         description="Evaluate dot-notation formulas as Meanings and check them "

@@ -13,7 +13,11 @@ every formula of a given depth is only feasible for small depths (the
 count grows doubly exponentially), so deeper sweeps set `max_size` to
 bound the node count instead; the default budget is the full-tree size
 2^(depth+1) - 1, which is exact for depth <= 2 and must be lowered for
-more.
+more.  Two budgets turn a sweep too large to finish into a ValueError
+before it runs: `enumerate_formulas` lists at most MAX_FORMULAS
+formulas, open intermediates included, and `check_equivalence` refuses
+a propositional section of more than MAX_CHECKS (formula, assignment,
+policy) checks before it evaluates any point.
 
 `check_equivalence` sweeps formulas against assignments/worlds and
 reports every point where the meaning evaluators and the classical
@@ -150,6 +154,12 @@ def quantifier_count(f: Formula) -> int:
     return sum(isinstance(g, (ForAll, Exists)) for g in subformulas(f))
 
 
+# Most formulas enumerate_formulas admits, atoms and open intermediates
+# included.  The acceptance sweeps admit at most 26,925 (two predicates)
+# and 6,789 (three variables, size 8).
+MAX_FORMULAS = 2**16
+
+
 def enumerate_formulas(
     prop_vars=(),
     predicate_names=(),
@@ -163,6 +173,9 @@ def enumerate_formulas(
 
     Stable order: node count ascending; within one size, atoms, then
     negations, then disjunctions by split point, then quantified forms.
+    Admitting more than MAX_FORMULAS raises ValueError.  A size with no
+    formula ends the listing: within the same bounds, any larger formula
+    can be cut down a node at a time to one of that size.
     """
     if max_size is None:
         max_size = 2 ** (max_depth + 1) - 1
@@ -171,7 +184,7 @@ def enumerate_formulas(
     atoms = list(dict.fromkeys(atoms))  # a repeated name gives one atom
     depths: dict[Formula, int] = {a: 0 for a in atoms}
     quants: dict[Formula, int] = {a: 0 for a in atoms}
-    by_size: dict[int, list[Formula]] = {1: list(atoms)}
+    by_size: dict[int, list[Formula]] = {1: list(atoms)} if max_size >= 1 else {}
 
     def admit(bucket, f, depth, quant):
         if depth > max_depth or quant > max_quantifiers or f in depths:
@@ -179,6 +192,8 @@ def enumerate_formulas(
         depths[f] = depth
         quants[f] = quant
         bucket.append(f)
+        if len(depths) > MAX_FORMULAS:
+            raise ValueError(f"sweep bounds admit more than {MAX_FORMULAS} formulas")
 
     for n in range(2, max_size + 1):
         bucket: list[Formula] = []
@@ -198,11 +213,13 @@ def enumerate_formulas(
                 for v in ind_vars:
                     admit(bucket, ForAll(v, g), depths[g] + 1, quants[g] + 1)
                     admit(bucket, Exists(v, g), depths[g] + 1, quants[g] + 1)
+        if not bucket:
+            break
         by_size[n] = bucket
 
     out: list[Formula] = []
-    for n in range(1, max_size + 1):
-        for f in by_size.get(n, []):
+    for bucket in by_size.values():
+        for f in bucket:
             if closed_only and free_variables(f):
                 continue
             out.append(f)
@@ -317,6 +334,11 @@ def describe_world(w: World) -> str:
     return "; ".join(parts)
 
 
+# Most (formula, assignment, policy) checks a propositional section
+# runs.  `pm compare --vars 7` at the default depth needs 1,033,984.
+MAX_CHECKS = 2**20
+
+
 def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> EquivalenceReport:
     """Sweep the meaning evaluators against the classical oracles."""
     prop_eval = prop_eval or eval_prop
@@ -338,6 +360,11 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
         report.prop_formulas = len(formulas)
         assignments = points(config.prop_vars, None)
         report.prop_checks = len(formulas) * len(assignments) * len(policies)
+        if report.prop_checks > MAX_CHECKS:
+            raise ValueError(
+                f"the propositional sweep needs {report.prop_checks} checks, "
+                f"more than {MAX_CHECKS}"
+            )
         misses = []
         for idx, h in enumerate(assignments):
             point = PropAssignment(values=h.values, world=h.world)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmsem.cli import main
+from pmsem.cli import build_parser, main
 from pmsem.oracle import enumerate_formulas
 from pmsem.syntax import MAX_DEPTH, MAX_NODES, PropVar, parse, print_formula
 
@@ -427,6 +427,40 @@ def test_assignment_budget(capsys):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--vars", "8"],
+        ["--vars", "8", "--prop-depth", "3"],
+        ["--vars", "3", "--prop-depth", "13", "--prop-size", "14"],
+    ],
+)
+def test_compare_sweep_budgets(capsys, argv):
+    start = time.perf_counter()
+    assert_usage_error(capsys, "compare", *argv)
+    assert time.perf_counter() - start < 2
+
+
+def test_compare_within_the_sweep_budgets(capsys):
+    code, out, _ = run(capsys, "compare", "--vars", "7", "--prop-depth", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["prop_checks"] == 63 * 2**7 * 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--vars", "2", "--prop-depth", "1", "--prop-size", "100000"],
+        ["--vars", "0", "--prop-size", "100000"],
+        ["--no-prop", "--fo", "--fo-depth", "1", "--fo-size", "100000"],
+    ],
+)
+def test_compare_size_bound_beyond_the_depth_bound(capsys, argv):
+    start = time.perf_counter()
+    assert run(capsys, "compare", *argv)[0] == 0
+    assert time.perf_counter() - start < 1
+
+
 def test_compare_text_header_reports_seed(capsys):
     code, out, _ = run(
         capsys, "compare", "--vars", "1", "--mode", "sampled", "--seed", "3",
@@ -490,6 +524,53 @@ def test_out_flag_writes_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert target.read_text().strip() == "tautology"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def test_parser_reuse_leaks_no_state(world_file):
+    """Calls through the shared parser print what a fresh parser would.
+
+    Each pair of valid calls differs only in a default, so a value left
+    over from the first would show in the second; the argparse failures
+    sit between them.
+    """
+    sequence = [
+        ["taut", "p v ~p", "--policy", "full", "--json"],
+        [],
+        ["taut", "p v ~p", "--json"],
+        ["frobnicate"],
+        ["compare", "--vars", "1", "--prop-depth", "1", "--json"],
+        ["taut"],
+        ["compare", "--vars", "1", "--prop-depth", "1"],
+        ["taut", "p", "--policy", "bogus"],
+        ["eval", "p", "--mode", "sampled", "--seed", "1", "--count", "2"],
+        ["eval", "p", "--seed", "x"],
+        ["eval", "p"],
+        ["--help"],
+        ["fo-eval", "S(x)", "--model", world_file, "--base-mode", "any:x", "--json"],
+        ["compare", "--help"],
+        ["fo-eval", "S(x)", "--model", world_file, "--json"],
+    ]
+
+    def outcomes(fresh):
+        results = []
+        for argv in sequence:
+            if fresh:
+                build_parser.cache_clear()
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            results.append((code, out.getvalue(), err.getvalue()))
+        return results
+
+    parser = build_parser()
+    reused = outcomes(fresh=False)
+    assert build_parser() is parser
+    assert reused == outcomes(fresh=True)
+    assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 0, 0, 0, 1]
+    assert build_parser() is build_parser()
 
 
 # ---------------------------------------------------------------------------

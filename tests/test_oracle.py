@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pmsem.oracle as oracle
 from pmsem.meanings import negate
 from pmsem.ontology import World
 from pmsem.oracle import (
@@ -179,8 +180,52 @@ def test_closed_only_filters_free_variables():
     assert all(not free_variables(f) for f in out)
 
 
+def test_formula_budget_boundary(monkeypatch):
+    # All 243 formulas of depth 2 over three variables are admitted.
+    monkeypatch.setattr(oracle, "MAX_FORMULAS", 243)
+    assert len(enumerate_formulas(prop_vars=("p", "q", "r"), max_depth=2)) == 243
+    monkeypatch.setattr(oracle, "MAX_FORMULAS", 242)
+    with pytest.raises(ValueError, match="more than 242 formulas"):
+        enumerate_formulas(prop_vars=("p", "q", "r"), max_depth=2)
+
+
+def test_formula_budget_counts_open_formulas(monkeypatch):
+    bounds = dict(predicate_names=("S",), ind_vars=("x",), max_depth=2, max_quantifiers=1,
+                  max_size=3)
+    admitted = len(enumerate_formulas(**bounds))
+    assert len(enumerate_formulas(**bounds, closed_only=True)) < admitted
+    monkeypatch.setattr(oracle, "MAX_FORMULAS", admitted - 1)
+    with pytest.raises(ValueError):
+        enumerate_formulas(**bounds, closed_only=True)
+
+
+def test_size_bound_beyond_the_depth_bound_ends_the_listing():
+    assert enumerate_formulas(prop_vars=("p",), max_depth=1, max_size=10**9) == [
+        p, Not(p), Or(p, p)
+    ]
+    assert enumerate_formulas(max_size=10**9) == []
+    assert enumerate_formulas(prop_vars=("p",), max_size=0) == []
+
+
 # ---------------------------------------------------------------------------
 # sweeps
+
+def test_check_budget_refuses_before_any_point(monkeypatch):
+    config = SweepConfig(prop_vars=("p", "q"), max_depth=1)  # 8 formulas x 4 x 2 policies
+    calls = []
+
+    def counting(f, h, policy):
+        calls.append(f)
+        return eval_prop(f, h, policy)
+
+    monkeypatch.setattr(oracle, "MAX_CHECKS", 64)
+    assert check_equivalence(config, prop_eval=counting).prop_checks == len(calls) == 64
+    calls.clear()
+    monkeypatch.setattr(oracle, "MAX_CHECKS", 63)
+    with pytest.raises(ValueError, match="needs 64 checks, more than 63"):
+        check_equivalence(config, prop_eval=counting)
+    assert calls == []
+
 
 def test_small_prop_sweep_agrees():
     report = check_equivalence(SweepConfig(prop_vars=("p", "q"), max_depth=2))
