@@ -44,6 +44,7 @@ __all__ = [
     "enumerate_worlds",
     "eval_fo",
     "logical_truth",
+    "world_vocabulary",
 ]
 
 
@@ -104,6 +105,12 @@ def eval_fo(
 
 # ---------------------------------------------------------------------------
 # logical truth over finite worlds
+
+def world_vocabulary(f: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The predicates (S when f has none) and propositional variables,
+    each sorted, of the worlds f is checked in."""
+    return tuple(sorted(predicates(f))) or ("S",), tuple(sorted(prop_variables(f)))
+
 
 @dataclass
 class FoVerdict:
@@ -176,14 +183,12 @@ def logical_truth(
     """Is f true in every finite world (and assignment) swept?"""
     if free_variables(f):
         raise ValueError("logical truth needs a closed formula")
-    pvars = sorted(prop_variables(f))
-    worlds = enumerate_worlds(sorted(predicates(f)) or ["S"], pvars, max_individuals)
+    preds, pvars = world_vocabulary(f)
+    worlds = enumerate_worlds(preds, pvars, max_individuals)
     for checked, w in enumerate(worlds, 1):
         binding = default_binding(w)
-        assignments = enumerate_assignments(
-            pvars, w, mode, seed=seed, count=count, size_bound=size_bound
-        )
-        for h in assignments:
+        for h in enumerate_assignments(pvars, w, mode, seed=seed, count=count,
+                                       size_bound=size_bound):
             if not is_true(eval_fo(f, binding, h, policy)):
                 return FoVerdict(
                     kind="falsifiable",

@@ -16,32 +16,31 @@ bound the node count instead; the default budget is the full-tree size
 more.  Two budgets turn a sweep too large to finish into a ValueError
 before it runs: `enumerate_formulas` lists at most MAX_FORMULAS
 formulas, open intermediates included, and `check_equivalence` refuses
-a propositional section of more than MAX_CHECKS (formula, assignment,
-policy) checks before it evaluates any point.
+more than MAX_WORK units of work over both sections.  One policy's
+check of f at a point of n individuals (1 without quantifiers) costs
+S_n(f) units: 1 for each node, where (x)g and (Ex)g cost 1 + n * S_n(g).
 
-`check_equivalence` sweeps formulas against assignments/worlds and
-reports every point where the meaning evaluators and the classical
-evaluators disagree, and every point where the two transversal policies
-disagree with each other.  Reports are deterministic and JSON-ready.
-
-The sweep runs point by point.  The propositional section takes each
-assignment in turn; the quantified section groups the formulas by
-vocabulary (their predicates, or S when they have none, and their
-propositional variables, in first-seen order), enumerates the worlds
-of each vocabulary once, and takes each world and assignment in turn.
-Both sections evaluate each point under a copy of its assignment that
-carries a fresh memo, dropped when the point is done (see `propsem`),
-and `enumerate_formulas` lists every formula after its subformulas, so
-each formula costs about one connective step.  Only the disagreeing
-points are kept, and each section records them afterwards in
-(formula, world, assignment) order, so the report lists its witnesses
-as a formula-by-formula sweep would.
+`check_equivalence` reports every point where the meaning evaluators
+and the classical ones disagree, and every point where the two
+transversal policies disagree with each other; reports are
+deterministic and JSON-ready.  One loop runs both of its sections over
+groups of (worlds, propositional variables, formulas, evaluator): the
+propositional section is one group whose one world is None, and the
+quantified section one group per vocabulary (`fosem.world_vocabulary`,
+first seen first) over all its worlds.  Each point, a world and an
+assignment, is evaluated under a copy of the assignment that carries a
+fresh memo, dropped when the point is done (see `propsem`); as
+`enumerate_formulas` lists every formula after its subformulas, each
+formula costs about one connective step.  Only disagreeing points are
+kept, and each section records them in (formula, world, assignment)
+order, as a formula-by-formula sweep would.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, asdict
 
-from .fosem import default_binding, enumerate_worlds, eval_fo
+from .fosem import default_binding, enumerate_worlds, eval_fo, world_vocabulary
 from .meanings import is_true
 from .ontology import World
 from .propsem import PropAssignment, enumerate_assignments, eval_prop
@@ -58,9 +57,7 @@ from .syntax import (
     PropVar,
     children,
     free_variables,
-    predicates,
     print_formula,
-    prop_variables,
     subformulas,
 )
 
@@ -217,13 +214,8 @@ def enumerate_formulas(
             break
         by_size[n] = bucket
 
-    out: list[Formula] = []
-    for bucket in by_size.values():
-        for f in bucket:
-            if closed_only and free_variables(f):
-                continue
-            out.append(f)
-    return out
+    formulas = [f for bucket in by_size.values() for f in bucket]
+    return [f for f in formulas if not free_variables(f)] if closed_only else formulas
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +326,15 @@ def describe_world(w: World) -> str:
     return "; ".join(parts)
 
 
-# Most (formula, assignment, policy) checks a propositional section
-# runs.  `pm compare --vars 7` at the default depth needs 1,033,984.
-MAX_CHECKS = 2**20
+# Most units of work a sweep runs, both sections together (see `_cost`).
+# `pm compare --vars 7` at the default depth needs 6,496,000.
+MAX_WORK = 2**23
 
 
 def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> EquivalenceReport:
     """Sweep the meaning evaluators against the classical oracles."""
     prop_eval = prop_eval or eval_prop
     fo_eval = fo_eval or eval_fo
-    policies = config.policies
     report = EquivalenceReport(config=config)
     _check_config(config)
 
@@ -351,68 +342,90 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
         return enumerate_assignments(variables, world, config.mode, seed=config.seed,
                                      count=config.count, size_bound=config.size_bound)
 
-    if config.include_prop:
-        formulas = enumerate_formulas(
-            prop_vars=config.prop_vars,
-            max_depth=config.max_depth,
-            max_size=config.max_size,
-        )
-        report.prop_formulas = len(formulas)
-        assignments = points(config.prop_vars, None)
-        report.prop_checks = len(formulas) * len(assignments) * len(policies)
-        if report.prop_checks > MAX_CHECKS:
-            raise ValueError(
-                f"the propositional sweep needs {report.prop_checks} checks, "
-                f"more than {MAX_CHECKS}"
-            )
-        misses = []
-        for idx, h in enumerate(assignments):
-            point = PropAssignment(values=h.values, world=h.world)
-            point.memo = {}
-            truths = h.truths()
-            for i, f in enumerate(formulas):
-                expected = truth_table_eval(f, truths)
-                got = [is_true(prop_eval(f, point, policy)) for policy in policies]
-                if got.count(expected) != len(got):
-                    misses.append(((i, idx), expected, got, idx, h))
-        _replay(report, "prop", formulas, policies, misses)
+    def bind(world):
+        binding = default_binding(world)
+        return lambda f, h, policy: fo_eval(f, binding, h, policy)
 
+    sections = []  # (name, formulas, groups of (worlds, variables, ids, evaluator))
+    if config.include_prop:
+        formulas = enumerate_formulas(config.prop_vars, max_depth=config.max_depth,
+                                      max_size=config.max_size)
+        groups = [([None], config.prop_vars, range(len(formulas)), lambda w: prop_eval)]
+        sections.append(("prop", formulas, groups))
     if config.include_fo:
-        formulas = enumerate_formulas(
-            prop_vars=config.fo_prop_vars,
-            predicate_names=config.fo_predicates,
-            ind_vars=config.fo_ind_vars,
-            max_depth=config.fo_max_depth,
-            max_quantifiers=config.fo_max_quantifiers,
-            max_size=config.fo_max_size,
-            closed_only=True,
-        )
-        report.fo_formulas = len(formulas)
-        # Each formula is checked over the worlds of its own vocabulary.
+        formulas = enumerate_formulas(config.fo_prop_vars, config.fo_predicates,
+                                      config.fo_ind_vars, config.fo_max_depth,
+                                      config.fo_max_quantifiers, config.fo_max_size,
+                                      closed_only=True)
         vocabularies: dict[tuple, list[int]] = {}
         for i, f in enumerate(formulas):
-            key = (tuple(sorted(predicates(f)) or ["S"]), tuple(sorted(prop_variables(f))))
-            vocabularies.setdefault(key, []).append(i)
-        misses = []
-        for (preds, pvars), members in vocabularies.items():
-            worlds = enumerate_worlds(preds, pvars, config.fo_max_individuals)
-            for wdx, w in enumerate(worlds):
-                model = model_from_world(w)
-                binding = default_binding(w)
-                assignments = points(pvars, w)
-                report.fo_checks += len(members) * len(assignments) * len(policies)
-                for adx, h in enumerate(assignments):
-                    point = PropAssignment(values=h.values, world=h.world)
-                    point.memo = {}
-                    truths = h.truths()
-                    for i in members:
-                        f = formulas[i]
-                        expected = tarski_eval(f, model, None, truths)
-                        got = [is_true(fo_eval(f, binding, point, policy)) for policy in policies]
-                        if got.count(expected) != len(got):
-                            misses.append(((i, wdx, adx), expected, got, w, h))
-        _replay(report, "fo", formulas, policies, misses)
+            vocabularies.setdefault(world_vocabulary(f), []).append(i)
+        groups = [(enumerate_worlds(preds, pvars, config.fo_max_individuals), pvars, ids, bind)
+                  for (preds, pvars), ids in vocabularies.items()]
+        sections.append(("fo", formulas, groups))
+
+    work = 0
+    costs: dict[int, dict] = {}  # domain size -> memo of `_cost`
+    for name, formulas, groups in sections:
+        checks = 0
+        for worlds, variables, ids, _ in groups:
+            # Every world of one vocabulary has as many assignments.
+            per_world = len(points(variables, None)) * len(config.policies)
+            checks += per_world * len(ids) * len(worlds)
+            for n, k in Counter(1 if w is None else len(w.individuals) for w in worlds).items():
+                cost = costs.setdefault(n, {})
+                work += per_world * k * sum(_cost(formulas[i], n, cost) for i in ids)
+        setattr(report, f"{name}_formulas", len(formulas))
+        setattr(report, f"{name}_checks", checks)
+    if work > MAX_WORK:
+        raise ValueError(f"the sweep needs {work} units of work, more than {MAX_WORK}")
+
+    for _, formulas, groups in sections:
+        for (i, _, adx), expected, got, w, h in _sweep(formulas, groups, config.policies, points):
+            got = dict(zip(config.policies, got))
+            _check_point(report, print_formula(formulas[i]), expected, got, w, adx, h)
     return report
+
+
+def _cost(f: Formula, n: int, memo: dict) -> int:
+    """S_n(f).  memo maps the id of each subformula seen, which formulas
+    share, to its cost: every formula counted stays alive meanwhile, and
+    an id spares the formula hash, a Python call."""
+    cost = memo.get(id(f))
+    if cost is None:
+        if isinstance(f, Not):
+            cost = 1 + _cost(f.operand, n, memo)
+        elif isinstance(f, Or):
+            cost = 1 + _cost(f.left, n, memo) + _cost(f.right, n, memo)
+        elif isinstance(f, (ForAll, Exists)):
+            cost = 1 + n * _cost(f.body, n, memo)
+        else:
+            cost = 1
+        memo[id(f)] = cost
+    return cost
+
+
+def _sweep(formulas, groups, policies, points) -> list:
+    """The misses of each group's formulas at each of its worlds and
+    assignments, in (formula, world, assignment) order; a group's
+    evaluator(world) gives evaluate(f, point, policy)."""
+    misses = []
+    for worlds, variables, ids, evaluator in groups:
+        for wdx, w in enumerate(worlds):
+            model = None if w is None else model_from_world(w)
+            evaluate = evaluator(w)
+            for adx, h in enumerate(points(variables, w)):
+                point = PropAssignment(values=h.values, world=h.world)
+                point.memo = {}
+                truths = h.truths()
+                for i in ids:
+                    f = formulas[i]
+                    expected = tarski_eval(f, model, None, truths)
+                    got = [is_true(evaluate(f, point, policy)) for policy in policies]
+                    if got.count(expected) != len(got):
+                        misses.append(((i, wdx, adx), expected, got, w, h))
+    misses.sort(key=lambda miss: miss[0])
+    return misses
 
 
 def _check_config(config: SweepConfig) -> None:
@@ -445,47 +458,26 @@ def _check_config(config: SweepConfig) -> None:
             raise ValueError(f"cannot sweep {name!r} as {kind}")
 
 
-def _replay(report, section, formulas, policies, misses) -> None:
-    """Record the disagreeing points in (formula, world, assignment) order."""
-    misses.sort(key=lambda miss: miss[0])
-    for key, expected, got, where, h in misses:
-        text = print_formula(formulas[key[0]])
-        _check_point(report, section, text, expected, dict(zip(policies, got)), where, h)
-
-
-def _check_point(report, section, text, expected, got, where, h) -> None:
+def _check_point(report, text, expected, got, world, adx, h) -> None:
     """Record each policy whose truth at one point differs from the
-    classical value, then any split between the policies.
-
-    where is the assignment's index (prop) or the world (fo).  The
-    context strings are built only when a record is made.
-    """
+    classical value, then any split between the policies.  A point of no
+    world is named by its assignment's index adx.  The context strings
+    are built only when a record is made."""
     context = None
     for policy, value in got.items():
         if value != expected:
             if context is None:
-                if section == "prop":
-                    context = policy_context = f"assignment {where}: {h.describe() or 'empty'}"
+                if world is None:
+                    context = policy_context = f"assignment {adx}: {h.describe() or 'empty'}"
                 else:
-                    policy_context = describe_world(where)
+                    policy_context = describe_world(world)
                     context = f"{policy_context}; {h.describe() or 'no variables'}"
-            report.record(
-                Disagreement(
-                    section=section,
-                    formula=text,
-                    context=context,
-                    expected=str(expected).lower(),
-                    got=f"{policy}: {str(value).lower()}",
-                )
-            )
+            report.record(Disagreement(
+                section="prop" if world is None else "fo", formula=text, context=context,
+                expected=str(expected).lower(), got=f"{policy}: {str(value).lower()}"))
     # Truths are booleans, so policies can only split where one is wrong.
     if context is not None and len(set(got.values())) > 1:
-        report.record(
-            Disagreement(
-                section="policy",
-                formula=text,
-                context=policy_context,
-                expected="policy-independent truth",
-                got=str({k: str(v).lower() for k, v in sorted(got.items())}),
-            )
-        )
+        report.record(Disagreement(
+            section="policy", formula=text, context=policy_context,
+            expected="policy-independent truth",
+            got=str({k: str(v).lower() for k, v in sorted(got.items())})))

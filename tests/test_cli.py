@@ -433,6 +433,7 @@ def test_assignment_budget(capsys):
         ["--vars", "8"],
         ["--vars", "8", "--prop-depth", "3"],
         ["--vars", "3", "--prop-depth", "13", "--prop-size", "14"],
+        ["--no-prop", "--fo", "--fo-individuals", "6"],
     ],
 )
 def test_compare_sweep_budgets(capsys, argv):

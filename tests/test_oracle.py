@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pmsem.oracle as oracle
+from pmsem.fosem import eval_fo
 from pmsem.meanings import negate
 from pmsem.ontology import World
 from pmsem.oracle import (
@@ -19,7 +20,7 @@ from pmsem.oracle import (
     truth_table_eval,
 )
 from pmsem.propsem import eval_prop
-from pmsem.syntax import Exists, ForAll, Not, Or, PropVar, parse, print_formula
+from pmsem.syntax import Exists, ForAll, Not, Or, PropVar, parse, print_formula, prop_variables
 
 p = PropVar("p")
 
@@ -211,19 +212,41 @@ def test_size_bound_beyond_the_depth_bound_ends_the_listing():
 # sweeps
 
 def test_check_budget_refuses_before_any_point(monkeypatch):
-    config = SweepConfig(prop_vars=("p", "q"), max_depth=1)  # 8 formulas x 4 x 2 policies
+    # 8 formulas of 18 nodes in all, x 4 assignments x 2 policies
+    config = SweepConfig(prop_vars=("p", "q"), max_depth=1)
     calls = []
 
     def counting(f, h, policy):
         calls.append(f)
         return eval_prop(f, h, policy)
 
-    monkeypatch.setattr(oracle, "MAX_CHECKS", 64)
+    monkeypatch.setattr(oracle, "MAX_WORK", 144)
     assert check_equivalence(config, prop_eval=counting).prop_checks == len(calls) == 64
     calls.clear()
-    monkeypatch.setattr(oracle, "MAX_CHECKS", 63)
-    with pytest.raises(ValueError, match="needs 64 checks, more than 63"):
+    monkeypatch.setattr(oracle, "MAX_WORK", 143)
+    with pytest.raises(ValueError, match="needs 144 units of work, more than 143"):
         check_equivalence(config, prop_eval=counting)
+    assert calls == []
+
+
+def test_work_budget_weighs_quantifiers_by_the_domain(monkeypatch):
+    # 10 closed formulas over S and x, at the 2 one-individual worlds
+    # and the 4 two-individual ones, under 2 policies: (x).S(x) costs 2
+    # units at one individual and 3 at two, (x).(x).S(x) 3 and 7.
+    config = SweepConfig(include_prop=False, include_fo=True, fo_ind_vars=("x",), fo_max_size=3,
+                         fo_max_individuals=2)
+    calls = []
+
+    def counting(f, binding, assignment=None, policy="minimal"):
+        calls.append(f)
+        return eval_fo(f, binding, assignment, policy)
+
+    monkeypatch.setattr(oracle, "MAX_WORK", 528)
+    assert check_equivalence(config, fo_eval=counting).fo_checks == len(calls) == 120
+    calls.clear()
+    monkeypatch.setattr(oracle, "MAX_WORK", 527)
+    with pytest.raises(ValueError, match="needs 528 units of work, more than 527"):
+        check_equivalence(config, fo_eval=counting)
     assert calls == []
 
 
@@ -292,8 +315,6 @@ def test_corrupted_negation_is_caught():
 
 
 def test_corrupted_fo_evaluator_is_caught():
-    from pmsem.fosem import eval_fo
-
     def broken(f, binding, assignment=None, policy="minimal", **kw):
         m = eval_fo(f, binding, assignment, policy, **kw)
         return negate(m, policy)
@@ -347,6 +368,57 @@ def test_corrupted_fo_evaluator_is_caught():
     )
     report = check_equivalence(config, fo_eval=full_negates_quantified_where_all_facts_hold)
     assert_pinned("fo_two", report)
+
+
+def test_sampled_fo_misses_replay_across_worlds_and_assignments():
+    # Misses at 1- and 2-individual worlds, at more than one sampled
+    # assignment of a world, replayed in (formula, world, assignment) order.
+    def full_negates_quantified_where_p_has_members(f, binding, assignment=None, policy="minimal"):
+        m = eval_fo(f, binding, assignment, policy)
+        p_value = assignment.values.get("p")
+        if (policy == "full" and isinstance(f, (ForAll, Exists)) and p_value is not None
+                and len(p_value.members) > 1 and binding.world.facts):
+            return negate(m, policy)
+        return m
+
+    config = SweepConfig(
+        include_prop=False,
+        include_fo=True,
+        fo_ind_vars=("x",),
+        fo_prop_vars=("p",),
+        fo_max_size=4,
+        fo_max_individuals=2,
+        mode="sampled",
+        seed=2,
+        count=3,
+    )
+    report = check_equivalence(config, fo_eval=full_negates_quantified_where_p_has_members)
+    assert_pinned("fo_sampled", report)
+
+
+def test_fo_eval_is_called_once_per_check():
+    calls = []
+
+    def counting(f, binding, assignment=None, policy="minimal"):
+        calls.append(f)
+        return eval_fo(f, binding, assignment, policy)
+
+    config = SweepConfig(
+        include_prop=False,
+        include_fo=True,
+        fo_prop_vars=("p",),
+        fo_max_size=4,
+        fo_max_individuals=2,
+    )
+    report = check_equivalence(config, fo_eval=counting)
+    assert report.ok
+    # Every formula is swept over the 6 worlds over S of up to 2
+    # individuals, at each canonical assignment, under both policies.
+    formulas = enumerate_formulas(("p",), ("S",), max_depth=4, max_quantifiers=2, max_size=4,
+                                  closed_only=True)
+    assert len(calls) == report.fo_checks == 2 * 6 * sum(
+        2 ** len(prop_variables(f)) for f in formulas
+    )
 
 
 def test_report_dict_shape():
