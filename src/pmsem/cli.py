@@ -210,8 +210,7 @@ def cmd_fo_eval(args: argparse.Namespace) -> int:
     world = _load_model(args)
     any_variable = _parse_base_mode(args.base_mode)
     binding = default_binding(world)
-    pvars = prop_variables(f)
-    assignment = declared_assignment(pvars, world) if pvars else None
+    assignment = declared_assignment(prop_variables(f), world)
     m = eval_fo(f, binding, assignment, args.policy, any_variable)
     truth = is_true(m)
     if args.json:

@@ -1,4 +1,4 @@
-"""Quantified evaluation of monadic formulas into Meanings.
+"""Bindings, small worlds and logical truth for monadic formulas.
 
 A Binding is a world and a valuation xi of individual variables onto
 its individuals (onto: every individual is some variable's value; by
@@ -6,28 +6,22 @@ default one variable per individual, and at least x, y and z).
 Quantifiers range over the world's individuals.  A free variable the
 valuation names takes, under base mode "all", every individual, as in
 its universal closure, and under base mode "any:<u>" the value of u.
-`eval_fo` evaluates a formula under a binding and a propositional
-assignment through the one recursion of `propsem`, whose docstring
-states the induction and the memo design.
+`eval_fo`, beside `eval_prop` in `propsem`, evaluates a formula under a
+binding and a propositional assignment; `propsem` states the induction
+and the one memo rule (one context per point, policy and binding).
 
 `enumerate_worlds` lists every small world over a vocabulary, and
-`logical_truth` checks a closed formula in each of them.
+`logical_truth` checks a closed formula in each of them, calling
+`eval_fo` without a memo: each call keeps its own tables (see `propsem`).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .meanings import Meaning, is_true
+from .meanings import is_true
 from .ontology import World
-from .propsem import (
-    PropAssignment,
-    _Context,
-    _ev,
-    _Unbound,
-    constant_name,
-    enumerate_assignments,
-)
+from .propsem import PropAssignment, constant_name, enumerate_assignments, eval_fo
 from .syntax import (
     IND_LETTERS,
     Formula,
@@ -42,7 +36,6 @@ __all__ = [
     "FoVerdict",
     "default_binding",
     "enumerate_worlds",
-    "eval_fo",
     "logical_truth",
     "world_vocabulary",
 ]
@@ -75,32 +68,6 @@ def default_binding(world: World) -> Binding:
     names = variable_names(IND_LETTERS, max(len(individuals), len(IND_LETTERS)))
     xi = {v: individuals[i % len(individuals)] for i, v in enumerate(names)}
     return Binding(world=world, xi=xi)
-
-
-def eval_fo(
-    f: Formula,
-    binding: Binding,
-    assignment: PropAssignment | None = None,
-    policy: str = "minimal",
-    any_variable: str | None = None,
-) -> Meaning:
-    """Meaning of a monadic formula under binding and assignment, in
-    base mode "all" (any_variable None) or "any:<any_variable>"."""
-    if any_variable is not None and any_variable not in binding.xi:
-        raise ValueError(f"designated variable {any_variable} is not in the valuation")
-    memo = assignment.memo if assignment is not None else None
-    ctx = memo and memo.get((policy, any_variable))
-    if not ctx or ctx.binding is not binding:
-        values = assignment.values if assignment is not None else {}
-        env = {} if any_variable is None else dict.fromkeys(binding.xi, binding.xi[any_variable])
-        ctx = _Context(values, policy, {}, None if memo is None else {}, binding, env)
-        if memo is not None:
-            memo[policy, any_variable] = ctx
-    try:
-        return ctx.root.get(f) or _ev(f, ctx.env, ctx.root, ctx)
-    except _Unbound:
-        unbound = sorted(free_variables(f) - set(binding.xi))
-        raise ValueError(f"unbound individual variables: {unbound}") from None
 
 
 # ---------------------------------------------------------------------------

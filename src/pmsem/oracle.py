@@ -18,7 +18,8 @@ before it runs: `enumerate_formulas` lists at most MAX_FORMULAS
 formulas, open intermediates included, and `check_equivalence` refuses
 more than MAX_WORK units of work over both sections.  One policy's
 check of f at a point of n individuals (1 without quantifiers) costs
-S_n(f) units: 1 for each node, where (x)g and (Ex)g cost 1 + n * S_n(g).
+S_n(f) units: 1 for each node, where (x)g and (Ex)g cost 1 + n * S_n(g);
+a sampled point that assigns a variable costs size_bound times that.
 
 `check_equivalence` reports every point where the meaning evaluators
 and the classical ones disagree, and every point where the two
@@ -372,6 +373,8 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
             # Every world of one vocabulary has as many assignments.
             per_world = len(points(variables, None)) * len(config.policies)
             checks += per_world * len(ids) * len(worlds)
+            if config.mode == "sampled" and variables:
+                per_world *= config.size_bound  # a sampled Meaning's size grows with it
             for n, k in Counter(1 if w is None else len(w.individuals) for w in worlds).items():
                 cost = costs.setdefault(n, {})
                 work += per_world * k * sum(_cost(formulas[i], n, cost) for i in ids)

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from .propsem import classify
 from .syntax import (
+    PROP_VAR,
     Exists,
     ForAll,
     Formula,
@@ -158,6 +159,10 @@ def _parse_mapping(text: str, where: str) -> tuple[tuple[str, Formula], ...]:
         var = var.strip()
         if not eq or not formula_text.strip():
             raise ProofError(f"{where}: expected var=formula, got {chunk!r}")
+        if not PROP_VAR.fullmatch(var):
+            raise ProofError(f"{where}: {var!r} is not a propositional variable")
+        if var in dict(entries):
+            raise ProofError(f"{where}: {var} is substituted for twice")
         try:
             entries.append((var, parse(formula_text)))
         except FormulaSyntaxError as exc:

@@ -16,22 +16,20 @@ One recursion, `_ev`, gives every formula its Meaning:
     (Ex)q pools all members of all instances, their disjunction.
 
 `eval_prop` runs it without a binding, where predicates and quantifiers
-are errors; `fosem.eval_fo` runs it with one.
+are errors, and `eval_fo` with one, both through `_evaluate`.
 
-Memos.  Each subformula's Meaning is recorded once per environment
-(the starting entries and those the enclosing quantifiers set), so
-a formula whose subformulas are recorded costs about one connective
-step.  The agreement sweep (`oracle.check_equivalence`) gives each
-point a copy of its assignment whose `memo`, a plain dict dropped
-when the point is done, maps each policy (for `eval_fo`, each
-policy and designated variable) to a `_Context`, which holds
-the tables and interns Meanings so that equal ones share an object.
-A first-order context serves only the Binding it was made for.
-Without a memo `eval_prop` records nothing (a table for one call costs
-more in hashing than it saves), and `eval_fo` keeps tables for the one
-call: the quantifier case keeps a table per environment anyway, and
-the root one serves the subformulas a formula repeats, as the
-expansion of <=> does.
+Memos.  Each subformula's Meaning is recorded once per environment, in
+a table keyed by the whole environment, which is all `_ev` reads that
+varies; so a formula whose subformulas are recorded costs about one
+connective step.  The agreement sweep (`oracle.check_equivalence`)
+gives each point a copy of its assignment whose `memo`, a plain dict
+dropped when the point is done, maps each policy to a `_Context` of
+tables and interned Meanings: one context per point, policy and
+binding, for both base modes.  Without a memo `eval_prop` records
+nothing (a table per call raised `negation_stress` p50 by 7-12 %), and
+`eval_fo` keeps tables for the call: the starting environment's serves
+the subformulas a formula repeats, as <=> does (without it `logical_truth`
+of a four-term <=> chain took 1.4 to 2.3 times as long).
 
 Assignments.  `canonical_assignments` enumerates the 2^n classical
 corners: each variable is carried by its own propositional constant (p
@@ -62,7 +60,17 @@ from .meanings import (
     negate,
 )
 from .ontology import Complex, Pair, World, all_pairs, constant_name
-from .syntax import Exists, ForAll, Formula, Not, Or, PredApp, PropVar, prop_variables
+from .syntax import (
+    Exists,
+    ForAll,
+    Formula,
+    Not,
+    Or,
+    PredApp,
+    PropVar,
+    free_variables,
+    prop_variables,
+)
 
 __all__ = [
     "PropAssignment",
@@ -73,9 +81,12 @@ __all__ = [
     "declared_assignment",
     "default_world",
     "enumerate_assignments",
+    "eval_fo",
     "eval_prop",
     "sampled_assignments",
 ]
+
+_NO_ENV: dict = {}  # the empty environment eval_prop and base mode "all" start in; never changed
 
 
 def default_world(variables) -> World:
@@ -103,39 +114,57 @@ class PropAssignment:
 
 def eval_prop(f: Formula, h: PropAssignment, policy: str = "minimal") -> Meaning:
     """Meaning of a propositional formula under h."""
+    return _evaluate(f, h, policy)
+
+
+def eval_fo(
+    f: Formula,
+    binding,
+    assignment: PropAssignment | None = None,
+    policy: str = "minimal",
+    any_variable: str | None = None,
+) -> Meaning:
+    """Meaning of a monadic formula under binding (a `fosem.Binding`) and
+    assignment, in base mode "all" (any_variable None) or "any:<any_variable>"."""
+    if any_variable is not None and any_variable not in binding.xi:
+        raise ValueError(f"designated variable {any_variable} is not in the valuation")
+    h = PropAssignment({}, binding.world) if assignment is None else assignment
+    return _evaluate(f, h, policy, binding, any_variable)
+
+
+def _evaluate(f: Formula, h, policy: str, binding=None, any_variable=None) -> Meaning:
+    """`_ev` of f from the starting environment, through h's memo if any:
+    the only code that reads or fills a memo or builds a `_Context`."""
     memo = h.memo
-    if memo is None:
-        return _ev(f, None, None, _Context(h.values, policy))
-    ctx = memo.get(policy)
-    if ctx is None:
-        ctx = memo[policy] = _Context(h.values, policy, {}, {})
-    return ctx.root.get(f) or _ev(f, None, ctx.root, ctx)
+    ctx = memo and memo.get(policy)
+    if not ctx or ctx.binding is not binding:
+        ctx = _Context(h.values, policy, binding, None if memo is None else {})
+        if memo is not None:
+            memo[policy] = ctx
+        elif binding is None:  # eval_prop without a memo records nothing
+            return _ev(f, None, None, ctx)
+    env = _NO_ENV if any_variable is None else dict.fromkeys(binding.xi, binding.xi[any_variable])
+    table = ctx.tables.setdefault(tuple(env.items()), {}) if env else ctx.tables[()]
+    try:
+        return table.get(f) or _ev(f, env, table, ctx)
+    except _Unbound:
+        unbound = sorted(free_variables(f) - set(binding.xi))
+        raise ValueError(f"unbound individual variables: {unbound}") from None
 
 
 class _Context:
-    """What `_ev` reads besides the formula, its environment and table.
+    """What `_ev` reads besides the formula, its environment and table:
+    tables maps each environment, as the tuple of its items, to its
+    table, and interned, unless None, each Meaning to its shared copy."""
 
-    root is the starting environment env's table and tables maps each
-    environment to its own; interned maps each Meaning to its shared
-    copy.  Without a binding xi is None and no later field is set.
-    """
+    __slots__ = ("values", "policy", "binding", "tables", "interned")
 
-    __slots__ = ("values", "policy", "root", "interned", "xi", "binding", "tables", "world",
-                 "env")
-
-    def __init__(self, values, policy, root=None, interned=None, binding=None, env=None):
+    def __init__(self, values, policy, binding, interned):
         self.values = values
         self.policy = policy
-        self.root = root
+        self.binding = binding
+        self.tables = {(): {}}
         self.interned = interned
-        if binding is None:
-            self.xi = None
-        else:
-            self.xi = binding.xi
-            self.binding = binding
-            self.tables = {tuple(env.items()): root}
-            self.world = binding.world
-            self.env = env
 
 
 class _Unbound(Exception):
@@ -164,26 +193,22 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
             m = ctx.values[g.name]
         except KeyError:
             raise ValueError(f"assignment does not cover variable {g.name}") from None
-    elif ctx.xi is None:
+    elif ctx.binding is None:
         kind = "predicates" if isinstance(g, PredApp) else "quantifiers"
         raise ValueError(f"eval_prop takes propositional formulas; use eval_fo for {kind}")
     elif isinstance(g, PredApp):
         if g.argument in env:
-            m = atom_meaning(ctx.world, g.predicate, (env[g.argument],))
-        elif g.argument not in ctx.xi:
+            m = atom_meaning(ctx.binding.world, g.predicate, (env[g.argument],))
+        elif g.argument not in ctx.binding.xi:
             raise _Unbound
         else:
             m = _ev(ForAll(g.argument, g), env, table, ctx)
     elif isinstance(g, (ForAll, Exists)):
         # The body's Meaning with g's variable at each individual.
-        tables = ctx.tables
         instances = []
-        for d in ctx.world.individuals:
+        for d in ctx.binding.world.individuals:
             inner = {**env, g.variable: d}
-            key = tuple(inner.items())
-            inner_table = tables.get(key)
-            if inner_table is None:
-                inner_table = tables[key] = {}
+            inner_table = ctx.tables.setdefault(tuple(inner.items()), {})
             instances.append(inner_table.get(g.body) or _ev(g.body, inner, inner_table, ctx))
         if isinstance(g, ForAll):
             m = memberwise_union(instances)

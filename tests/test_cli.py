@@ -434,6 +434,8 @@ def test_assignment_budget(capsys):
         ["--vars", "8", "--prop-depth", "3"],
         ["--vars", "3", "--prop-depth", "13", "--prop-size", "14"],
         ["--no-prop", "--fo", "--fo-individuals", "6"],
+        ["--vars", "2", "--mode", "sampled", "--seed", "1", "--count", "1000",
+         "--size-bound", "16"],
     ],
 )
 def test_compare_sweep_budgets(capsys, argv):
@@ -499,6 +501,23 @@ def test_check_proof_json(capsys):
 def test_check_proof_missing_file(capsys):
     code, _, err = run(capsys, "check-proof", "/nonexistent.proof")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("1 (q v q) => q ; AX Taut p=q, S=r", 1),
+        ("1 (q v q) => q ; AX Taut p=r, p=q", 1),
+        ("1 (q v q) => q ; AX Taut p=q\n2 (q v q) => q ; SUB 1 zz=p", 2),
+    ],
+    ids=["predicate-name", "repeated-name", "not-a-variable"],
+)
+def test_check_proof_rejects_substitution_names(tmp_path, capsys, text, line):
+    script = tmp_path / "names.proof"
+    script.write_text(text + "\n")
+    code, out, err = run(capsys, "check-proof", str(script))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {script}:{line}: ") and err.count("\n") == 1, err
 
 
 def test_check_proof_no_semantic_flag(capsys):

@@ -1,11 +1,13 @@
-"""Every name a module imports is used in it (stdlib `ast`, no linter)."""
+"""Every name a module imports is used in it, and no pmsem module
+imports another's private names (stdlib `ast`, no linter)."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "pmsem").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "pmsem").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +40,24 @@ def test_the_check_sees_an_unused_import():
         "line 2: b",
         "line 1: os",
     ]
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore-prefixed names taken from another module."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_the_check_sees_a_private_import():
+    source = "from .propsem import (\n    PropAssignment,\n    _ev,\n)\nfrom . import _x as y\n"
+    assert private_imports(source) == ["line 1: _ev", "line 5: _x"]
