@@ -30,7 +30,7 @@ import functools
 import json
 import sys
 
-from .fosem import default_binding, eval_fo, logical_truth
+from .fosem import eval_fo, logical_truth
 from .meanings import is_true, render_meaning
 from .ontology import WorldError, load_world
 from .oracle import SweepConfig, check_equivalence, describe_world
@@ -209,9 +209,8 @@ def cmd_fo_eval(args: argparse.Namespace) -> int:
     f = parse(args.formula)
     world = _load_model(args)
     any_variable = _parse_base_mode(args.base_mode)
-    binding = default_binding(world)
     assignment = declared_assignment(prop_variables(f), world)
-    m = eval_fo(f, binding, assignment, args.policy, any_variable)
+    m = eval_fo(f, world, assignment, args.policy, any_variable)
     truth = is_true(m)
     if args.json:
         _emit(args, _dumps({
@@ -244,10 +243,11 @@ def cmd_fo_valid(args: argparse.Namespace) -> int:
     )
     valid = verdict.kind == "logical_truth"
     witness = None
-    if verdict.witness_world is not None:
-        witness = describe_world(verdict.witness_world)
-        if verdict.witness_assignment is not None and verdict.witness_assignment.values:
-            witness += f"; {verdict.witness_assignment.describe()}"
+    h = verdict.witness_assignment
+    if h is not None:
+        witness = describe_world(h.world)
+        if h.values:
+            witness += f"; {h.describe()}"
     if args.json:
         _emit(args, _dumps({
             "formula": print_formula(f),

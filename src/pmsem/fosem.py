@@ -1,18 +1,19 @@
-"""Bindings, small worlds and logical truth for monadic formulas.
+"""Small worlds and logical truth for monadic formulas.
 
-A Binding is a world and a valuation xi of individual variables onto
-its individuals (onto: every individual is some variable's value; by
-default one variable per individual, and at least x, y and z).
-Quantifiers range over the world's individuals.  A free variable the
+`eval_fo`, beside `eval_prop` in `propsem`, evaluates a formula in a
+world under a propositional assignment.  Quantifiers range over the
+world's individuals, and free individual variables are read through
+the world's valuation, `default_binding`: one variable per individual
+(x, y, z, x1, ...), and at least x, y and z.  A free variable the
 valuation names takes, under base mode "all", every individual, as in
 its universal closure, and under base mode "any:<u>" the value of u.
-`eval_fo`, beside `eval_prop` in `propsem`, evaluates a formula under a
-binding and a propositional assignment; `propsem` states the induction
-and the one memo rule (one context per point, policy and binding).
+`propsem` states the induction and the one memo rule (one context per
+point, policy and world, which builds the valuation once).
 
 `enumerate_worlds` lists every small world over a vocabulary, and
 `logical_truth` checks a closed formula in each of them, calling
 `eval_fo` without a memo: each call keeps its own tables (see `propsem`).
+The falsifying assignment, if any, carries the world it is grounded in.
 """
 from __future__ import annotations
 
@@ -20,54 +21,18 @@ import itertools
 from dataclasses import dataclass
 
 from .meanings import is_true
-from .ontology import World
-from .propsem import PropAssignment, constant_name, enumerate_assignments, eval_fo
-from .syntax import (
-    IND_LETTERS,
-    Formula,
-    free_variables,
-    predicates,
-    prop_variables,
-    variable_names,
-)
+from .ontology import World, constant_name
+from .propsem import PropAssignment, default_binding, enumerate_assignments, eval_fo
+from .syntax import Formula, free_variables, predicates, prop_variables
 
 __all__ = [
-    "Binding",
     "FoVerdict",
     "default_binding",
     "enumerate_worlds",
+    "eval_fo",
     "logical_truth",
     "world_vocabulary",
 ]
-
-
-@dataclass
-class Binding:
-    """A world and a valuation of individual variables onto its individuals."""
-
-    world: World
-    xi: dict[str, str]
-
-    def __post_init__(self):
-        if not self.xi:
-            raise ValueError("binding valuation is empty")
-        individuals = set(self.world.individuals)
-        for v, ind in self.xi.items():
-            if ind not in individuals:
-                raise ValueError(f"{v} is bound to unknown individual {ind}")
-        if individuals - set(self.xi.values()):
-            raise ValueError("valuation must cover every individual")
-
-
-def default_binding(world: World) -> Binding:
-    """One variable per individual (x, y, z, x1, ...), in name order, and
-    at least x, y and z, which repeat the individuals of a smaller world."""
-    individuals = sorted(world.individuals)
-    if not individuals:
-        raise ValueError("world has no individuals")
-    names = variable_names(IND_LETTERS, max(len(individuals), len(IND_LETTERS)))
-    xi = {v: individuals[i % len(individuals)] for i, v in enumerate(names)}
-    return Binding(world=world, xi=xi)
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +48,6 @@ def world_vocabulary(f: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
 class FoVerdict:
     kind: str  # logical_truth | falsifiable
     worlds_checked: int  # up to the falsifying one, if any
-    witness_world: World | None = None  # grounded in witness_assignment
     witness_assignment: PropAssignment | None = None
 
 
@@ -153,14 +117,8 @@ def logical_truth(
     preds, pvars = world_vocabulary(f)
     worlds = enumerate_worlds(preds, pvars, max_individuals)
     for checked, w in enumerate(worlds, 1):
-        binding = default_binding(w)
         for h in enumerate_assignments(pvars, w, mode, seed=seed, count=count,
                                        size_bound=size_bound):
-            if not is_true(eval_fo(f, binding, h, policy)):
-                return FoVerdict(
-                    kind="falsifiable",
-                    worlds_checked=checked,
-                    witness_world=h.world,
-                    witness_assignment=h,
-                )
+            if not is_true(eval_fo(f, w, h, policy)):
+                return FoVerdict(kind="falsifiable", worlds_checked=checked, witness_assignment=h)
     return FoVerdict(kind="logical_truth", worlds_checked=len(worlds))

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, asdict
 
-from .fosem import default_binding, enumerate_worlds, eval_fo, world_vocabulary
+from .fosem import enumerate_worlds, eval_fo, world_vocabulary
 from .meanings import is_true
 from .ontology import World
 from .propsem import PropAssignment, enumerate_assignments, eval_prop
@@ -242,9 +242,6 @@ class SweepConfig:
     fo_max_size: int = 6
     fo_max_individuals: int = 3
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class Disagreement:
@@ -253,9 +250,6 @@ class Disagreement:
     context: str
     expected: str
     got: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 _REPORT_WITNESS_CAP = 25
@@ -281,16 +275,7 @@ class EquivalenceReport:
             self.disagreements.append(d)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "prop_formulas": self.prop_formulas,
-            "prop_checks": self.prop_checks,
-            "fo_formulas": self.fo_formulas,
-            "fo_checks": self.fo_checks,
-            "disagreement_count": self.disagreement_count,
-            "disagreements": [d.to_dict() for d in self.disagreements],
-            "verdict": "PASS" if self.ok else "FAIL",
-        }
+        return {**asdict(self), "verdict": "PASS" if self.ok else "FAIL"}
 
     def to_text(self) -> str:
         lines = ["equivalence sweep"]
@@ -344,8 +329,7 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
                                      count=config.count, size_bound=config.size_bound)
 
     def bind(world):
-        binding = default_binding(world)
-        return lambda f, h, policy: fo_eval(f, binding, h, policy)
+        return lambda f, h, policy: fo_eval(f, world, h, policy)
 
     sections = []  # (name, formulas, groups of (worlds, variables, ids, evaluator))
     if config.include_prop:

@@ -15,10 +15,10 @@ A script is a sequence of lines
     LABEL formula ; SUB SOURCE var=formula, ...
 
 Blank lines and '#' comments are skipped.  AX instantiates a schema
-(the substitution must cover all its variables), MP detaches: from
-~X v Y and X infer Y, SUB applies a simultaneous substitution of
-formulas for propositional variables to an earlier line.  Labels must
-refer to earlier lines.
+(the substitution must cover its variables and name no others), MP
+detaches: from ~X v Y and X infer Y, SUB applies a simultaneous
+substitution of formulas for propositional variables to an earlier
+line.  Labels must refer to earlier lines.
 
 `check_proof` validates every line structurally and, unless disabled,
 also confirms each line is a tautology.  Checking stops classifying
@@ -26,7 +26,7 @@ after the first invalid line; later lines are reported unchecked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .propsem import classify
 from .syntax import (
@@ -97,9 +97,13 @@ def axiom_instance(name: str, mapping: dict[str, Formula]) -> Formula:
     if name not in AXIOMS:
         raise ProofError(f"unknown axiom {name!r}")
     schema = AXIOMS[name]
-    missing = sorted(prop_variables(schema) - set(mapping))
+    variables = prop_variables(schema)
+    missing = sorted(variables - set(mapping))
     if missing:
         raise ProofError(f"substitution for axiom {name} must cover {missing}")
+    extra = sorted(set(mapping) - variables)
+    if extra:
+        raise ProofError(f"substitution for axiom {name} names {extra}, not in its schema")
     return apply_substitution(schema, mapping)
 
 
@@ -250,19 +254,7 @@ class ProofReport:
         return None
 
     def to_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "lines": [
-                {
-                    "label": lv.label,
-                    "formula": lv.formula,
-                    "status": lv.status,
-                    "reason": lv.reason,
-                    "tautology": lv.tautology,
-                }
-                for lv in self.lines
-            ],
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         out = []

@@ -7,16 +7,17 @@ One recursion, `_ev`, gives every formula its Meaning:
     family (or maps a lone member to swapped singletons);
   * a predicate application takes the atom meaning at the individual
     the environment gives its variable.  `eval_fo` starts the
-    environment: under base mode "any" it maps every valuation variable
-    to the designated variable's individual; under base mode "all" it is
-    empty, and an atom whose variable it lacks is read as its universal
-    closure;
+    environment from the world's valuation xi (`default_binding`: one
+    variable per individual, and at least x, y and z): under base mode
+    "any" it maps every valuation variable to the designated variable's
+    individual; under base mode "all" it is empty, and an atom whose
+    variable it lacks but xi names is read as its universal closure;
   * (x)q merges the instance meanings of q at every individual of the
     domain member by member, so its truth is the conjunction of theirs;
     (Ex)q pools all members of all instances, their disjunction.
 
-`eval_prop` runs it without a binding, where predicates and quantifiers
-are errors, and `eval_fo` with one, both through `_evaluate`.
+`eval_prop` runs it without a world, where predicates and quantifiers
+are errors, and `eval_fo` in one, both through `_evaluate`.
 
 Memos.  Each subformula's Meaning is recorded once per environment, in
 a table keyed by the whole environment, which is all `_ev` reads that
@@ -24,11 +25,12 @@ varies; so a formula whose subformulas are recorded costs about one
 connective step.  The agreement sweep (`oracle.check_equivalence`)
 gives each point a copy of its assignment whose `memo`, a plain dict
 dropped when the point is done, maps each policy to a `_Context` of
-tables and interned Meanings: one context per point, policy and
-binding, for both base modes.  Without a memo `eval_prop` records
-nothing (a table per call raised `negation_stress` p50 by 7-12 %), and
-`eval_fo` keeps tables for the call: the starting environment's serves
-the subformulas a formula repeats, as <=> does (without it `logical_truth`
+tables, interned Meanings and the world's valuation: one context per
+point, policy and world, for both base modes, and one valuation per
+context, never per call.  Without a memo `eval_prop` records nothing (a
+table per call raised `negation_stress` p50 by 7-12 %), and `eval_fo`
+keeps tables for the call: the starting environment's serves the
+subformulas a formula repeats, as <=> does (without it `logical_truth`
 of a four-term <=> chain took 1.4 to 2.3 times as long).
 
 Assignments.  `canonical_assignments` enumerates the 2^n classical
@@ -61,6 +63,7 @@ from .meanings import (
 )
 from .ontology import Complex, Pair, World, all_pairs, constant_name
 from .syntax import (
+    IND_LETTERS,
     Exists,
     ForAll,
     Formula,
@@ -70,6 +73,7 @@ from .syntax import (
     PropVar,
     free_variables,
     prop_variables,
+    variable_names,
 )
 
 __all__ = [
@@ -77,8 +81,8 @@ __all__ = [
     "Verdict",
     "canonical_assignments",
     "classify",
-    "constant_name",
     "declared_assignment",
+    "default_binding",
     "default_world",
     "enumerate_assignments",
     "eval_fo",
@@ -119,56 +123,75 @@ def eval_prop(f: Formula, h: PropAssignment, policy: str = "minimal") -> Meaning
 
 def eval_fo(
     f: Formula,
-    binding,
+    world: World,
     assignment: PropAssignment | None = None,
     policy: str = "minimal",
     any_variable: str | None = None,
 ) -> Meaning:
-    """Meaning of a monadic formula under binding (a `fosem.Binding`) and
-    assignment, in base mode "all" (any_variable None) or "any:<any_variable>"."""
-    if any_variable is not None and any_variable not in binding.xi:
-        raise ValueError(f"designated variable {any_variable} is not in the valuation")
-    h = PropAssignment({}, binding.world) if assignment is None else assignment
-    return _evaluate(f, h, policy, binding, any_variable)
+    """Meaning of a monadic formula in world under assignment, in base
+    mode "all" (any_variable None) or "any:<any_variable>"."""
+    h = PropAssignment({}, world) if assignment is None else assignment
+    return _evaluate(f, h, policy, world, any_variable)
 
 
-def _evaluate(f: Formula, h, policy: str, binding=None, any_variable=None) -> Meaning:
+def default_binding(world: World) -> dict[str, str]:
+    """The valuation of individual variables `eval_fo` reads: one
+    variable per individual (x, y, z, x1, ...), in name order, and at
+    least x, y and z, which repeat the individuals of a smaller world."""
+    individuals = sorted(world.individuals)
+    if not individuals:
+        raise ValueError("world has no individuals")
+    names = variable_names(IND_LETTERS, max(len(individuals), len(IND_LETTERS)))
+    return {v: individuals[i % len(individuals)] for i, v in enumerate(names)}
+
+
+def _evaluate(f: Formula, h, policy: str, world=None, any_variable=None) -> Meaning:
     """`_ev` of f from the starting environment, through h's memo if any:
     the only code that reads or fills a memo or builds a `_Context`."""
     memo = h.memo
     ctx = memo and memo.get(policy)
-    if not ctx or ctx.binding is not binding:
-        ctx = _Context(h.values, policy, binding, None if memo is None else {})
+    if not ctx or ctx.world is not world:
+        ctx = _Context(h.values, policy, world, None if memo is None else {})
         if memo is not None:
             memo[policy] = ctx
-        elif binding is None:  # eval_prop without a memo records nothing
+        elif world is None:  # eval_prop without a memo records nothing
             return _ev(f, None, None, ctx)
-    env = _NO_ENV if any_variable is None else dict.fromkeys(binding.xi, binding.xi[any_variable])
-    table = ctx.tables.setdefault(tuple(env.items()), {}) if env else ctx.tables[()]
+    if any_variable is None:
+        env = _NO_ENV
+        table = ctx.tables[()]
+    else:
+        xi = ctx.xi
+        if any_variable not in xi:
+            raise ValueError(f"designated variable {any_variable} is not in the valuation")
+        env = dict.fromkeys(xi, xi[any_variable])
+        table = ctx.tables.setdefault(tuple(env.items()), {})
     try:
         return table.get(f) or _ev(f, env, table, ctx)
     except _Unbound:
-        unbound = sorted(free_variables(f) - set(binding.xi))
+        unbound = sorted(free_variables(f) - set(ctx.xi))
         raise ValueError(f"unbound individual variables: {unbound}") from None
 
 
 class _Context:
     """What `_ev` reads besides the formula, its environment and table:
-    tables maps each environment, as the tuple of its items, to its
-    table, and interned, unless None, each Meaning to its shared copy."""
+    the world (None for `eval_prop`) and its valuation xi, tables, which
+    maps each environment, as the tuple of its items, to its table, and
+    interned, unless None, each Meaning to its shared copy."""
 
-    __slots__ = ("values", "policy", "binding", "tables", "interned")
+    __slots__ = ("values", "policy", "world", "xi", "tables", "interned")
 
-    def __init__(self, values, policy, binding, interned):
+    def __init__(self, values, policy, world, interned):
         self.values = values
         self.policy = policy
-        self.binding = binding
+        self.world = world
+        self.xi = None if world is None else default_binding(world)
         self.tables = {(): {}}
         self.interned = interned
 
 
 class _Unbound(Exception):
-    """A predicate's variable is neither quantified nor valued by the binding."""
+    """A predicate's variable is neither quantified nor named by the
+    valuation."""
 
 
 def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
@@ -193,20 +216,20 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
             m = ctx.values[g.name]
         except KeyError:
             raise ValueError(f"assignment does not cover variable {g.name}") from None
-    elif ctx.binding is None:
+    elif ctx.world is None:
         kind = "predicates" if isinstance(g, PredApp) else "quantifiers"
         raise ValueError(f"eval_prop takes propositional formulas; use eval_fo for {kind}")
     elif isinstance(g, PredApp):
         if g.argument in env:
-            m = atom_meaning(ctx.binding.world, g.predicate, (env[g.argument],))
-        elif g.argument not in ctx.binding.xi:
+            m = atom_meaning(ctx.world, g.predicate, (env[g.argument],))
+        elif g.argument not in ctx.xi:
             raise _Unbound
         else:
             m = _ev(ForAll(g.argument, g), env, table, ctx)
     elif isinstance(g, (ForAll, Exists)):
         # The body's Meaning with g's variable at each individual.
         instances = []
-        for d in ctx.binding.world.individuals:
+        for d in ctx.world.individuals:
             inner = {**env, g.variable: d}
             inner_table = ctx.tables.setdefault(tuple(inner.items()), {})
             instances.append(inner_table.get(g.body) or _ev(g.body, inner, inner_table, ctx))
@@ -362,11 +385,8 @@ def classify(
     size_bound: int = 3,
 ) -> Verdict:
     """Sweep assignments and classify f as tautology/contradiction/contingent."""
-    names = sorted(prop_variables(f))
-    if world is None:
-        world = default_world(names)
     assignments = enumerate_assignments(
-        names, world, mode, seed=seed, count=count, size_bound=size_bound
+        prop_variables(f), world, mode, seed=seed, count=count, size_bound=size_bound
     )
     witness_true = witness_false = None
     for h in assignments:

@@ -520,6 +520,15 @@ def test_check_proof_rejects_substitution_names(tmp_path, capsys, text, line):
     assert err.startswith(f"error: {script}:{line}: ") and err.count("\n") == 1, err
 
 
+def test_check_proof_rejects_an_axiom_substitution_for_an_absent_variable(tmp_path, capsys):
+    script = tmp_path / "extra.proof"
+    script.write_text("1 (q v q) => q ; AX Taut p=q, r=p\n")
+    code, out, _ = run(capsys, "check-proof", str(script))
+    assert code == 1
+    assert "substitution for axiom Taut names ['r'], not in its schema" in out
+    assert out.splitlines()[-1] == "proof INVALID"
+
+
 def test_check_proof_no_semantic_flag(capsys):
     path = str(PROOFS / "valid" / "taut_instance.proof")
     code, out, _ = run(capsys, "check-proof", path, "--no-semantic")

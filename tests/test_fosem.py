@@ -6,19 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmsem.fosem import (
-    Binding,
-    default_binding,
-    enumerate_worlds,
-    eval_fo,
-    logical_truth,
-)
+from pmsem import propsem
+from pmsem.fosem import default_binding, enumerate_worlds, eval_fo, logical_truth
 from pmsem.meanings import POLICIES, is_true, meaning, render_meaning
 from pmsem.ontology import Complex, Pair, World
-from pmsem.oracle import describe_world, enumerate_formulas
+from pmsem.oracle import SweepConfig, check_equivalence, describe_world, enumerate_formulas
 from pmsem.propsem import PropAssignment, canonical_assignments, declared_assignment
 from pmsem.syntax import (
-    IND_LETTERS,
     Exists,
     ForAll,
     Not,
@@ -27,7 +21,6 @@ from pmsem.syntax import (
     PropVar,
     parse,
     print_formula,
-    variable_names,
 )
 
 
@@ -48,80 +41,85 @@ def flip(ind, positive=False):
 
 
 # ---------------------------------------------------------------------------
-# bindings
+# the valuation
 
 def test_default_binding_covers_domain():
-    b = default_binding(w())
-    assert set(b.xi.values()) == {"a", "b"}
-    assert len(b.xi) >= 3
-    b = default_binding(w(individuals=("a", "b", "c", "d")))
-    assert tuple(b.xi) == ("x", "y", "z", "x1")
-    assert b.xi == {"x": "a", "y": "b", "z": "c", "x1": "d"}
+    xi = default_binding(w())
+    assert set(xi.values()) == {"a", "b"}
+    assert len(xi) >= 3
+    xi = default_binding(w(individuals=("a", "b", "c", "d")))
+    assert tuple(xi) == ("x", "y", "z", "x1")
+    assert xi == {"x": "a", "y": "b", "z": "c", "x1": "d"}
 
 
 def test_default_binding_min_pool():
-    b = default_binding(w(individuals=("a",)))
-    assert len(b.xi) == 3
-    assert set(b.xi.values()) == {"a"}
+    xi = default_binding(w(individuals=("a",)))
+    assert len(xi) == 3
+    assert set(xi.values()) == {"a"}
 
 
-def test_binding_requires_surjectivity():
-    with pytest.raises(ValueError):
-        Binding(world=w(), xi={"x": "a"})
+def test_valuation_is_built_once_per_point_and_policy(monkeypatch):
+    calls = []
 
+    def counting(world):
+        calls.append(world)
+        return default_binding(world)
 
-def test_binding_requires_valuation_cover():
-    with pytest.raises(ValueError):
-        Binding(world=w(), xi={"x": "a", "y": "c"})
+    monkeypatch.setattr(propsem, "default_binding", counting)
+    config = SweepConfig(include_prop=False, include_fo=True, fo_max_size=3)
+    report = check_equivalence(config)
+    assert report.ok and report.fo_formulas > 1
+    # One check per formula, point and policy; one valuation per point and policy.
+    assert len(calls) == report.fo_checks // report.fo_formulas
 
 
 # ---------------------------------------------------------------------------
 # quantifier meanings
 
 def test_universal_over_all_facts():
-    m = eval_fo(parse("(x).S(x)"), default_binding(w(facts=("a", "b"))))
+    m = eval_fo(parse("(x).S(x)"), w(facts=("a", "b")))
     assert m == meaning({diag("a"), diag("b")})
     assert is_true(m)
 
 
 def test_universal_with_failing_instance():
-    m = eval_fo(parse("(x).S(x)"), default_binding(w()))
+    m = eval_fo(parse("(x).S(x)"), w())
     assert any(flip("b") in member for member in m.members)
     assert not is_true(m)
 
 
 def test_existential_collects_instances():
-    m = eval_fo(parse("(Ex).S(x)"), default_binding(w()))
+    m = eval_fo(parse("(Ex).S(x)"), w())
     assert m == meaning({diag("a")}, {flip("b")})
     assert is_true(m)
 
 
 def test_existential_false_when_no_fact():
-    m = eval_fo(parse("(Ex).S(x)"), default_binding(w(facts=())))
+    m = eval_fo(parse("(Ex).S(x)"), w(facts=()))
     assert not is_true(m)
 
 
 def test_universal_truth_is_instance_conjunction():
     for facts in [(), ("a",), ("b",), ("a", "b")]:
         world = w(facts=facts)
-        m = eval_fo(parse("(x).S(x)"), default_binding(world))
+        m = eval_fo(parse("(x).S(x)"), world)
         assert is_true(m) == (set(facts) == {"a", "b"})
 
 
 def test_existential_truth_is_instance_disjunction():
     for facts in [(), ("a",), ("b",), ("a", "b")]:
         world = w(facts=facts)
-        m = eval_fo(parse("(Ex).S(x)"), default_binding(world))
+        m = eval_fo(parse("(Ex).S(x)"), world)
         assert is_true(m) == bool(facts)
 
 
 def test_vacuous_alternation_over_singleton_domain():
     world = w(facts=("a",), individuals=("a",))
-    assert is_true(eval_fo(parse("(x)(Ey). S(x) v S(y)"), default_binding(world)))
+    assert is_true(eval_fo(parse("(x)(Ey). S(x) v S(y)"), world))
 
 
 def test_negated_quantifier():
-    m = eval_fo(parse("~((x).S(x))"), default_binding(w()))
+    m = eval_fo(parse("~((x).S(x))"), w())
     assert is_true(m)
 
 
@@ -133,34 +131,34 @@ def test_prop_variable_mixes_with_quantifier():
         constants=(("P", True),),
     )
     h = declared_assignment(["p"], world)
-    m = eval_fo(parse("(x). S(x) v p"), default_binding(world), h)
+    m = eval_fo(parse("(x). S(x) v p"), world, h)
     assert is_true(m)
 
 
 def test_free_variable_base_mode_all():
-    m = eval_fo(parse("S(x)"), default_binding(w(facts=("a", "b"))))
+    m = eval_fo(parse("S(x)"), w(facts=("a", "b")))
     assert is_true(m)
-    assert not is_true(eval_fo(parse("S(x)"), default_binding(w())))
+    assert not is_true(eval_fo(parse("S(x)"), w()))
 
 
 def test_free_variable_base_mode_any():
-    b = default_binding(w())
-    m = eval_fo(parse("S(x)"), b, any_variable="x")
-    assert is_true(m) == (b.xi["x"] == "a")
-    b = Binding(world=w(), xi={"x": "a", "y": "b"})
     f = parse("S(x)")
-    assert eval_fo(f, b, any_variable="x") == meaning({diag("a")})
-    assert eval_fo(f, b, any_variable="y") == meaning({flip("b")})
+    assert eval_fo(f, w(), any_variable="x") == meaning({diag("a")})
+    assert eval_fo(f, w(), any_variable="y") == meaning({flip("b")})
+    # z repeats the first individual of a two-individual world.
+    assert eval_fo(f, w(), any_variable="z") == meaning({diag("a")})
 
 
 def test_designated_variable_must_be_in_the_valuation():
-    b = Binding(world=w(), xi={"x": "a", "y": "b"})
-    with pytest.raises(ValueError, match="designated variable z is not in the valuation"):
-        eval_fo(parse("S(x)"), b, any_variable="z")
+    f = parse("S(x)")
+    with pytest.raises(ValueError, match="designated variable x1 is not in the valuation"):
+        eval_fo(f, w(), any_variable="x1")
+    world = w(facts=("d",), individuals=("a", "b", "c", "d"))
+    assert eval_fo(f, world, any_variable="x1") == meaning({diag("d")})
 
 
 def test_render_universal_example():
-    m = eval_fo(parse("(x).S(x)"), default_binding(w(facts=("a", "b"))))
+    m = eval_fo(parse("(x).S(x)"), w(facts=("a", "b")))
     assert render_meaning(m) == "{{<S(a)+,=>, <S(b)+,=>}}"
 
 
@@ -210,30 +208,29 @@ def test_memo_binding_matches_fresh_evaluation(calls, individuals, facts, p_true
         constants=(("P", True),),
     )
     h = canonical_assignments(["p"], world)[0 if p_true else 1]
-    binding = default_binding(h.world)
     point = PropAssignment(values=h.values, world=h.world)
     point.memo = {}
     for f, policy, any_variable in calls:
-        fresh = eval_fo(f, default_binding(h.world), h, policy, any_variable)
-        assert eval_fo(f, binding, point, policy, any_variable) == fresh
+        fresh = eval_fo(f, h.world, h, policy, any_variable)
+        assert eval_fo(f, h.world, point, policy, any_variable) == fresh
 
 
 def test_memo_is_not_served_to_another_assignment():
     world = World(individuals=("a",), predicates=("S",), constants=(("P", True),))
     h_true, h_false = canonical_assignments(["p"], world)
-    binding = default_binding(world)
     h_true.memo = {}
     f = parse("(x).p")
-    assert is_true(eval_fo(f, binding, h_true))
-    assert not is_true(eval_fo(f, binding, h_false))
+    assert is_true(eval_fo(f, world, h_true))
+    assert not is_true(eval_fo(f, world, h_false))
 
 
 def test_memo_is_not_served_to_another_binding():
+    """A memo filled in one world is not read in another."""
     (h,) = canonical_assignments([], w())
     h.memo = {}
     f = parse("(x).S(x)")
-    assert not is_true(eval_fo(f, default_binding(w()), h))
-    assert is_true(eval_fo(f, default_binding(w(facts=("a", "b"))), h))
+    assert not is_true(eval_fo(f, w(), h))
+    assert is_true(eval_fo(f, w(facts=("a", "b")), h))
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +258,7 @@ def test_universal_implies_existential():
 def test_existential_does_not_imply_universal():
     v = logical_truth(parse("(Ex).S(x) .=>. (x).S(x)"))
     assert v.kind == "falsifiable"
-    assert v.witness_world is not None
-    assert v.witness_world.facts == frozenset({("S", ("a",))})
+    assert v.witness_assignment.world.facts == frozenset({("S", ("a",))})
 
 
 def test_logical_truth_requires_closed_formula():
@@ -280,9 +276,8 @@ def test_logical_truth_counts_worlds():
 def test_falsifying_world_is_the_assignments_grounded_world():
     v = logical_truth(parse("(x).S(x) v p"))
     assert (v.kind, v.worlds_checked) == ("falsifiable", 1)
-    assert v.witness_world is v.witness_assignment.world
-    assert v.witness_world.constant_values == {"P": False}
-    assert describe_world(v.witness_world) == "individuals {a}; facts {none}; P=false"
+    assert v.witness_assignment.world.constant_values == {"P": False}
+    assert describe_world(v.witness_assignment.world) == "individuals {a}; facts {none}; P=false"
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +290,8 @@ _fact_sets = st.sets(st.sampled_from(["a", "b", "c"]))
 @settings(max_examples=40)
 def test_quantifier_duality(facts):
     world = w(facts=tuple(facts), individuals=("a", "b", "c"))
-    b = default_binding(world)
-    lhs = eval_fo(parse("~((x).S(x))"), b)
-    rhs = eval_fo(parse("(Ex).~S(x)"), b)
+    lhs = eval_fo(parse("~((x).S(x))"), world)
+    rhs = eval_fo(parse("(Ex).~S(x)"), world)
     assert is_true(lhs) == is_true(rhs)
 
 
@@ -305,11 +299,10 @@ def test_quantifier_duality(facts):
 @settings(max_examples=40)
 def test_policy_invariance_under_quantifiers(facts):
     world = w(facts=tuple(facts), individuals=("a", "b", "c"))
-    b = default_binding(world)
     for text in ("~((x).S(x))", "(x).~S(x)", "~((Ex). S(x) v ~S(x))"):
         f = parse(text)
-        assert is_true(eval_fo(f, b, policy="minimal")) == is_true(
-            eval_fo(f, b, policy="full")
+        assert is_true(eval_fo(f, world, policy="minimal")) == is_true(
+            eval_fo(f, world, policy="full")
         )
 
 
@@ -324,27 +317,23 @@ CLOSED_FO_TREES = st.builds(
 @given(
     CLOSED_FO_TREES,
     st.sampled_from(("minimal", "full")),
-    st.sampled_from([("a",), ("a", "b"), ("a", "b", "c")]),
+    st.sampled_from([("a",), ("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")]),
     st.sets(st.sampled_from(FACTS)),
-    st.lists(st.sampled_from(("a", "b", "c")), min_size=1, max_size=4),
-    st.randoms(use_true_random=False),
 )
 @settings(max_examples=60, deadline=None)
-def test_closed_meaning_ignores_the_valuation(f, policy, individuals, facts, extra, rng):
-    """A closed formula takes the same Meaning under every onto
-    valuation, one that repeats individuals included."""
+def test_closed_meaning_ignores_the_valuation(f, policy, individuals, facts):
+    """A closed formula takes the same Meaning under base mode "all" and
+    under "any:v" for every variable v of the valuation."""
     world = World(
         individuals=individuals,
         predicates=("R", "S"),
         facts=frozenset(fact for fact in facts if fact[1][0] in individuals),
         constants=(("P", True),),
     )
-    values = list(individuals) + [i for i in extra if i in individuals] + [individuals[0]]
-    rng.shuffle(values)
-    xi = dict(zip(variable_names(IND_LETTERS, len(values)), values))
     (h, _) = canonical_assignments(["p"], world)
-    expected = eval_fo(f, default_binding(world), h, policy)
-    assert eval_fo(f, Binding(world=world, xi=xi), h, policy) == expected
+    expected = eval_fo(f, world, h, policy)
+    for v in default_binding(world):
+        assert eval_fo(f, world, h, policy, v) == expected
 
 
 # Rendered Meanings of every formula of up to 4 nodes over S, x and y,
@@ -362,11 +351,10 @@ def test_rendered_meanings_are_pinned():
     assert len(formulas) == 248
     digests = {}
     for world in enumerate_worlds(["S"], [], 3):
-        binding = default_binding(world)
         for policy in POLICIES:
             for name, any_variable in BASE_MODES.items():
                 text = "\n".join(
-                    render_meaning(eval_fo(f, binding, None, policy, any_variable))
+                    render_meaning(eval_fo(f, world, None, policy, any_variable))
                     for f in formulas
                 )
                 key = f"{describe_world(world)} | {policy} | {name}"

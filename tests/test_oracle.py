@@ -237,9 +237,9 @@ def test_work_budget_weighs_quantifiers_by_the_domain(monkeypatch):
                          fo_max_individuals=2)
     calls = []
 
-    def counting(f, binding, assignment=None, policy="minimal"):
+    def counting(f, world, assignment=None, policy="minimal"):
         calls.append(f)
-        return eval_fo(f, binding, assignment, policy)
+        return eval_fo(f, world, assignment, policy)
 
     monkeypatch.setattr(oracle, "MAX_WORK", 528)
     assert check_equivalence(config, fo_eval=counting).fo_checks == len(calls) == 120
@@ -315,8 +315,8 @@ def test_corrupted_negation_is_caught():
 
 
 def test_corrupted_fo_evaluator_is_caught():
-    def broken(f, binding, assignment=None, policy="minimal", **kw):
-        m = eval_fo(f, binding, assignment, policy, **kw)
+    def broken(f, world, assignment=None, policy="minimal", **kw):
+        m = eval_fo(f, world, assignment, policy, **kw)
         return negate(m, policy)
 
     config = SweepConfig(
@@ -331,8 +331,8 @@ def test_corrupted_fo_evaluator_is_caught():
     assert not report.ok
     assert report.disagreements[0].section == "fo"
 
-    def minimal_negates_quantified(f, binding, assignment=None, policy="minimal"):
-        m = eval_fo(f, binding, assignment, policy)
+    def minimal_negates_quantified(f, world, assignment=None, policy="minimal"):
+        m = eval_fo(f, world, assignment, policy)
         if policy == "minimal" and isinstance(f, (ForAll, Exists)):
             return negate(m, policy)
         return m
@@ -349,9 +349,8 @@ def test_corrupted_fo_evaluator_is_caught():
 
     # Formulas of different vocabularies interleave in the report, as
     # the sweep's own order (formula, world, assignment) has them.
-    def full_negates_quantified_where_all_facts_hold(f, binding, assignment=None, policy="minimal"):
-        m = eval_fo(f, binding, assignment, policy)
-        world = binding.world
+    def full_negates_quantified_where_all_facts_hold(f, world, assignment=None, policy="minimal"):
+        m = eval_fo(f, world, assignment, policy)
         every_fact = len(world.facts) == len(world.predicates)  # one individual
         if policy == "full" and isinstance(f, (ForAll, Exists)) and every_fact:
             return negate(m, policy)
@@ -373,11 +372,11 @@ def test_corrupted_fo_evaluator_is_caught():
 def test_sampled_fo_misses_replay_across_worlds_and_assignments():
     # Misses at 1- and 2-individual worlds, at more than one sampled
     # assignment of a world, replayed in (formula, world, assignment) order.
-    def full_negates_quantified_where_p_has_members(f, binding, assignment=None, policy="minimal"):
-        m = eval_fo(f, binding, assignment, policy)
+    def full_negates_quantified_where_p_has_members(f, world, assignment=None, policy="minimal"):
+        m = eval_fo(f, world, assignment, policy)
         p_value = assignment.values.get("p")
         if (policy == "full" and isinstance(f, (ForAll, Exists)) and p_value is not None
-                and len(p_value.members) > 1 and binding.world.facts):
+                and len(p_value.members) > 1 and world.facts):
             return negate(m, policy)
         return m
 
@@ -399,9 +398,9 @@ def test_sampled_fo_misses_replay_across_worlds_and_assignments():
 def test_fo_eval_is_called_once_per_check():
     calls = []
 
-    def counting(f, binding, assignment=None, policy="minimal"):
+    def counting(f, world, assignment=None, policy="minimal"):
         calls.append(f)
-        return eval_fo(f, binding, assignment, policy)
+        return eval_fo(f, world, assignment, policy)
 
     config = SweepConfig(
         include_prop=False,

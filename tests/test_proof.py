@@ -16,7 +16,7 @@ from pmsem.proof import (
     parse_script,
 )
 from pmsem.propsem import classify
-from pmsem.syntax import Not, Or, PropVar, parse, print_formula
+from pmsem.syntax import Not, Or, PropVar, parse, print_formula, prop_variables
 
 PROOFS = Path(__file__).resolve().parent.parent / "proofs"
 
@@ -47,10 +47,9 @@ def test_add_instance():
 
 
 def test_axiom_instances_stay_tautologies():
-    for name in AXIOMS:
-        inst = axiom_instance(
-            name, {"p": parse("q v r"), "q": parse("~r"), "r": p}
-        )
+    mapping = {"p": parse("q v r"), "q": parse("~r"), "r": p}
+    for name, schema in AXIOMS.items():
+        inst = axiom_instance(name, {v: mapping[v] for v in prop_variables(schema)})
         assert classify(inst).kind == "tautology", name
 
 
@@ -100,7 +99,7 @@ def test_substitution_replaces_every_occurrence():
 
 @given(st.sampled_from(list(AXIOMS)), st.sampled_from([p, q, r, parse("q v r")]))
 def test_axiom_instances_always_tautologies(name, sub):
-    mapping = {v: sub for v in ("p", "q", "r")}
+    mapping = dict.fromkeys(prop_variables(AXIOMS[name]), sub)
     assert classify(axiom_instance(name, mapping)).kind == "tautology"
 
 

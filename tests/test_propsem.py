@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmsem.meanings import is_true, meaning, meaning_in_world, render_meaning
-from pmsem.ontology import Complex, Pair, World
+from pmsem.ontology import Complex, Pair, World, constant_name
 from pmsem.propsem import (
     MAX_ASSIGNMENTS,
     MAX_SIZE_BOUND,
     PropAssignment,
     canonical_assignments,
     classify,
-    constant_name,
     declared_assignment,
     default_world,
     enumerate_assignments,
