@@ -433,6 +433,7 @@ def _check_config(config: SweepConfig) -> None:
         bounds += [
             ("quantified depth", config.fo_max_depth, 0),
             ("quantified size", config.fo_max_size, 1),
+            ("quantifier bound", config.fo_max_quantifiers, 0),
         ]
         names += [("a propositional variable", v, PROP_VAR) for v in config.fo_prop_vars]
         names += [("an individual variable", v, IND_VAR) for v in config.fo_ind_vars]

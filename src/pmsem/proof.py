@@ -18,15 +18,19 @@ Blank lines and '#' comments are skipped.  AX instantiates a schema
 (the substitution must cover its variables and name no others), MP
 detaches: from ~X v Y and X infer Y, SUB applies a simultaneous
 substitution of formulas for propositional variables to an earlier
-line.  Labels must refer to earlier lines.
+line.  Labels must refer to earlier lines.  Each line parses to one
+`ProofLine(label, formula, rule, args, mapping)`, whose `args` hold the
+axiom's name for AX and the premisses' labels for MP and SUB.  A new
+rule is one `rule` value, one parse branch and one `_derive` case.
 
 `check_proof` validates every line structurally and, unless disabled,
-also confirms each line is a tautology.  Checking stops classifying
-after the first invalid line; later lines are reported unchecked.
+also confirms each line is a tautology; a line that `classify` cannot
+decide is invalid and carries no tautology mark.  Lines after the first
+invalid line are reported unchecked.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .propsem import classify
 from .syntax import (
@@ -46,14 +50,10 @@ from .syntax import (
 
 __all__ = [
     "AXIOMS",
-    "AxiomStep",
     "LineVerdict",
-    "MpStep",
     "ProofError",
     "ProofLine",
     "ProofReport",
-    "ProofScript",
-    "SubstStep",
     "apply_mp",
     "apply_substitution",
     "axiom_instance",
@@ -123,38 +123,16 @@ def apply_mp(major: Formula, minor: Formula) -> Formula:
 # scripts
 
 @dataclass(frozen=True)
-class AxiomStep:
-    name: str
-    mapping: tuple[tuple[str, Formula], ...]
-
-
-@dataclass(frozen=True)
-class MpStep:
-    major: str
-    minor: str
-
-
-@dataclass(frozen=True)
-class SubstStep:
-    source: str
-    mapping: tuple[tuple[str, Formula], ...]
-
-
-@dataclass(frozen=True)
 class ProofLine:
     label: str
     formula: Formula
-    justification: AxiomStep | MpStep | SubstStep
-    lineno: int
+    rule: str  # AX | MP | SUB
+    args: tuple[str, ...]  # the axiom's name (AX) or the premisses' labels
+    mapping: dict[str, Formula]  # the step's substitution; empty for MP
 
 
-@dataclass(frozen=True)
-class ProofScript:
-    lines: tuple[ProofLine, ...]
-
-
-def _parse_mapping(text: str, where: str) -> tuple[tuple[str, Formula], ...]:
-    entries = []
+def _parse_mapping(text: str, where: str) -> dict[str, Formula]:
+    entries: dict[str, Formula] = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -165,16 +143,16 @@ def _parse_mapping(text: str, where: str) -> tuple[tuple[str, Formula], ...]:
             raise ProofError(f"{where}: expected var=formula, got {chunk!r}")
         if not PROP_VAR.fullmatch(var):
             raise ProofError(f"{where}: {var!r} is not a propositional variable")
-        if var in dict(entries):
+        if var in entries:
             raise ProofError(f"{where}: {var} is substituted for twice")
         try:
-            entries.append((var, parse(formula_text)))
+            entries[var] = parse(formula_text)
         except FormulaSyntaxError as exc:
             raise ProofError(f"{where}: {exc}") from None
-    return tuple(entries)
+    return entries
 
 
-def parse_script(text: str, source: str = "<script>") -> ProofScript:
+def parse_script(text: str, source: str = "<script>") -> tuple[ProofLine, ...]:
     lines: list[ProofLine] = []
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -198,34 +176,36 @@ def parse_script(text: str, source: str = "<script>") -> ProofScript:
         just_parts = just_text.strip().split(None, 1)
         if not just_parts:
             raise ProofError(f"{where}: empty justification")
-        keyword = just_parts[0].upper()
+        rule = just_parts[0].upper()
         rest = just_parts[1] if len(just_parts) > 1 else ""
-        if keyword == "AX":
+        mapping: dict[str, Formula] = {}
+        if rule == "AX":
             name, _, mapping_text = rest.strip().partition(" ")
             if not name:
                 raise ProofError(f"{where}: AX needs an axiom name")
-            mapping = _parse_mapping(mapping_text, where) if mapping_text.strip() else ()
-            just: AxiomStep | MpStep | SubstStep = AxiomStep(name, mapping)
-        elif keyword == "MP":
-            refs = rest.split()
-            if len(refs) != 2:
+            args: tuple[str, ...] = (name,)
+            if mapping_text.strip():
+                mapping = _parse_mapping(mapping_text, where)
+        elif rule == "MP":
+            args = tuple(rest.split())
+            if len(args) != 2:
                 raise ProofError(f"{where}: MP takes two labels")
-            just = MpStep(refs[0], refs[1])
-        elif keyword == "SUB":
+        elif rule == "SUB":
             source_label, _, mapping_text = rest.strip().partition(" ")
             if not source_label or not mapping_text.strip():
                 raise ProofError(f"{where}: SUB takes a label and a substitution")
-            just = SubstStep(source_label, _parse_mapping(mapping_text, where))
+            args = (source_label,)
+            mapping = _parse_mapping(mapping_text, where)
         else:
-            raise ProofError(f"{where}: unknown justification {keyword!r}")
-        lines.append(ProofLine(label, formula, just, lineno))
+            raise ProofError(f"{where}: unknown justification {rule!r}")
+        lines.append(ProofLine(label, formula, rule, args, mapping))
         seen.add(label)
     if not lines:
         raise ProofError(f"{source}: empty script")
-    return ProofScript(lines=tuple(lines))
+    return tuple(lines)
 
 
-def load_script(path: str) -> ProofScript:
+def load_script(path: str) -> tuple[ProofLine, ...]:
     with open(path, encoding="utf-8") as fh:
         return parse_script(fh.read(), source=path)
 
@@ -254,7 +234,7 @@ class ProofReport:
         return None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"valid": self.valid, "lines": [vars(lv) for lv in self.lines]}
 
     def to_text(self) -> str:
         out = []
@@ -270,69 +250,48 @@ class ProofReport:
 
 
 def check_proof(
-    script: ProofScript, policy: str = "minimal", semantic: bool = True
+    script: tuple[ProofLine, ...], policy: str = "minimal", semantic: bool = True
 ) -> ProofReport:
     """Check every line's justification; optionally classify each line.
 
     After the first invalid line the remaining lines are reported
-    unchecked, since their references may depend on the broken line.
+    unchecked, since their references may depend on the invalid line.
     """
     report = ProofReport(valid=True)
     derived: dict[str, Formula] = {}
-    broken = False
-    for line in script.lines:
-        text = print_formula(line.formula)
-        if broken:
-            report.lines.append(LineVerdict(line.label, text, "unchecked"))
+    for line in script:
+        verdict = LineVerdict(line.label, print_formula(line.formula), "unchecked")
+        report.lines.append(verdict)
+        if not report.valid:
             continue
         try:
-            expected = _expected_formula(line, derived)
+            expected = _derive(line, derived)
+            if expected != line.formula:
+                raise ProofError(f"justification derives {print_formula(expected)}")
+            if semantic:
+                try:
+                    kind = classify(line.formula, policy=policy).kind
+                except ValueError as exc:
+                    raise ProofError(f"not classifiable: {exc}") from None
+                verdict.tautology = kind == "tautology"
+                if not verdict.tautology:
+                    raise ProofError("line is not a tautology")
         except ProofError as exc:
             report.valid = False
-            broken = True
-            report.lines.append(LineVerdict(line.label, text, "invalid", str(exc)))
+            verdict.status, verdict.reason = "invalid", str(exc)
             continue
-        if expected != line.formula:
-            report.valid = False
-            broken = True
-            report.lines.append(
-                LineVerdict(
-                    line.label,
-                    text,
-                    "invalid",
-                    f"justification derives {print_formula(expected)}",
-                )
-            )
-            continue
-        verdict = LineVerdict(line.label, text, "valid")
-        if semantic:
-            try:
-                verdict.tautology = classify(line.formula, policy=policy).kind == "tautology"
-            except ValueError as exc:
-                verdict.tautology = False
-                verdict.reason = f"not classifiable: {exc}"
-            if not verdict.tautology:
-                report.valid = False
-                broken = True
-                verdict.status = "invalid"
-                verdict.reason = verdict.reason or "line is not a tautology"
-        report.lines.append(verdict)
-        if verdict.status == "valid":
-            derived[line.label] = line.formula
+        verdict.status = "valid"
+        derived[line.label] = line.formula
     return report
 
 
-def _expected_formula(line: ProofLine, derived: dict[str, Formula]) -> Formula:
-    just = line.justification
-    if isinstance(just, AxiomStep):
-        return axiom_instance(just.name, dict(just.mapping))
-    if isinstance(just, MpStep):
-        major = _lookup(just.major, derived)
-        minor = _lookup(just.minor, derived)
-        return apply_mp(major, minor)
-    if isinstance(just, SubstStep):
-        return apply_substitution(_lookup(just.source, derived), dict(just.mapping))
-    raise TypeError(f"unknown justification {just!r}")
+def _derive(line: ProofLine, derived: dict[str, Formula]) -> Formula:
+    if line.rule == "AX":
+        return axiom_instance(line.args[0], line.mapping)
+    premisses = [_lookup(label, derived) for label in line.args]
+    if line.rule == "MP":
+        return apply_mp(*premisses)
+    return apply_substitution(premisses[0], line.mapping)
 
 
 def _lookup(label: str, derived: dict[str, Formula]) -> Formula:

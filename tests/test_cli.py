@@ -232,6 +232,20 @@ def test_world_file_relations_are_monadic(tmp_path, capsys, lines, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("S(x5) v S(y7)", "unbound individual variables: ['x5', 'y7']"),
+        ("(x).R(x)", "unknown relation R"),
+    ],
+)
+def test_fo_eval_input_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "w.txt"
+    path.write_text("individual a\nrelation S/1\n")
+    code, out, err = run(capsys, "fo-eval", text, "--model", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_fo_eval_needs_model(capsys):
     code, _, err = run(capsys, "fo-eval", "(x). S(x)")
     assert code == 2
@@ -383,10 +397,17 @@ def test_compare_sweeps_variables_that_parse_back(capsys):
         ["--no-prop", "--fo", "--fo-depth", "-1"],
         ["--no-prop", "--fo", "--fo-size", "0"],
         ["--no-prop"],
+        ["--no-prop", "--fo", "--fo-quantifiers", "-1"],
     ],
 )
 def test_compare_rejects_bounds_that_check_nothing(capsys, argv):
     assert_usage_error(capsys, "compare", *argv)
+
+
+@pytest.mark.parametrize("n", ["-1", "9"])
+def test_compare_vars_out_of_range(capsys, n):
+    code, out, err = run(capsys, "compare", "--vars", n)
+    assert (code, out, err) == (2, "", "error: --vars must be between 0 and 8\n")
 
 
 @pytest.mark.parametrize(

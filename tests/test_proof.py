@@ -108,13 +108,13 @@ def test_axiom_instances_always_tautologies(name, sub):
 
 def test_script_lines_parse():
     s = parse_script("1 (p v p) => p ; AX Taut p=p")
-    assert len(s.lines) == 1
-    assert s.lines[0].label == "1"
+    assert len(s) == 1
+    assert s[0].label == "1"
 
 
 def test_script_skips_comments_and_blanks():
     s = parse_script("# comment\n\n1 (p v p) => p ; AX Taut p=p\n")
-    assert len(s.lines) == 1
+    assert len(s) == 1
 
 
 def test_script_rejects_duplicate_labels():
@@ -168,6 +168,37 @@ def test_semantic_check_can_be_disabled():
     report = check_proof(parse_script("1 (p v p) => p ; AX Taut p=p"), semantic=False)
     assert report.valid
     assert report.lines[0].tautology is None
+
+
+def test_unclassifiable_line_is_invalid_without_a_tautology_mark(tmp_path):
+    script = tmp_path / "quantified_sub.proof"
+    script.write_text(
+        "1 (p v p) => p ; AX Taut p=p\n"
+        "2 (~(((x).S(x)) v ((x).S(x))) v ((x).S(x))) ; SUB 1 p=((x).S(x))\n"
+    )
+    report = check_proof(load_script(str(script)))
+    assert not report.valid
+    line = report.lines[1]
+    assert (line.status, line.tautology) == ("invalid", None)
+    assert line.reason == (
+        "not classifiable: eval_prop takes propositional formulas; use eval_fo for quantifiers"
+    )
+    assert "[NOT A TAUTOLOGY]" not in report.to_text()
+    assert report.to_dict()["lines"][1]["tautology"] is None
+
+
+def test_line_classified_contingent_is_not_a_tautology(monkeypatch):
+    class Contingent:
+        kind = "contingent"
+
+    monkeypatch.setattr("pmsem.proof.classify", lambda f, policy: Contingent())
+    report = check_proof(parse_script("1 (p v p) => p ; AX Taut p=p"))
+    assert not report.valid
+    line = report.lines[0]
+    assert (line.status, line.tautology, line.reason) == (
+        "invalid", False, "line is not a tautology"
+    )
+    assert "[NOT A TAUTOLOGY] (line is not a tautology)" in report.to_text()
 
 
 def test_report_text_and_dict():

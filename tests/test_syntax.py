@@ -170,6 +170,11 @@ def test_lexer_edge_cases():
         ("p\u0661 v q", "unknown symbol '\u0661' (at position 1)"),
         ("\u00c9x(x)", "unknown symbol '\u00c9' (at position 0)"),
         ("S\u00e9(x)", "unknown symbol '\u00e9' (at position 1)"),
+        ("p)", "unexpected trailing ')' (at position 1)"),
+        ("S", "predicate S needs an argument (at position 1)"),
+        ("S(x,y)", "non-monadic predicate application (at position 3)"),
+        ("S(x", "unbalanced parentheses (at position 3)"),
+        ("S(x) , p", "non-monadic predicate application (at position 5)"),
     ],
 )
 def test_lexer_errors_name_symbol_and_position(text, message):
