@@ -10,8 +10,12 @@ content.  Everything that needs a deterministic reading of a Meaning
 
 `transversals` builds the family of hitting sets of a family: sets
 drawn from the family's union that intersect every member.  The
-`minimal` policy keeps only inclusion-minimal hitting sets; `full`
-keeps them all.  `swap_family` pushes the tag swap through a family
+`minimal` policy keeps only inclusion-minimal hitting sets, found by
+Berge's sequential dualization one member at a time; `full` keeps them
+all, the upward closure of the minimal ones within the union.  Both
+refuse work past one budget, _TRANSVERSAL_LIMIT: a `minimal` step
+counts the candidates it would build, and `full` counts the subsets of
+the union.  `swap_family` pushes the tag swap through a family
 pointwise.
 
 This module keeps no state: the memo of an evaluation point lives on
@@ -19,8 +23,6 @@ its assignment (see `propsem`).
 """
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 from .ontology import Pair, World, existing_complexes, pair_key, swap
@@ -82,41 +84,66 @@ def transversals(family, policy: str = "minimal") -> frozenset[frozenset[Pair]]:
     """Hitting sets of the family, drawn from its union.
 
     minimal: inclusion-minimal hitting sets only.
-    full: every subset of the union that meets each member.
+    full: every subset of the union that meets each member, that is the
+    upward closure of the minimal ones within the union.
 
     Either policy raises ValueError rather than build more than
-    _TRANSVERSAL_LIMIT candidates (choice sets, or subsets of the union).
+    _TRANSVERSAL_LIMIT sets: a `minimal` step counts the candidates it
+    would build, `full` counts the subsets of the union.
     """
-    members = [frozenset(m) for m in family]
+    members = sorted({frozenset(m) for m in family}, key=len)
     if not members:
         raise ValueError("transversal of an empty family")
-    if any(not m for m in members):
+    if not members[0]:
         raise ValueError("transversal family has an empty member")
     if policy == "minimal":
-        if math.prod(map(len, members)) > _TRANSVERSAL_LIMIT:
-            raise ValueError(
-                f"minimal transversal of {len(members)} members has more than "
-                f"{_TRANSVERSAL_LIMIT} choice sets"
-            )
-        candidates = {frozenset(choice) for choice in itertools.product(*members)}
-        out = {
-            c
-            for c in candidates
-            if not any(other < c for other in candidates)
-        }
-        return frozenset(out)
+        return frozenset(_minimal_transversals(members))
     if policy == "full":
-        union = sorted(frozenset().union(*members), key=pair_key)
+        union = frozenset().union(*members)
         if 2 ** len(union) > _TRANSVERSAL_LIMIT:
             raise ValueError(f"full transversal family over {len(union)} pairs is too large")
-        out = set()
-        for size in range(1, len(union) + 1):
-            for subset in itertools.combinations(union, size):
-                s = frozenset(subset)
-                if all(s & m for m in members):
-                    out.add(s)
+        out = set(_minimal_transversals(members))
+        for single in _singletons(union):
+            out |= {t | single for t in out if single.isdisjoint(t)}
         return frozenset(out)
     raise ValueError(f"unknown policy {policy!r}")
+
+
+def _minimal_transversals(members: list[frozenset[Pair]]) -> list[frozenset[Pair]]:
+    """Berge's sequential dualization over members sorted by size.
+
+    The partial transversals of the members seen so far are an antichain.
+    A new member m keeps those that meet it (hits) and grows each one
+    that misses it by one pair of m.  A grown set t | {b} contains no
+    other grown set and lies in no hit, so it is minimal unless it
+    contains a hit, and any such hit contains b.
+    """
+    first, *rest = members
+    partial = _singletons(first)
+    for m in rest:
+        hits, misses = [], []
+        for t in partial:
+            (misses if m.isdisjoint(t) else hits).append(t)
+        if not misses:
+            continue
+        if len(hits) + len(misses) * len(m) > _TRANSVERSAL_LIMIT:
+            raise ValueError(
+                f"minimal transversal of {len(members)} members needs more than "
+                f"{_TRANSVERSAL_LIMIT} choice sets"
+            )
+        partial = hits.copy()
+        for single in _singletons(m):
+            blockers = [h for h in hits if not single.isdisjoint(h)]
+            for t in misses:
+                grown = t | single
+                if not any(h <= grown for h in blockers):
+                    partial.append(grown)
+    return partial
+
+
+def _singletons(m: frozenset[Pair]) -> list[frozenset[Pair]]:
+    # A one-pair set is its own singleton; reusing it saves hashing a Pair.
+    return [m] if len(m) == 1 else [frozenset((b,)) for b in m]
 
 
 def swap_family(family) -> frozenset[frozenset[Pair]]:

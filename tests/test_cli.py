@@ -154,17 +154,37 @@ def test_taut_sampled_requires_seed(capsys):
     assert "seed" in err
 
 
-def test_minimal_transversal_budget(capsys):
+def test_minimal_transversal_budget(tmp_path, capsys):
+    # A negation inside the cyclic chain faces 16 members, more than 2^18
+    # choice sets of one pair per member; step by step it is decided at once.
     cyclic = "~~((p v ~q) . (q v ~r) . (r v ~p1) . (p1 v ~p))"
     start = time.perf_counter()
-    assert_usage_error(capsys, "taut", cyclic)
+    code, out, _ = run(capsys, "taut", cyclic)
     assert time.perf_counter() - start < 1
-    code, out, _ = run(capsys, "taut", cyclic, "--policy", "full")
     assert (code, out) == (
         1,
         "contingent\n  true under p=true, p1=true, q=true, r=true\n"
         "  false under p=true, p1=true, q=true, r=false\n",
     )
+    assert run(capsys, "taut", cyclic, "--policy", "full")[:2] == (code, out)
+    # Four disjoint members of 24 pairs: the fourth step would build
+    # 24^4 candidates, past the budget.
+    path = tmp_path / "w.txt"
+    path.write_text(
+        "".join(f"individual a{i}\n" for i in range(24))
+        + "".join(f"relation {name}/1\n" for name in "SRTU")
+    )
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "fo-eval",
+        "~(((x).S(x)) v ((x).R(x)) v ((x).T(x)) v ((x).U(x)))",
+        "--model",
+        str(path),
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "choice sets" in err
 
 
 SAMPLED = ["--mode", "sampled", "--seed", "1", "--count", "1"]

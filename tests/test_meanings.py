@@ -1,4 +1,6 @@
 """Meaning families and the operations the connectives are built from."""
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,7 @@ from pmsem.meanings import (
     swap_family,
     transversals,
 )
-from pmsem.ontology import Complex, Pair, World
+from pmsem.ontology import Complex, Pair, World, pair_key
 
 A = Pair(Complex("S", ("a",), True), True)
 B = Pair(Complex("S", ("b",), False), False)
@@ -140,6 +142,44 @@ def test_minimal_transversal_budget():
     ]
     with pytest.raises(ValueError, match="choice sets"):
         transversals(fam, "minimal")
+
+
+def brute_force_transversals(family, policy):
+    """Reference: minimal keeps the inclusion-minimal choice sets of one
+    pair per member; full keeps every subset of the union that meets
+    each member."""
+    members = [frozenset(m) for m in family]
+    if policy == "minimal":
+        candidates = {frozenset(choice) for choice in itertools.product(*members)}
+        return frozenset(c for c in candidates if not any(other < c for other in candidates))
+    union = sorted(frozenset().union(*members), key=pair_key)
+    return frozenset(
+        frozenset(subset)
+        for size in range(1, len(union) + 1)
+        for subset in itertools.combinations(union, size)
+        if all(set(subset) & m for m in members)
+    )
+
+
+_EIGHT_PAIRS = [
+    Pair(base, diagonal)
+    for base in (A.base, B.base, C.base, Complex("Q", (), False))
+    for diagonal in (True, False)
+]
+
+
+@given(
+    st.lists(
+        # at most 4 pairs a member keeps the reference's product small
+        st.sets(st.sampled_from(_EIGHT_PAIRS), min_size=1, max_size=4).map(frozenset),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=300)
+def test_transversals_match_the_brute_force(family):
+    for policy in ("minimal", "full"):
+        assert transversals(family, policy) == brute_force_transversals(family, policy)
 
 
 # ---------------------------------------------------------------------------
