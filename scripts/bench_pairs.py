@@ -23,14 +23,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-BETTER = {  # as BENCHMARK.json declares them
-    "latency_p50_ms": "lower",
-    "latency_p90_ms": "lower",
-    "checks_per_s": "higher",
-    "peak_rss_mb": "lower",
-    "passed_ratio": "higher",
-    "setup_s": "lower",
-}
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def end_to_end_metrics() -> dict[str, str]:
+    """Each end-to-end metric of BENCHMARK.json and which way is better."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    return {m["name"]: m["better"] for m in declared}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -59,7 +58,7 @@ def quartiles(values: list[float]) -> dict:
 
 def summary(pairs: list[dict]) -> dict:
     out = {}
-    for name, better in BETTER.items():
+    for name, better in end_to_end_metrics().items():
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         sign = 1 if better == "higher" else -1
@@ -88,6 +87,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("quartiles need at least 2 pairs")
 
     pairs = []
     for k in range(args.pairs):
