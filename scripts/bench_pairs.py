@@ -1,17 +1,17 @@
 """Record a performance trajectory point: alternating parent/change runs.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --workload negation_stress --pairs 10 --first-seed 1501 --out BENCH_15.json
+        --first-seed 1501 --out BENCH_15.json
 
-Each pair runs `perfbench/run.py --workload W --seed S --seconds 20
---trace 0` once in the parent checkout and once in the change checkout,
-one after the other; the side that goes first alternates from pair to
-pair, and pair k uses seed first_seed + k.  The output file keeps every
-run's end-to-end metrics and, per metric, the median and quartiles of
-each side and the number of pairs the change won.  It also records the
-host, the Python version and both checkouts' commits and source
-digests.  An existing output file keeps its other workloads, so
-workloads can be recorded one invocation at a time.
+For every workload of BENCHMARK.json, each of PAIRS pairs runs
+`perfbench/run.py --workload W --seed S --trace 0` once in the parent
+checkout and once in the change checkout, one after the other, at
+run.py's default length; the side that goes first alternates from pair
+to pair, and pair k uses seed first_seed + k.  The output file, written
+afresh, keeps every run's end-to-end metrics and, per workload and
+metric, the median and quartiles of each side and the number of pairs
+the change won.  It also records the host, the Python version, the run
+command and both checkouts' commits and source digests.
 """
 from __future__ import annotations
 
@@ -24,18 +24,17 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # a claimed gain must win 9 of 10 pairs
 
 
-def end_to_end_metrics() -> dict[str, str]:
-    """Each end-to-end metric of BENCHMARK.json and which way is better."""
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    return {m["name"]: m["better"] for m in declared}
+def declared() -> dict:
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     env_line, result_line = proc.stdout.strip().splitlines()[-2:]
@@ -56,9 +55,10 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summary(pairs: list[dict]) -> dict:
+def summary(pairs: list[dict], metrics: list[dict]) -> dict:
     out = {}
-    for name, better in end_to_end_metrics().items():
+    for metric in metrics:
+        name, better = metric["name"], metric["better"]
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         sign = 1 if better == "higher" else -1
@@ -81,40 +81,46 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("quartiles need at least 2 pairs")
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = declared()
 
-    pairs = []
-    for k in range(args.pairs):
-        seed = args.first_seed + k
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        pair = {"first": order[0]}
-        for side in order:
-            pair[side] = run_once(getattr(args, side).resolve(), args.workload, seed, args.seconds)
-        pairs.append(pair)
-        p, c = pair["parent"]["metrics"], pair["change"]["metrics"]
-        print(f"{args.workload} seed {seed}: checks_per_s {p['checks_per_s']:.0f} -> "
-              f"{c['checks_per_s']:.0f}, p50 {p['latency_p50_ms']:.3f} -> "
-              f"{c['latency_p50_ms']:.3f} ms", flush=True)
+    workloads = {}
+    for workload in (w["name"] for w in bench["workloads"]):
+        pairs = []
+        for k in range(PAIRS):
+            seed = args.first_seed + k
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = run_once(checkouts[side], workload, seed)
+            pairs.append(pair)
+            p, c = pair["parent"]["metrics"], pair["change"]["metrics"]
+            print(f"{workload} seed {seed}: checks_per_s {p['checks_per_s']:.0f} -> "
+                  f"{c['checks_per_s']:.0f}, p50 {p['latency_p50_ms']:.3f} -> "
+                  f"{c['latency_p50_ms']:.3f} ms", flush=True)
+        workloads[workload] = pairs
 
-    record = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
-    env = pairs[0]["change"]["env"]
-    record["host"] = {"cpu_model": env["cpu_model"], "nproc": env["nproc"],
-                      "platform": platform.platform()}
-    record["python"] = env["python"]
-    record["command"] = f"perfbench/run.py --seconds {args.seconds:g} --trace 0"
-    record["parent"] = checkout_info(pairs[0]["parent"]["env"], args.parent)
-    record["change"] = checkout_info(env, args.change)
-    for pair in pairs:
-        for side in ("parent", "change"):
-            del pair[side]["env"]
-    record["workloads"][args.workload] = {"pairs": pairs, "summary": summary(pairs)}
+    env = {side: workloads[workload][0][side]["env"] for side in checkouts}
+    for pairs in workloads.values():
+        for pair in pairs:
+            for side in checkouts:
+                del pair[side]["env"]
+    record = {
+        "host": {"cpu_model": env["change"]["cpu_model"], "nproc": env["change"]["nproc"],
+                 "platform": platform.platform()},
+        "python": env["change"]["python"],
+        "command": f"perfbench/run.py --workload W --seed S --trace 0 "
+                   f"(default --seconds {env['change']['seconds']:g})",
+        "parent": checkout_info(env["parent"], checkouts["parent"]),
+        "change": checkout_info(env["change"], checkouts["change"]),
+        "workloads": {
+            workload: {"pairs": pairs, "summary": summary(pairs, bench["end_to_end"])}
+            for workload, pairs in workloads.items()
+        },
+    }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -14,8 +14,8 @@ drawn from the family's union that intersect every member.  The
 Berge's sequential dualization one member at a time; `full` keeps them
 all, the upward closure of the minimal ones within the union.  Both
 refuse work past one budget, _TRANSVERSAL_LIMIT: a `minimal` step
-counts the candidates it would build, and `full` counts the subsets of
-the union.  `swap_family` pushes the tag swap through a family
+counts the tests and candidates it would make, and `full` counts the
+subsets of the union.  `swap_family` pushes the tag swap through a family
 pointwise.
 
 This module keeps no state: the memo of an evaluation point lives on
@@ -87,9 +87,9 @@ def transversals(family, policy: str = "minimal") -> frozenset[frozenset[Pair]]:
     full: every subset of the union that meets each member, that is the
     upward closure of the minimal ones within the union.
 
-    Either policy raises ValueError rather than build more than
-    _TRANSVERSAL_LIMIT sets: a `minimal` step counts the candidates it
-    would build, `full` counts the subsets of the union.
+    Either policy raises ValueError rather than do more than
+    _TRANSVERSAL_LIMIT units of work: a `minimal` step counts the tests
+    and candidates it would make, `full` counts the subsets of the union.
     """
     members = sorted({frozenset(m) for m in family}, key=len)
     if not members:
@@ -117,6 +117,11 @@ def _minimal_transversals(members: list[frozenset[Pair]]) -> list[frozenset[Pair
     that misses it by one pair of m.  A grown set t | {b} contains no
     other grown set and lies in no hit, so it is minimal unless it
     contains a hit, and any such hit contains b.
+
+    A step counts its work before doing it: one unit per partial
+    transversal and pair b of m (a test that files the hits holding b,
+    or the candidate a miss grows into), then one subset test per miss
+    and hit holding b.  Past _TRANSVERSAL_LIMIT it refuses.
     """
     first, *rest = members
     partial = _singletons(first)
@@ -126,19 +131,25 @@ def _minimal_transversals(members: list[frozenset[Pair]]) -> list[frozenset[Pair
             (misses if m.isdisjoint(t) else hits).append(t)
         if not misses:
             continue
-        if len(hits) + len(misses) * len(m) > _TRANSVERSAL_LIMIT:
-            raise ValueError(
-                f"minimal transversal of {len(members)} members needs more than "
-                f"{_TRANSVERSAL_LIMIT} choice sets"
-            )
+        _within_budget(len(partial) * len(m), members)
+        blocked = [(single, [h for h in hits if not single.isdisjoint(h)])
+                   for single in _singletons(m)]
+        _within_budget(len(misses) * sum(len(blockers) for _, blockers in blocked), members)
         partial = hits.copy()
-        for single in _singletons(m):
-            blockers = [h for h in hits if not single.isdisjoint(h)]
+        for single, blockers in blocked:
             for t in misses:
                 grown = t | single
                 if not any(h <= grown for h in blockers):
                     partial.append(grown)
     return partial
+
+
+def _within_budget(work: int, members: list[frozenset[Pair]]) -> None:
+    if work > _TRANSVERSAL_LIMIT:
+        raise ValueError(
+            f"minimal transversal of {len(members)} members needs more than "
+            f"{_TRANSVERSAL_LIMIT} choice sets"
+        )
 
 
 def _singletons(m: frozenset[Pair]) -> list[frozenset[Pair]]:

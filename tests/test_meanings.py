@@ -144,6 +144,20 @@ def test_minimal_transversal_budget():
         transversals(fam, "minimal")
 
 
+def test_minimal_transversal_budget_counts_subset_tests():
+    # 17 disjoint two-pair members, then a three-pair member holding one
+    # pair of a1's member: its step builds only 2^18 sets, but each of the
+    # 2^16 sets that miss it would be tested against the 2^16 that hold
+    # that pair.
+    def pair(name, diagonal=True):
+        return Pair(Complex("S", (name,), True), diagonal)
+
+    fam = [frozenset({pair(f"a{i}"), pair(f"a{i}", False)}) for i in range(17)]
+    fam.append(frozenset({pair("a1"), pair("c"), pair("d")}))
+    with pytest.raises(ValueError, match="choice sets"):
+        transversals(fam, "minimal")
+
+
 def brute_force_transversals(family, policy):
     """Reference: minimal keeps the inclusion-minimal choice sets of one
     pair per member; full keeps every subset of the union that meets
