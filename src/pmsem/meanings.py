@@ -19,7 +19,9 @@ subsets of the union.  `swap_family` pushes the tag swap through a family
 pointwise.
 
 This module keeps no state: the memo of an evaluation point lives on
-its assignment (see `propsem`).
+its assignment, and the tables that cache `negate` and
+`memberwise_union` across the points of a sweep live in that memo and
+die with the sweep (see `propsem`).
 """
 from __future__ import annotations
 

@@ -30,9 +30,12 @@ propositional section is one group whose one world is None, and the
 quantified section one group per vocabulary (`fosem.world_vocabulary`,
 first seen first) over all its worlds.  Each point, a world and an
 assignment, is evaluated under a copy of the assignment that carries a
-fresh memo, dropped when the point is done (see `propsem`); as
-`enumerate_formulas` lists every formula after its subformulas, each
-formula costs about one connective step.  Only disagreeing points are
+fresh memo, dropped when the point is done; as `enumerate_formulas`
+lists every formula after its subformulas, each formula costs about one
+connective step.  Every memo of one `_sweep` call also holds the same
+dict of tables, which intern the Meanings of all its points and cache
+`negate` and `memberwise_union` on them, dropped when the call returns
+(see `propsem`).  Only disagreeing points are
 kept, and each section records them in (formula, world, assignment)
 order, as a formula-by-formula sweep would.
 """
@@ -397,13 +400,14 @@ def _sweep(formulas, groups, policies, points) -> list:
     assignments, in (formula, world, assignment) order; a group's
     evaluator(world) gives evaluate(f, point, policy)."""
     misses = []
+    shared = {}  # the tables all points share (see propsem), dropped on return
     for worlds, variables, ids, evaluator in groups:
         for wdx, w in enumerate(worlds):
             model = None if w is None else model_from_world(w)
             evaluate = evaluator(w)
             for adx, h in enumerate(points(variables, w)):
                 point = PropAssignment(values=h.values, world=h.world)
-                point.memo = {}
+                point.memo = {None: shared}
                 truths = h.truths()
                 for i in ids:
                     f = formulas[i]

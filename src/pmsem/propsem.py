@@ -25,11 +25,22 @@ varies; so a formula whose subformulas are recorded costs about one
 connective step.  The agreement sweep (`oracle.check_equivalence`)
 gives each point a copy of its assignment whose `memo`, a plain dict
 dropped when the point is done, maps each policy to a `_Context` of
-tables, interned Meanings and the world's valuation: one context per
-point, policy and world, for both base modes, and one valuation per
-context, never per call.  Without a memo `eval_prop` records nothing (a
-table per call raised `negation_stress` p50 by 7-12 %), and `eval_fo`
-keeps tables for the call: the starting environment's serves the
+these tables and the world's valuation: one context per point, policy
+and world, for both base modes, and one valuation per context, never
+per call.  The memo's entry None is a dict that all points of one
+sweep share and that the sweep drops when it returns (a memo without
+one gets its own).  It holds three tables: the intern table gives each
+distinct Meaning one shared object, so that while it lives an id names
+a Meaning; a table per policy maps the id of an interned operand to its
+interned negation; and one maps the tuple of ids of interned instances
+to their interned member-wise union.  These are the unique table and
+the computed table of BDD packages (Bryant 1986; Brace, Rudell and
+Bryant 1990), or hash-consing (Filliatre and Conchon 2006).  `_ev`
+looks there before it calls `negate` or `memberwise_union` and records
+a result only once the core has returned it, so a refusal (ValueError)
+leaves no entry.  Without a memo `eval_prop` records nothing (a table
+per call raised `negation_stress` p50 by 7-12 %), and `eval_fo` keeps
+formula tables for the call: the starting environment's serves the
 subformulas a formula repeats, as <=> does (without it `logical_truth`
 of a four-term <=> chain took 1.4 to 2.3 times as long).
 
@@ -151,7 +162,8 @@ def _evaluate(f: Formula, h, policy: str, world=None, any_variable=None) -> Mean
     memo = h.memo
     ctx = memo and memo.get(policy)
     if not ctx or ctx.world is not world:
-        ctx = _Context(h.values, policy, world, None if memo is None else {})
+        shared = None if memo is None else memo.setdefault(None, {})
+        ctx = _Context(h.values, policy, world, shared)
         if memo is not None:
             memo[policy] = ctx
         elif world is None:  # eval_prop without a memo records nothing
@@ -175,18 +187,27 @@ def _evaluate(f: Formula, h, policy: str, world=None, any_variable=None) -> Mean
 class _Context:
     """What `_ev` reads besides the formula, its environment and table:
     the world (None for `eval_prop`) and its valuation xi, tables, which
-    maps each environment, as the tuple of its items, to its table, and
-    interned, unless None, each Meaning to its shared copy."""
+    maps each environment, as the tuple of its items, to its table, and,
+    from the shared dict of a memo (None without one), three tables the
+    points of a sweep share: interned maps each Meaning to its one
+    shared copy, negations the id of an interned operand to its
+    interned negation under this policy, and unions the tuple of ids of
+    interned instances to their interned member-wise union."""
 
-    __slots__ = ("values", "policy", "world", "xi", "tables", "interned")
+    __slots__ = ("values", "policy", "world", "xi", "tables", "interned", "negations", "unions")
 
-    def __init__(self, values, policy, world, interned):
+    def __init__(self, values, policy, world, shared):
         self.values = values
         self.policy = policy
         self.world = world
         self.xi = None if world is None else default_binding(world)
         self.tables = {(): {}}
-        self.interned = interned
+        if shared is None:
+            self.interned = self.negations = self.unions = None
+        else:
+            self.interned = shared.setdefault("interned", {})
+            self.negations = shared.setdefault(("negate", policy), {})
+            self.unions = shared.setdefault("memberwise_union", {})
 
 
 class _Unbound(Exception):
@@ -210,7 +231,14 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
         )
     elif isinstance(g, Not):
         operand = g.operand
-        m = negate(table and table.get(operand) or _ev(operand, env, table, ctx), ctx.policy)
+        m = table and table.get(operand) or _ev(operand, env, table, ctx)
+        negations = ctx.negations
+        if negations is None:
+            m = negate(m, ctx.policy)
+        else:  # m is interned, and so is what the table gives back
+            table[g] = m = negations.get(id(m)) or _computed(
+                negations, id(m), negate(m, ctx.policy), ctx)
+            return m
     elif isinstance(g, PropVar):
         try:
             m = ctx.values[g.name]
@@ -233,10 +261,16 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
             inner = {**env, g.variable: d}
             inner_table = ctx.tables.setdefault(tuple(inner.items()), {})
             instances.append(inner_table.get(g.body) or _ev(g.body, inner, inner_table, ctx))
-        if isinstance(g, ForAll):
-            m = memberwise_union(instances)
-        else:
+        unions = ctx.unions
+        if isinstance(g, Exists):
             m = Meaning(frozenset().union(*(i.members for i in instances)))
+        elif unions is None:
+            m = memberwise_union(instances)
+        else:  # the instances are interned, and so is what the table gives back
+            key = tuple(map(id, instances))
+            table[g] = m = unions.get(key) or _computed(
+                unions, key, memberwise_union(instances), ctx)
+            return m
     else:
         raise TypeError(f"not a formula: {g!r}")
     if table is not None:
@@ -244,6 +278,13 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
         if interned is not None:
             m = interned.setdefault(m, m)
         table[g] = m
+    return m
+
+
+def _computed(cache, key, m: Meaning, ctx: _Context) -> Meaning:
+    """Intern m, a core's result on the interned operands of key, and
+    record it in cache."""
+    cache[key] = m = ctx.interned.setdefault(m, m)
     return m
 
 

@@ -1,11 +1,14 @@
 """Classical evaluators, formula enumeration and agreement sweeps."""
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pmsem.oracle as oracle
+import pmsem.propsem as propsem
 from pmsem.fosem import eval_fo
 from pmsem.meanings import negate
 from pmsem.ontology import World
@@ -418,6 +421,52 @@ def test_fo_eval_is_called_once_per_check():
     assert len(calls) == report.fo_checks == 2 * 6 * sum(
         2 ** len(prop_variables(f)) for f in formulas
     )
+
+
+def test_sweep_drops_its_tables():
+    """The Meanings a sweep interns die with it: it keeps no table once
+    it returns."""
+    refs = []
+
+    def kept(evaluate):
+        def evaluator(*args):
+            m = evaluate(*args)
+            refs.append(weakref.ref(m))
+            return m
+        return evaluator
+
+    config = SweepConfig(prop_vars=("p",), max_depth=2, include_fo=True, fo_prop_vars=("p",),
+                         fo_max_size=4, fo_max_individuals=2)
+    assert check_equivalence(config, kept(eval_prop), kept(eval_fo)).ok
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)
+
+
+def test_refused_negation_leaves_no_entry(monkeypatch):
+    """A ValueError from `negate`, such as a transversal budget's
+    refusal, comes out of the sweep, and the sweep's tables keep nothing
+    for the refused operand: the next point asks `negate` again."""
+    calls = []
+
+    def refuse_first(m, policy="minimal"):
+        calls.append(m)
+        if len(calls) == 1:
+            raise ValueError("refused")
+        return negate(m, policy)
+
+    monkeypatch.setattr(propsem, "negate", refuse_first)
+    with pytest.raises(ValueError, match="refused"):
+        check_equivalence(SweepConfig(prop_vars=("p",), max_depth=1))
+
+    calls.clear()
+    h = propsem.canonical_assignments(["p"])[0]
+    shared = {}
+    first, second = (propsem.PropAssignment(values=h.values, world=h.world) for _ in range(2))
+    first.memo, second.memo = {None: shared}, {None: shared}
+    with pytest.raises(ValueError, match="refused"):
+        eval_prop(Not(p), first)
+    assert eval_prop(Not(p), second) == negate(h.values["p"])
+    assert len(calls) == 2
 
 
 def test_report_dict_shape():

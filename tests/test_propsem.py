@@ -4,7 +4,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmsem.meanings import is_true, meaning, meaning_in_world, render_meaning
+from pmsem.fosem import enumerate_worlds
+from pmsem.meanings import POLICIES, is_true, meaning, meaning_in_world, render_meaning
 from pmsem.ontology import Complex, Pair, World, constant_name
 from pmsem.propsem import (
     MAX_ASSIGNMENTS,
@@ -15,10 +16,21 @@ from pmsem.propsem import (
     declared_assignment,
     default_world,
     enumerate_assignments,
+    eval_fo,
     eval_prop,
     sampled_assignments,
 )
-from pmsem.syntax import Not, Or, PropVar, equivalent, parse, print_formula
+from pmsem.syntax import (
+    Exists,
+    ForAll,
+    Not,
+    Or,
+    PredApp,
+    PropVar,
+    equivalent,
+    parse,
+    print_formula,
+)
 
 P_TRUE = meaning({Pair(Complex("P", (), True), True)})
 P_FALSE = meaning({Pair(Complex("P", (), False), False)})
@@ -300,3 +312,55 @@ def test_memo_stays_with_its_point():
     assert replace(point, values=other.values).memo is None
     assert not is_true(eval_prop(parse("p"), replace(point, values=other.values)))
 
+
+
+# ---------------------------------------------------------------------------
+# tables shared by the points of a sweep
+
+FO_TREES = st.recursive(
+    st.sampled_from([PropVar("p"), PredApp("S", "x"), PredApp("S", "y")]),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(Or, sub, sub),
+        st.builds(ForAll, st.sampled_from("xy"), sub),
+        st.builds(Exists, st.sampled_from("xy"), sub),
+    ),
+    max_leaves=4,
+)
+
+
+def sweep_point(h, shared):
+    """h as a point of the sweep whose tables are shared (see oracle._sweep)."""
+    point = PropAssignment(values=h.values, world=h.world)
+    point.memo = {None: shared}
+    return point
+
+
+@given(
+    st.lists(st.tuples(PROP_TREES, st.sampled_from(POLICIES)), min_size=1, max_size=6),
+    st.lists(st.tuples(FO_TREES, st.sampled_from(POLICIES)), min_size=1, max_size=6),
+    st.one_of(st.none(), st.integers(0, 2**16)),
+    st.integers(1, 3),
+)
+@settings(max_examples=30, deadline=None)
+def test_sweep_tables_match_fresh_evaluation(prop_calls, fo_calls, seed, individuals):
+    """Points that share one sweep's intern, negate and member-wise union
+    tables give, at every point and under interleaved policies, the
+    Meanings a fresh evaluation gives.  Two sweeps run in turn, so the
+    second meets objects at the addresses the first one freed."""
+    mode = "canonical" if seed is None else "sampled"
+
+    def points(variables, world):
+        return enumerate_assignments(variables, world, mode, seed=seed, count=2, size_bound=2)
+
+    for _ in range(2):
+        shared = {}
+        for h in points(["p", "q"], None):
+            point = sweep_point(h, shared)
+            for f, policy in prop_calls:
+                assert eval_prop(f, point, policy) == eval_prop(f, h, policy)
+        for world in enumerate_worlds(["S"], ["p"], individuals):
+            for h in points(["p"], world):
+                point = sweep_point(h, shared)
+                for f, policy in fo_calls:
+                    assert eval_fo(f, world, point, policy) == eval_fo(f, world, h, policy)
