@@ -35,9 +35,9 @@ lists every formula after its subformulas, each formula costs about one
 connective step.  Every memo of one `_sweep` call also holds the same
 dict of tables, which intern the Meanings of all its points and cache
 `negate` and `memberwise_union` on them, dropped when the call returns
-(see `propsem`).  Only disagreeing points are
-kept, and each section records them in (formula, world, assignment)
-order, as a formula-by-formula sweep would.
+(see `propsem`).  Only disagreeing points are kept, and each section
+records them in (formula, world, assignment) order, as a
+formula-by-formula sweep would.
 """
 from __future__ import annotations
 

@@ -313,7 +313,6 @@ def test_memo_stays_with_its_point():
     assert not is_true(eval_prop(parse("p"), replace(point, values=other.values)))
 
 
-
 # ---------------------------------------------------------------------------
 # tables shared by the points of a sweep
 
