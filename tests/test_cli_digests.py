@@ -1,9 +1,10 @@
-"""The output contract of `pm compare` and `pm taut`, pinned.
+"""The output contract of `pm`'s reporting commands, pinned.
 
-Each invocation below runs in process through `cli.main`; its exit code
-and the sha256 of its stdout and of its stderr must equal the entry in
-tests/data/cli_digests.json.  A change that alters one of these outputs
-regenerates the file with
+Each invocation below runs in process through `cli.main`, from the
+root of the repository, so that the file paths in it, and in the keys
+and outputs, are relative; its exit code and the sha256 of its stdout
+and of its stderr must equal the entry in tests/data/cli_digests.json.
+A change that alters one of these outputs regenerates the file with
 
     PYTHONPATH=src python tests/test_cli_digests.py
 
@@ -12,6 +13,7 @@ and names each changed invocation in CHANGES.md.
 import hashlib
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,7 +21,9 @@ import pytest
 
 from pmsem import cli
 
-CLI_DIGESTS = Path(__file__).resolve().parent / "data" / "cli_digests.json"
+ROOT = Path(__file__).resolve().parent.parent
+CLI_DIGESTS = ROOT / "tests" / "data" / "cli_digests.json"
+FO_WORLD = "tests/data/fo_world.txt"
 
 SAMPLED = ("--mode", "sampled", "--seed", "7", "--count", "5")
 COMPARE_CONFIGS = (
@@ -43,10 +47,40 @@ COMPARE_CONFIGS = (
 # under `full` takes about 11 s, so it is pinned under `minimal` only.
 CHAIN_4 = "~~((p v ~q) . (q v ~r) . (r v ~p1) . (p1 v ~p))"
 CHAIN_6 = "~~((p v ~q) . (q v ~r) . (r v ~p1) . (p1 v ~q1) . (q1 v ~r1) . (r1 v ~p))"
+EVAL_CONFIGS = (
+    ("~(p v q)",),
+    ("~(p v q)", "--policy", "full"),
+    ("~(p . q) v r", "--mode", "sampled", "--seed", "7", "--count", "3", "--size-bound", "2"),
+    ("p v ~q", "--world", FO_WORLD),
+)
+FO_EVAL_FORMULAS = (
+    "S(x)",
+    "S(x) v R(y)",
+    "(x).S(x) .=>. S(y)",
+    "(Ex).(S(x) . ~R(x)) . p",
+    "(x).(S(x) v ~R(x)) . ~q",
+)
+# Only inputs whose verdict is correct at the default bound: none of the
+# formulas `fo-valid` wrongly calls logical truths (ROADMAP item 2).
+FO_VALID_CONFIGS = (
+    ("(x).S(x) v ~S(x)",),
+    ("(x).S(x) .=>. (Ex).S(x)", "--policy", "full"),
+    ("(Ex).S(x) .=>. (x).S(x)",),
+    ("(x).(p v S(x)) .=>. p v (x).S(x)",),
+    ("(x).(p v S(x)) .=>. p v (x).S(x)", "--mode", "sampled", "--seed", "7", "--count", "2"),
+    ("(x).(S(x) . R(x)) .=>. (x).S(x)", "--max-individuals", "2"),
+    ("(Ex).S(x) . (Ex).R(x) .=>. (Ex).(S(x) . R(x))", "--max-individuals", "2"),
+)
+PROOFS = sorted(path.relative_to(ROOT).as_posix() for path in (ROOT / "proofs").rglob("*.proof"))
 INVOCATIONS = (
     [("compare", *c) for c in COMPARE_CONFIGS]
     + [("compare", *c, "--json") for c in COMPARE_CONFIGS]
     + [("taut", CHAIN_4, "--policy", "full"), ("taut", CHAIN_6)]
+    + [("eval", *c, *json) for json in ((), ("--json",)) for c in EVAL_CONFIGS]
+    + [("fo-eval", f, "--model", FO_WORLD, "--base-mode", base, *json)
+       for json in ((), ("--json",)) for base in ("all", "any:x") for f in FO_EVAL_FORMULAS]
+    + [("fo-valid", *c, *json) for json in ((), ("--json",)) for c in FO_VALID_CONFIGS]
+    + [("check-proof", path, *json) for json in ((), ("--json",)) for path in PROOFS]
 )
 
 
@@ -62,7 +96,12 @@ def outcome(argv) -> dict:
 
 
 def digests() -> dict:
-    return {" ".join(argv): outcome(argv) for argv in INVOCATIONS}
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        return {" ".join(argv): outcome(argv) for argv in INVOCATIONS}
+    finally:
+        os.chdir(cwd)
 
 
 @pytest.fixture
