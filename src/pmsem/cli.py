@@ -32,9 +32,9 @@ import sys
 
 from .fosem import eval_fo, logical_truth
 from .meanings import is_true, render_meaning
-from .ontology import WorldError, load_world
+from .ontology import load_world
 from .oracle import SweepConfig, check_equivalence, describe_world
-from .proof import ProofError, check_proof, load_script
+from .proof import check_proof, load_script
 from .propsem import (
     classify,
     declared_assignment,
@@ -43,7 +43,6 @@ from .propsem import (
 )
 from .syntax import (
     PROP_LETTERS,
-    FormulaSyntaxError,
     free_variables,
     parse,
     predicates,
@@ -423,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (FormulaSyntaxError, WorldError, ProofError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -150,16 +150,16 @@ def all_pairs(w: World) -> tuple[Pair, ...]:
 # ---------------------------------------------------------------------------
 # world files
 #
-#   individual a
+#   individual a        (a lowercase letter, then letters and digits)
 #   relation S/1        (predicates are monadic: /1 only)
 #   fact S(a)           (one individual)
 #   prop P true         (the constant carrying a variable: P, Q1, ...)
 #
 # Blank lines and lines starting with '#' are skipped; any other
-# directive is an error, and so is a relation or constant name that no
-# formula can reach.
+# directive is an error, and so is a name no fact or formula can reach.
 
-_FACT = re.compile(r"([^(),]+)\(([^(),]+)\)")
+_INDIVIDUAL = re.compile("[a-z][A-Za-z0-9]*")
+_FACT = re.compile(rf"([^(),]+)\(({_INDIVIDUAL.pattern})\)")
 
 
 def parse_world(text: str, source: str = "<string>") -> World:
@@ -177,6 +177,8 @@ def parse_world(text: str, source: str = "<string>") -> World:
         if directive == "individual":
             if len(parts) != 2:
                 raise WorldError(f"{where}: individual takes one name")
+            if not _INDIVIDUAL.fullmatch(parts[1]):
+                raise WorldError(f"{where}: individual {parts[1]!r} is not an individual name")
             individuals.append(parts[1])
         elif directive == "relation":
             name, _, arity = parts[-1].partition("/")

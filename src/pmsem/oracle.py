@@ -29,15 +29,15 @@ groups of (worlds, propositional variables, formulas, evaluator): the
 propositional section is one group whose one world is None, and the
 quantified section one group per vocabulary (`fosem.world_vocabulary`,
 first seen first) over all its worlds.  Each point, a world and an
-assignment, is evaluated under a copy of the assignment that carries a
-fresh memo, dropped when the point is done; as `enumerate_formulas`
-lists every formula after its subformulas, each formula costs about one
-connective step.  Every memo of one `_sweep` call also holds the same
-dict of tables, which intern the Meanings of all its points and cache
-`negate` and `memberwise_union` on them, dropped when the call returns
-(see `propsem`).  Only disagreeing points are kept, and each section
-records them in (formula, world, assignment) order, as a
-formula-by-formula sweep would.
+assignment, is evaluated under `propsem.sweep_point`'s copy of the
+assignment, whose memo is dropped when the point is done; as
+`enumerate_formulas` lists every formula after its subformulas, each
+formula costs about one connective step.  The memos of one `_sweep`
+call reach one dict of tables, which intern the Meanings of all its
+points and cache `negate` and `memberwise_union` on them, dropped when
+the call returns (see `propsem`).  Only disagreeing points are kept,
+and each section records them in (formula, world, assignment) order,
+as a formula-by-formula sweep would.
 """
 from __future__ import annotations
 
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, asdict
 from .fosem import enumerate_worlds, eval_fo, world_vocabulary
 from .meanings import is_true
 from .ontology import World
-from .propsem import PropAssignment, enumerate_assignments, eval_prop
+from .propsem import enumerate_assignments, eval_prop, sweep_point
 from .syntax import (
     IND_VAR,
     PRED_NAME,
@@ -406,8 +406,7 @@ def _sweep(formulas, groups, policies, points) -> list:
             model = None if w is None else model_from_world(w)
             evaluate = evaluator(w)
             for adx, h in enumerate(points(variables, w)):
-                point = PropAssignment(values=h.values, world=h.world)
-                point.memo = {None: shared}
+                point = sweep_point(h, shared)
                 truths = h.truths()
                 for i in ids:
                     f = formulas[i]

@@ -22,27 +22,24 @@ are errors, and `eval_fo` in one, both through `_evaluate`.
 Memos.  Each subformula's Meaning is recorded once per environment, in
 a table keyed by the whole environment, which is all `_ev` reads that
 varies; so a formula whose subformulas are recorded costs about one
-connective step.  The agreement sweep (`oracle.check_equivalence`)
-gives each point a copy of its assignment whose `memo`, a plain dict
-dropped when the point is done, maps each policy to a `_Context` of
-these tables and the world's valuation: one context per point, policy
-and world, for both base modes, and one valuation per context, never
-per call.  The memo's entry None is a dict that all points of one
-sweep share and that the sweep drops when it returns (a memo without
-one gets its own).  It holds three tables: the intern table gives each
-distinct Meaning one shared object, so that while it lives an id names
-a Meaning; a table per policy maps the id of an interned operand to its
-interned negation; and one maps the tuple of ids of interned instances
-to their interned member-wise union.  These are the unique table and
-the computed table of BDD packages (Bryant 1986; Brace, Rudell and
-Bryant 1990), or hash-consing (Filliatre and Conchon 2006).  `_ev`
-looks there before it calls `negate` or `memberwise_union` and records
-a result only once the core has returned it, so a refusal (ValueError)
-leaves no entry.  Without a memo `eval_prop` records nothing (a table
-per call raised `negation_stress` p50 by 7-12 %), and `eval_fo` keeps
-formula tables for the call: the starting environment's serves the
-subformulas a formula repeats, as <=> does (without it `logical_truth`
-of a four-term <=> chain took 1.4 to 2.3 times as long).
+connective step.  A memo, a plain dict on the assignment, maps each
+policy to a `_Context` of these tables and the world's valuation: one
+context per point, policy and world, for both base modes, and one
+valuation per context, never per call.  Its entry None is a dict of
+three tables: the intern table gives each distinct Meaning one shared
+object, so that while it lives an id names a Meaning; a table per
+policy maps the id of an interned operand to its interned negation;
+and one maps the tuple of ids of interned instances to their interned
+member-wise union.  These are the unique table and the computed table
+of BDD packages (Bryant 1986; Brace, Rudell and Bryant 1990), or
+hash-consing (Filliatre and Conchon 2006).  `_ev` looks there before it
+calls `negate` or `memberwise_union` and records a result only once the
+core has returned it, so a refusal (ValueError) leaves no entry.
+`sweep_point` makes points whose memos share one dict of tables that
+their caller owns and drops; a lone `eval_fo` makes a memo and a dict
+of its own and drops both on return.  Only `eval_prop` on an assignment
+without a memo records nothing (a table per call raised
+`negation_stress` p50 by about 10 %).
 
 Assignments.  `canonical_assignments` enumerates the 2^n classical
 corners: each variable is carried by its own propositional constant (p
@@ -99,6 +96,7 @@ __all__ = [
     "eval_fo",
     "eval_prop",
     "sampled_assignments",
+    "sweep_point",
 ]
 
 _NO_ENV: dict = {}  # the empty environment eval_prop and base mode "all" start in; never changed
@@ -116,7 +114,7 @@ class PropAssignment:
 
     values: dict[str, Meaning]
     world: World
-    # Set by the sweep that owns this point; never copied by replace().
+    # Set by `sweep_point`; never copied by replace().
     memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def truths(self) -> dict[str, bool]:
@@ -145,6 +143,14 @@ def eval_fo(
     return _evaluate(f, h, policy, world, any_variable)
 
 
+def sweep_point(h: PropAssignment, tables: dict) -> PropAssignment:
+    """A copy of h whose memo reaches tables, a dict the caller owns,
+    shares with the other points it makes and drops when they are done."""
+    point = PropAssignment(values=h.values, world=h.world)
+    point.memo = {None: tables}
+    return point
+
+
 def default_binding(world: World) -> dict[str, str]:
     """The valuation of individual variables `eval_fo` reads: one
     variable per individual (x, y, z, x1, ...), in name order, and at
@@ -157,17 +163,17 @@ def default_binding(world: World) -> dict[str, str]:
 
 
 def _evaluate(f: Formula, h, policy: str, world=None, any_variable=None) -> Meaning:
-    """`_ev` of f from the starting environment, through h's memo if any:
-    the only code that reads or fills a memo or builds a `_Context`."""
+    """`_ev` of f from the starting environment, through h's memo or, for
+    a lone `eval_fo`, one of its own: the only code that reads or fills
+    a memo or builds a `_Context`."""
     memo = h.memo
-    ctx = memo and memo.get(policy)
+    if memo is None:
+        if world is None:  # eval_prop without a memo records nothing
+            return _ev(f, None, None, _Context(h.values, policy, None, {}))
+        memo = {}
+    ctx = memo.get(policy)
     if not ctx or ctx.world is not world:
-        shared = None if memo is None else memo.setdefault(None, {})
-        ctx = _Context(h.values, policy, world, shared)
-        if memo is not None:
-            memo[policy] = ctx
-        elif world is None:  # eval_prop without a memo records nothing
-            return _ev(f, None, None, ctx)
+        ctx = memo[policy] = _Context(h.values, policy, world, memo.setdefault(None, {}))
     if any_variable is None:
         env = _NO_ENV
         table = ctx.tables[()]
@@ -188,11 +194,11 @@ class _Context:
     """What `_ev` reads besides the formula, its environment and table:
     the world (None for `eval_prop`) and its valuation xi, tables, which
     maps each environment, as the tuple of its items, to its table, and,
-    from the shared dict of a memo (None without one), three tables the
-    points of a sweep share: interned maps each Meaning to its one
-    shared copy, negations the id of an interned operand to its
-    interned negation under this policy, and unions the tuple of ids of
-    interned instances to their interned member-wise union."""
+    from shared, the dict of a memo's entry None, three tables: interned
+    maps each Meaning to its one shared copy, negations the id of an
+    interned operand to its interned negation under this policy, and
+    unions the tuple of ids of interned instances to their interned
+    member-wise union."""
 
     __slots__ = ("values", "policy", "world", "xi", "tables", "interned", "negations", "unions")
 
@@ -202,12 +208,9 @@ class _Context:
         self.world = world
         self.xi = None if world is None else default_binding(world)
         self.tables = {(): {}}
-        if shared is None:
-            self.interned = self.negations = self.unions = None
-        else:
-            self.interned = shared.setdefault("interned", {})
-            self.negations = shared.setdefault(("negate", policy), {})
-            self.unions = shared.setdefault("memberwise_union", {})
+        self.interned = shared.setdefault("interned", {})
+        self.negations = shared.setdefault(("negate", policy), {})
+        self.unions = shared.setdefault("memberwise_union", {})
 
 
 class _Unbound(Exception):
@@ -216,12 +219,12 @@ class _Unbound(Exception):
 
 
 def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
-    """Meaning of g in environment env, recorded in table.
+    """Meaning of g in environment env, interned and recorded in table.
 
-    Without a table (None) every subformula is evaluated afresh.  An
-    empty table and a miss are both falsy, and Meanings never are, so
-    `table and table.get(g) or ...` recurses exactly when g is not
-    recorded.
+    Without a table (None: `eval_prop` without a memo) every subformula
+    is evaluated afresh.  An empty table and a miss are both falsy, and
+    Meanings never are, so `table and table.get(g) or ...` recurses
+    exactly when g is not recorded.
     """
     if isinstance(g, Or):
         left, right = g.left, g.right
@@ -232,13 +235,13 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
     elif isinstance(g, Not):
         operand = g.operand
         m = table and table.get(operand) or _ev(operand, env, table, ctx)
+        if table is None:
+            return negate(m, ctx.policy)
+        # m is interned, and so is what the table gives back
         negations = ctx.negations
-        if negations is None:
-            m = negate(m, ctx.policy)
-        else:  # m is interned, and so is what the table gives back
-            table[g] = m = negations.get(id(m)) or _computed(
-                negations, id(m), negate(m, ctx.policy), ctx)
-            return m
+        table[g] = m = negations.get(id(m)) or _computed(
+            negations, id(m), negate(m, ctx.policy), ctx)
+        return m
     elif isinstance(g, PropVar):
         try:
             m = ctx.values[g.name]
@@ -261,12 +264,10 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
             inner = {**env, g.variable: d}
             inner_table = ctx.tables.setdefault(tuple(inner.items()), {})
             instances.append(inner_table.get(g.body) or _ev(g.body, inner, inner_table, ctx))
-        unions = ctx.unions
         if isinstance(g, Exists):
             m = Meaning(frozenset().union(*(i.members for i in instances)))
-        elif unions is None:
-            m = memberwise_union(instances)
         else:  # the instances are interned, and so is what the table gives back
+            unions = ctx.unions
             key = tuple(map(id, instances))
             table[g] = m = unions.get(key) or _computed(
                 unions, key, memberwise_union(instances), ctx)
@@ -274,10 +275,7 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
     else:
         raise TypeError(f"not a formula: {g!r}")
     if table is not None:
-        interned = ctx.interned
-        if interned is not None:
-            m = interned.setdefault(m, m)
-        table[g] = m
+        table[g] = m = ctx.interned.setdefault(m, m)
     return m
 
 

@@ -241,6 +241,11 @@ def test_fo_eval_false_formula_exits_1(capsys, world_file):
         ("prop p true", "w.txt:3: constant 'p' carries no propositional variable"),
         ("prop S true", "w.txt:3: constant 'S' carries no propositional variable"),
         ("prop Q1b false", "w.txt:3: constant 'Q1b' carries no propositional variable"),
+        ("individual a,b", "w.txt:3: individual 'a,b' is not an individual name"),
+        ("individual a;", "w.txt:3: individual 'a;' is not an individual name"),
+        ("individual {b}", "w.txt:3: individual '{b}' is not an individual name"),
+        ("individual B", "w.txt:3: individual 'B' is not an individual name"),
+        ("relation S/1\nfact S(a;)", "w.txt:4: expected 'fact NAME(individual)'"),
     ],
 )
 def test_world_file_relations_are_monadic(tmp_path, capsys, lines, message):

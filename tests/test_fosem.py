@@ -1,4 +1,5 @@
 """Quantified evaluation over finite worlds."""
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -8,10 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from pmsem import propsem
 from pmsem.fosem import default_binding, enumerate_worlds, eval_fo, logical_truth
-from pmsem.meanings import POLICIES, is_true, meaning, render_meaning
+from pmsem.meanings import (
+    POLICIES,
+    atom_meaning,
+    disjoin,
+    is_true,
+    meaning,
+    memberwise_union,
+    negate,
+    render_meaning,
+)
 from pmsem.ontology import Complex, Pair, World
 from pmsem.oracle import SweepConfig, check_equivalence, describe_world, enumerate_formulas
-from pmsem.propsem import PropAssignment, canonical_assignments, declared_assignment
+from pmsem.propsem import canonical_assignments, declared_assignment, sweep_point
 from pmsem.syntax import (
     Exists,
     ForAll,
@@ -182,6 +192,32 @@ FO_TREES = st.recursive(
 FACTS = [(r, (i,)) for r in ("R", "S") for i in ("a", "b")]
 
 
+def table_free(f, world, h, policy="minimal", any_variable=None):
+    """The Meaning of f in world under h by the induction `propsem`
+    states, evaluated afresh with no table: the reference the tabled
+    evaluator is compared against."""
+    xi = default_binding(world)
+    start = {} if any_variable is None else dict.fromkeys(xi, xi[any_variable])
+
+    def ev(g, env):
+        if isinstance(g, PropVar):
+            return h.values[g.name]
+        if isinstance(g, Not):
+            return negate(ev(g.operand, env), policy)
+        if isinstance(g, Or):
+            return disjoin(ev(g.left, env), ev(g.right, env))
+        if isinstance(g, PredApp):
+            if g.argument in env:
+                return atom_meaning(world, g.predicate, (env[g.argument],))
+            return ev(ForAll(g.argument, g), env)
+        instances = [ev(g.body, {**env, g.variable: d}) for d in world.individuals]
+        if isinstance(g, Exists):
+            return functools.reduce(disjoin, instances)
+        return memberwise_union(instances)
+
+    return ev(f, start)
+
+
 @given(
     st.lists(
         st.tuples(
@@ -208,26 +244,27 @@ def test_memo_binding_matches_fresh_evaluation(calls, individuals, facts, p_true
         constants=(("P", True),),
     )
     h = canonical_assignments(["p"], world)[0 if p_true else 1]
-    point = PropAssignment(values=h.values, world=h.world)
-    point.memo = {}
+    point = sweep_point(h, {})
     for f, policy, any_variable in calls:
-        fresh = eval_fo(f, h.world, h, policy, any_variable)
+        fresh = table_free(f, h.world, h, policy, any_variable)
         assert eval_fo(f, h.world, point, policy, any_variable) == fresh
+        assert eval_fo(f, h.world, h, policy, any_variable) == fresh
 
 
 def test_memo_is_not_served_to_another_assignment():
     world = World(individuals=("a",), predicates=("S",), constants=(("P", True),))
     h_true, h_false = canonical_assignments(["p"], world)
-    h_true.memo = {}
+    h_true = sweep_point(h_true, {})
     f = parse("(x).p")
     assert is_true(eval_fo(f, world, h_true))
     assert not is_true(eval_fo(f, world, h_false))
+    assert h_false.memo is None  # a lone eval_fo drops its own memo
 
 
 def test_memo_is_not_served_to_another_binding():
     """A memo filled in one world is not read in another."""
     (h,) = canonical_assignments([], w())
-    h.memo = {}
+    h = sweep_point(h, {})
     f = parse("(x).S(x)")
     assert not is_true(eval_fo(f, w(), h))
     assert is_true(eval_fo(f, w(facts=("a", "b")), h))

@@ -1,4 +1,6 @@
 """Complexes, pairs, worlds and their file format."""
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -155,6 +157,15 @@ def test_parse_world_directives():
     assert w.holds("S", ("a",))
     assert not w.holds("S", ("b",))
     assert w.constant_values == {"P": True}
+
+
+def test_parse_world_individual_names():
+    """Individual names are one class, shared by `individual` and `fact`."""
+    w = parse_world("individual a\nindividual bob2X\nrelation S/1\nfact S(bob2X)")
+    assert w.individuals == ("a", "bob2X") and w.holds("S", ("bob2X",))
+    for name in ("a,b", "a;", "{b}", "B", "2a"):
+        with pytest.raises(WorldError, match=f"individual '{re.escape(name)}' is not"):
+            parse_world(f"individual {name}")
 
 
 def test_parse_world_rejects_unknown_directive():

@@ -461,8 +461,7 @@ def test_refused_negation_leaves_no_entry(monkeypatch):
     calls.clear()
     h = propsem.canonical_assignments(["p"])[0]
     shared = {}
-    first, second = (propsem.PropAssignment(values=h.values, world=h.world) for _ in range(2))
-    first.memo, second.memo = {None: shared}, {None: shared}
+    first, second = (propsem.sweep_point(h, shared) for _ in range(2))
     with pytest.raises(ValueError, match="refused"):
         eval_prop(Not(p), first)
     assert eval_prop(Not(p), second) == negate(h.values["p"])

@@ -19,6 +19,7 @@ from pmsem.propsem import (
     eval_fo,
     eval_prop,
     sampled_assignments,
+    sweep_point,
 )
 from pmsem.syntax import (
     Exists,
@@ -31,6 +32,7 @@ from pmsem.syntax import (
     parse,
     print_formula,
 )
+from test_fosem import table_free
 
 P_TRUE = meaning({Pair(Complex("P", (), True), True)})
 P_FALSE = meaning({Pair(Complex("P", (), False), False)})
@@ -280,12 +282,6 @@ PROP_TREES = st.recursive(
 )
 
 
-def memo_point(h):
-    point = PropAssignment(values=h.values, world=h.world)
-    point.memo = {}
-    return point
-
-
 @given(
     st.lists(st.tuples(PROP_TREES, st.sampled_from(("minimal", "full"))), min_size=1, max_size=12),
     st.integers(0, 3),
@@ -299,7 +295,7 @@ def test_memo_point_matches_fresh_evaluation(calls, index, seed):
         h = canonical_assignments(["p", "q"])[index]
     else:
         h = sampled_assignments(["p", "q"], default_world(["p", "q"]), seed, 1, size_bound=2)[0]
-    point = memo_point(h)
+    point = sweep_point(h, {})
     for f, policy in calls:
         assert eval_prop(f, point, policy) == eval_prop(f, h, policy)
         assert eval_prop(copied(f), point, policy) == eval_prop(f, h, policy)
@@ -307,7 +303,7 @@ def test_memo_point_matches_fresh_evaluation(calls, index, seed):
 
 def test_memo_stays_with_its_point():
     h, other = canonical_assignments(["p"])
-    point = memo_point(h)
+    point = sweep_point(h, {})
     assert is_true(eval_prop(parse("p"), point))
     assert replace(point, values=other.values).memo is None
     assert not is_true(eval_prop(parse("p"), replace(point, values=other.values)))
@@ -326,13 +322,6 @@ FO_TREES = st.recursive(
     ),
     max_leaves=4,
 )
-
-
-def sweep_point(h, shared):
-    """h as a point of the sweep whose tables are shared (see oracle._sweep)."""
-    point = PropAssignment(values=h.values, world=h.world)
-    point.memo = {None: shared}
-    return point
 
 
 @given(
@@ -362,4 +351,4 @@ def test_sweep_tables_match_fresh_evaluation(prop_calls, fo_calls, seed, individ
             for h in points(["p"], world):
                 point = sweep_point(h, shared)
                 for f, policy in fo_calls:
-                    assert eval_fo(f, world, point, policy) == eval_fo(f, world, h, policy)
+                    assert eval_fo(f, world, point, policy) == table_free(f, world, h, policy)
