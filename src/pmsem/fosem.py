@@ -12,8 +12,7 @@ point, policy and world, which builds the valuation once).
 
 `enumerate_worlds` lists every small world over a vocabulary, and
 `logical_truth` checks a closed formula in each of them, calling
-`eval_fo` without a memo: each call makes its own memo and tables and
-drops them on return (see `propsem`).
+`eval_fo` without a memo: each call drops the tables it made (see `propsem`).
 The falsifying assignment, if any, carries the world it is grounded in.
 """
 from __future__ import annotations

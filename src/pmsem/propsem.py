@@ -169,7 +169,7 @@ def _evaluate(f: Formula, h, policy: str, world=None, any_variable=None) -> Mean
     memo = h.memo
     if memo is None:
         if world is None:  # eval_prop without a memo records nothing
-            return _ev(f, None, None, _Context(h.values, policy, None, {}))
+            return _ev(f, None, None, _Context(h.values, policy, None, None))
         memo = {}
     ctx = memo.get(policy)
     if not ctx or ctx.world is not world:
@@ -194,11 +194,11 @@ class _Context:
     """What `_ev` reads besides the formula, its environment and table:
     the world (None for `eval_prop`) and its valuation xi, tables, which
     maps each environment, as the tuple of its items, to its table, and,
-    from shared, the dict of a memo's entry None, three tables: interned
-    maps each Meaning to its one shared copy, negations the id of an
-    interned operand to its interned negation under this policy, and
-    unions the tuple of ids of interned instances to their interned
-    member-wise union."""
+    from shared (a memo's entry None), three tables: interned maps each
+    Meaning to its one shared copy, negations the id of an interned
+    operand to its interned negation under this policy, and unions the
+    tuple of ids of interned instances to their interned member-wise
+    union."""
 
     __slots__ = ("values", "policy", "world", "xi", "tables", "interned", "negations", "unions")
 
@@ -208,9 +208,10 @@ class _Context:
         self.world = world
         self.xi = None if world is None else default_binding(world)
         self.tables = {(): {}}
-        self.interned = shared.setdefault("interned", {})
-        self.negations = shared.setdefault(("negate", policy), {})
-        self.unions = shared.setdefault("memberwise_union", {})
+        if shared is not None:  # None: eval_prop without a memo reads no table
+            self.interned = shared.setdefault("interned", {})
+            self.negations = shared.setdefault(("negate", policy), {})
+            self.unions = shared.setdefault("memberwise_union", {})
 
 
 class _Unbound(Exception):

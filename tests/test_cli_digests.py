@@ -71,16 +71,17 @@ FO_VALID_CONFIGS = (
     ("(x).(S(x) . R(x)) .=>. (x).S(x)", "--max-individuals", "2"),
     ("(Ex).S(x) . (Ex).R(x) .=>. (Ex).(S(x) . R(x))", "--max-individuals", "2"),
 )
+TEXT_AND_JSON = ((), ("--json",))
 PROOFS = sorted(path.relative_to(ROOT).as_posix() for path in (ROOT / "proofs").rglob("*.proof"))
 INVOCATIONS = (
     [("compare", *c) for c in COMPARE_CONFIGS]
     + [("compare", *c, "--json") for c in COMPARE_CONFIGS]
     + [("taut", CHAIN_4, "--policy", "full"), ("taut", CHAIN_6)]
-    + [("eval", *c, *json) for json in ((), ("--json",)) for c in EVAL_CONFIGS]
-    + [("fo-eval", f, "--model", FO_WORLD, "--base-mode", base, *json)
-       for json in ((), ("--json",)) for base in ("all", "any:x") for f in FO_EVAL_FORMULAS]
-    + [("fo-valid", *c, *json) for json in ((), ("--json",)) for c in FO_VALID_CONFIGS]
-    + [("check-proof", path, *json) for json in ((), ("--json",)) for path in PROOFS]
+    + [("eval", *c, *fmt) for fmt in TEXT_AND_JSON for c in EVAL_CONFIGS]
+    + [("fo-eval", f, "--model", FO_WORLD, "--base-mode", base, *fmt)
+       for fmt in TEXT_AND_JSON for base in ("all", "any:x") for f in FO_EVAL_FORMULAS]
+    + [("fo-valid", *c, *fmt) for fmt in TEXT_AND_JSON for c in FO_VALID_CONFIGS]
+    + [("check-proof", path, *fmt) for fmt in TEXT_AND_JSON for path in PROOFS]
 )
 
 
