@@ -39,7 +39,7 @@ core has returned it, so a refusal (ValueError) leaves no entry.
 their caller owns and drops; a lone `eval_fo` makes a memo and a dict
 of its own and drops both on return.  Only `eval_prop` on an assignment
 without a memo records nothing (a table per call raised
-`negation_stress` p50 by about 10 %).
+`negation_stress` p50 by 12-16 %).
 
 Assignments.  `canonical_assignments` enumerates the 2^n classical
 corners: each variable is carried by its own propositional constant (p
