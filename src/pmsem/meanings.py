@@ -19,9 +19,11 @@ subsets of the union.  `swap_family` pushes the tag swap through a family
 pointwise.
 
 This module keeps no state: the memo of an evaluation point lives on
-its assignment, and the tables that cache `negate` and
+its assignment, and the tables that cache `disjoin`, `negate` and
 `memberwise_union` across the points of a sweep live in that memo and
-die with the sweep (see `propsem`).
+die with the sweep (see `propsem`).  `is_true` caches its answer on the
+Meaning itself, a value that holds nothing else alive, so each interned
+Meaning of a sweep is scanned once.
 """
 from __future__ import annotations
 
@@ -61,8 +63,17 @@ def sorted_members(m: Meaning) -> list[frozenset[Pair]]:
 
 
 def is_true(m: Meaning) -> bool:
-    """True exactly when some member consists of diagonal pairs only."""
-    return any(all(p.diagonal for p in member) for member in m.members)
+    """True exactly when some member consists of diagonal pairs only.
+
+    The answer is cached on m, which is immutable, as a formula caches
+    its hash; the generated equality, hash and repr read only members.
+    """
+    try:
+        return m._truth
+    except AttributeError:
+        truth = any(all(p.diagonal for p in member) for member in m.members)
+        object.__setattr__(m, "_truth", truth)
+        return truth
 
 
 def render_meaning(m: Meaning) -> str:

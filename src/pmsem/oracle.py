@@ -4,7 +4,10 @@
 and quantification over a finite model, which a propositional formula
 does not need; `truth_table_eval` is its propositional case.  It shares
 the AST with the meaning evaluators and nothing else, so it can referee
-them.
+them.  Its one recursion, `_satisfies`, records nothing when called
+through `tarski_eval`; the sweep gives it a table per point, a plain
+dict of booleans that records each (subformula, environment) truth once
+the point has decided it and is dropped with the point.
 
 `enumerate_formulas` lists formulas exhaustively in a stable order:
 by node count, atoms first, then negations, disjunctions and quantified
@@ -34,8 +37,8 @@ assignment, whose memo is dropped when the point is done; as
 `enumerate_formulas` lists every formula after its subformulas, each
 formula costs about one connective step.  The memos of one `_sweep`
 call reach one dict of tables, which intern the Meanings of all its
-points and cache `negate` and `memberwise_union` on them, dropped when
-the call returns (see `propsem`).  Only disagreeing points are kept,
+points and cache `disjoin`, `negate` and `memberwise_union` on them,
+dropped when the call returns (see `propsem`).  Only disagreeing points are kept,
 and each section records them in (formula, world, assignment) order,
 as a formula-by-formula sweep would.
 """
@@ -111,37 +114,55 @@ def tarski_eval(
 ) -> bool:
     """Classical satisfaction over a finite model; a propositional
     formula needs no model."""
+    return _satisfies(f, model, env or {}, valuation, None)
+
+
+def _satisfies(f: Formula, model, env, valuation, table) -> bool:
+    """The satisfaction clauses.  table, one point's (None: record
+    nothing), maps each (subformula, environment) decided at the point
+    to its truth, under the formula itself at the empty environment and
+    under (formula, the environment's items) otherwise.  A truth is
+    recorded once it is decided, so a ValueError leaves no entry."""
+    if table is not None:
+        key = (f, tuple(env.items())) if env else f
+        truth = table.get(key)
+        if truth is not None:  # a recorded False is a hit too
+            return truth
     if isinstance(f, PropVar):
         try:
-            return valuation[f.name]
+            truth = valuation[f.name]
         except (KeyError, TypeError):  # TypeError: no valuation at all
             raise ValueError(f"no truth value for propositional variable {f.name}") from None
-    if isinstance(f, Not):
-        return not tarski_eval(f.operand, model, env, valuation)
-    if isinstance(f, Or):
-        return tarski_eval(f.left, model, env, valuation) or tarski_eval(
-            f.right, model, env, valuation
-        )
-    if isinstance(f, PredApp):
-        if env is None or f.argument not in env:
+    elif isinstance(f, Not):
+        truth = not _satisfies(f.operand, model, env, valuation, table)
+    elif isinstance(f, Or):
+        truth = (_satisfies(f.left, model, env, valuation, table)
+                 or _satisfies(f.right, model, env, valuation, table))
+    elif isinstance(f, PredApp):
+        if f.argument not in env:
             raise ValueError(f"unbound individual variable {f.argument}")
-        return (f.predicate, (env[f.argument],)) in model.facts
-    if model is None:
+        truth = (f.predicate, (env[f.argument],)) in model.facts
+    elif model is None:
         raise ValueError("quantified formulas need a model")
     # Loops, not generators: a closure would give every call, the
     # propositional ones included, cell variables to set up.
-    env = env or {}
-    if isinstance(f, ForAll):
+    elif isinstance(f, ForAll):
+        truth = True
         for d in model.domain:
-            if not tarski_eval(f.body, model, {**env, f.variable: d}, valuation):
-                return False
-        return True
-    if isinstance(f, Exists):
+            if not _satisfies(f.body, model, {**env, f.variable: d}, valuation, table):
+                truth = False
+                break
+    elif isinstance(f, Exists):
+        truth = False
         for d in model.domain:
-            if tarski_eval(f.body, model, {**env, f.variable: d}, valuation):
-                return True
-        return False
-    raise TypeError(f"not a formula: {f!r}")
+            if _satisfies(f.body, model, {**env, f.variable: d}, valuation, table):
+                truth = True
+                break
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    if table is not None:
+        table[key] = truth
+    return truth
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +429,10 @@ def _sweep(formulas, groups, policies, points) -> list:
             for adx, h in enumerate(points(variables, w)):
                 point = sweep_point(h, shared)
                 truths = h.truths()
+                decided = {}  # the classical table of this point
                 for i in ids:
                     f = formulas[i]
-                    expected = tarski_eval(f, model, None, truths)
+                    expected = _satisfies(f, model, {}, truths, decided)
                     got = [is_true(evaluate(f, point, policy)) for policy in policies]
                     if got.count(expected) != len(got):
                         misses.append(((i, wdx, adx), expected, got, w, h))

@@ -26,15 +26,17 @@ connective step.  A memo, a plain dict on the assignment, maps each
 policy to a `_Context` of these tables and the world's valuation: one
 context per point, policy and world, for both base modes, and one
 valuation per context, never per call.  Its entry None is a dict of
-three tables: the intern table gives each distinct Meaning one shared
-object, so that while it lives an id names a Meaning; a table per
-policy maps the id of an interned operand to its interned negation;
+four tables: the intern table gives each distinct Meaning one shared
+object, so that while it lives an id names a Meaning; one maps the
+pair of ids of two interned operands to their interned union; a table
+per policy maps the id of an interned operand to its interned negation;
 and one maps the tuple of ids of interned instances to their interned
-member-wise union.  These are the unique table and the computed table
+member-wise union.  These are the unique table and the computed tables
 of BDD packages (Bryant 1986; Brace, Rudell and Bryant 1990), or
 hash-consing (Filliatre and Conchon 2006).  `_ev` looks there before it
-calls `negate` or `memberwise_union` and records a result only once the
-core has returned it, so a refusal (ValueError) leaves no entry.
+calls `disjoin`, `negate` or `memberwise_union` and records a result
+only once the core has returned it, so a refusal (ValueError) leaves no
+entry.
 `sweep_point` makes points whose memos share one dict of tables that
 their caller owns and drops; a lone `eval_fo` makes a memo and a dict
 of its own and drops both on return.  Only `eval_prop` on an assignment
@@ -194,13 +196,15 @@ class _Context:
     """What `_ev` reads besides the formula, its environment and table:
     the world (None for `eval_prop`) and its valuation xi, tables, which
     maps each environment, as the tuple of its items, to its table, and,
-    from shared (a memo's entry None), three tables: interned maps each
-    Meaning to its one shared copy, negations the id of an interned
-    operand to its interned negation under this policy, and unions the
-    tuple of ids of interned instances to their interned member-wise
-    union."""
+    from shared (a memo's entry None), four tables: interned maps each
+    Meaning to its one shared copy, disjunctions the pair of ids of two
+    interned operands to their interned union, negations the id of an
+    interned operand to its interned negation under this policy, and
+    unions the tuple of ids of interned instances to their interned
+    member-wise union."""
 
-    __slots__ = ("values", "policy", "world", "xi", "tables", "interned", "negations", "unions")
+    __slots__ = ("values", "policy", "world", "xi", "tables", "interned", "disjunctions",
+                 "negations", "unions")
 
     def __init__(self, values, policy, world, shared):
         self.values = values
@@ -210,6 +214,7 @@ class _Context:
         self.tables = {(): {}}
         if shared is not None:  # None: eval_prop without a memo reads no table
             self.interned = shared.setdefault("interned", {})
+            self.disjunctions = shared.setdefault("disjoin", {})
             self.negations = shared.setdefault(("negate", policy), {})
             self.unions = shared.setdefault("memberwise_union", {})
 
@@ -229,10 +234,15 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
     """
     if isinstance(g, Or):
         left, right = g.left, g.right
-        m = disjoin(
-            table and table.get(left) or _ev(left, env, table, ctx),
-            table and table.get(right) or _ev(right, env, table, ctx),
-        )
+        m = table and table.get(left) or _ev(left, env, table, ctx)
+        n = table and table.get(right) or _ev(right, env, table, ctx)
+        if table is None:
+            return disjoin(m, n)
+        # m and n are interned, and so is what the table gives back
+        disjunctions = ctx.disjunctions
+        key = (id(m), id(n))
+        table[g] = m = disjunctions.get(key) or _computed(disjunctions, key, disjoin(m, n), ctx)
+        return m
     elif isinstance(g, Not):
         operand = g.operand
         m = table and table.get(operand) or _ev(operand, env, table, ctx)

@@ -1,4 +1,5 @@
 """Meaning families and the operations the connectives are built from."""
+import dataclasses
 import itertools
 
 import pytest
@@ -284,6 +285,18 @@ def test_double_negation_preserves_truth(m):
 @given(_small_meanings, _small_meanings)
 def test_disjunction_truth_is_classical(m1, m2):
     assert is_true(disjoin(m1, m2)) == (is_true(m1) or is_true(m2))
+
+
+@given(_small_meanings)
+def test_cached_truth_is_invisible(m):
+    """A Meaning whose truth was read equals, hashes, prints and
+    converts like a fresh equal one, and keeps answering the same."""
+    truth = is_true(m)
+    fresh = Meaning(frozenset(m.members))
+    assert m == fresh and fresh == m and hash(m) == hash(fresh)
+    assert repr(m) == repr(fresh) and render_meaning(m) == render_meaning(fresh)
+    assert dataclasses.asdict(m) == dataclasses.asdict(fresh)
+    assert is_true(m) is truth is is_true(fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import pmsem.oracle as oracle
 import pmsem.propsem as propsem
-from pmsem.fosem import eval_fo
+from pmsem.fosem import enumerate_worlds, eval_fo
 from pmsem.meanings import negate
 from pmsem.ontology import World
 from pmsem.oracle import (
@@ -24,6 +24,7 @@ from pmsem.oracle import (
 )
 from pmsem.propsem import eval_prop
 from pmsem.syntax import Exists, ForAll, Not, Or, PropVar, parse, print_formula, prop_variables
+from test_propsem import FO_TREES, PROP_TREES
 
 p = PropVar("p")
 
@@ -108,6 +109,54 @@ def test_tarski_needs_a_model_for_quantifiers():
 def test_tarski_rejects_unbound_individual():
     with pytest.raises(ValueError):
         tarski_eval(parse("S(x)"), _model(("a",)))
+
+
+def classical_key(f, env):
+    """The key of (f, env) in a point's classical table, as
+    `oracle._satisfies` lays it out."""
+    return (f, tuple(env.items())) if env else f
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(PROP_TREES, FO_TREES),
+            st.dictionaries(st.sampled_from("xy"), st.integers(0, 2), max_size=2),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from(enumerate_worlds(["S"], [], 3)),
+    st.fixed_dictionaries({"p": st.booleans()}, optional={"q": st.booleans()}),
+)
+@settings(max_examples=60, deadline=None)
+def test_classical_table_matches_tarski_eval(calls, world, valuation):
+    """One point's classical table serves formulas in any order, open
+    ones at non-empty environments included, with the truths
+    `tarski_eval` gives without a table.  Each formula is asked, then its
+    negation, which finds it recorded, then both again with neither a
+    model nor a valuation, which only the table can answer; p and ~p
+    come first, so a recorded True and a recorded False are both served.
+    An unbound variable or a missing valuation raises the error
+    `tarski_eval` raises and records nothing for the formula."""
+    model = model_from_world(world)
+    table = {}
+    for f, picks in [(p, {})] + calls:
+        env = {v: world.individuals[i % len(world.individuals)] for v, i in picks.items()}
+        for g in (f, Not(f)):
+            try:
+                expected = tarski_eval(g, model, env, valuation)
+            except ValueError as error:
+                with pytest.raises(ValueError) as raised:
+                    oracle._satisfies(g, model, env, valuation, table)
+                assert str(raised.value) == str(error)
+                assert classical_key(g, env) not in table
+                continue
+            assert oracle._satisfies(g, model, env, valuation, table) is expected
+            assert oracle._satisfies(g, None, env, None, table) is expected
+    for key, truth in table.items():
+        g, items = key if isinstance(key, tuple) else (key, ())
+        assert tarski_eval(g, model, dict(items), valuation) is truth
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +419,16 @@ def test_corrupted_fo_evaluator_is_caught():
     )
     report = check_equivalence(config, fo_eval=full_negates_quantified_where_all_facts_hold)
     assert_pinned("fo_two", report)
+
+
+def test_corrupted_disjunction_is_caught(monkeypatch):
+    """A `disjoin` that keeps only its left operand, met through the
+    sweep's disjoin table, is caught at a disjunction."""
+    monkeypatch.setattr(propsem, "disjoin", lambda left, right: left)
+    report = check_equivalence(SweepConfig(prop_vars=("p", "q"), max_depth=2))
+    assert not report.ok
+    assert report.disagreements[0].section == "prop"
+    assert isinstance(parse(report.disagreements[0].formula), Or)
 
 
 def test_sampled_fo_misses_replay_across_worlds_and_assignments():

@@ -332,9 +332,9 @@ FO_TREES = st.recursive(
 )
 @settings(max_examples=30, deadline=None)
 def test_sweep_tables_match_fresh_evaluation(prop_calls, fo_calls, seed, individuals):
-    """Points that share one sweep's intern, negate and member-wise union
-    tables give, at every point and under interleaved policies, the
-    Meanings a fresh evaluation gives.  Two sweeps run in turn, so the
+    """Points that share one sweep's intern, disjoin, negate and
+    member-wise union tables give, at every point and under interleaved
+    policies, the Meanings a fresh evaluation gives.  Two sweeps run in turn, so the
     second meets objects at the addresses the first one freed."""
     mode = "canonical" if seed is None else "sampled"
 
