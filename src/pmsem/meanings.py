@@ -40,6 +40,8 @@ _TRANSVERSAL_LIMIT = 2**18
 class Meaning:
     members: frozenset[frozenset[Pair]]
 
+    _truth = None  # set by is_true; not a field, so equality, hash and repr ignore it
+
     def __post_init__(self):
         if not self.members:
             raise ValueError("a Meaning needs at least one member")
@@ -66,14 +68,13 @@ def is_true(m: Meaning) -> bool:
     """True exactly when some member consists of diagonal pairs only.
 
     The answer is cached on m, which is immutable, as a formula caches
-    its hash; the generated equality, hash and repr read only members.
+    its hash.
     """
-    try:
-        return m._truth
-    except AttributeError:
+    truth = m._truth
+    if truth is None:
         truth = any(all(p.diagonal for p in member) for member in m.members)
         object.__setattr__(m, "_truth", truth)
-        return truth
+    return truth
 
 
 def render_meaning(m: Meaning) -> str:
