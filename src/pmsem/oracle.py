@@ -120,11 +120,14 @@ def tarski_eval(
 def _satisfies(f: Formula, model, env, valuation, table) -> bool:
     """The satisfaction clauses.  table, one point's (None: record
     nothing), maps each (subformula, environment) decided at the point
-    to its truth, under the formula itself at the empty environment and
-    under (formula, the environment's items) otherwise.  A truth is
+    to its truth, under the id of the formula at the empty environment
+    and under (that id, the environment's items) otherwise.  The caller
+    keeps every formula it asks about alive while the table lives, as a
+    sweep's formula list does; an id spares the formula hash, a Python
+    call, which cost more than the recursion it saves.  A truth is
     recorded once it is decided, so a ValueError leaves no entry."""
     if table is not None:
-        key = (f, tuple(env.items())) if env else f
+        key = (id(f), tuple(env.items())) if env else id(f)
         truth = table.get(key)
         if truth is not None:  # a recorded False is a hit too
             return truth

@@ -23,7 +23,17 @@ from pmsem.oracle import (
     truth_table_eval,
 )
 from pmsem.propsem import eval_prop
-from pmsem.syntax import Exists, ForAll, Not, Or, PropVar, parse, print_formula, prop_variables
+from pmsem.syntax import (
+    Exists,
+    ForAll,
+    Not,
+    Or,
+    PropVar,
+    parse,
+    print_formula,
+    prop_variables,
+    subformulas,
+)
 from test_propsem import FO_TREES, PROP_TREES
 
 p = PropVar("p")
@@ -114,7 +124,7 @@ def test_tarski_rejects_unbound_individual():
 def classical_key(f, env):
     """The key of (f, env) in a point's classical table, as
     `oracle._satisfies` lays it out."""
-    return (f, tuple(env.items())) if env else f
+    return (id(f), tuple(env.items())) if env else id(f)
 
 
 @given(
@@ -141,9 +151,11 @@ def test_classical_table_matches_tarski_eval(calls, world, valuation):
     `tarski_eval` raises and records nothing for the formula."""
     model = model_from_world(world)
     table = {}
+    asked = []  # the table is keyed by ids, so what it records stays alive
     for f, picks in [(p, {})] + calls:
         env = {v: world.individuals[i % len(world.individuals)] for v, i in picks.items()}
         for g in (f, Not(f)):
+            asked.append(g)
             try:
                 expected = tarski_eval(g, model, env, valuation)
             except ValueError as error:
@@ -154,9 +166,10 @@ def test_classical_table_matches_tarski_eval(calls, world, valuation):
                 continue
             assert oracle._satisfies(g, model, env, valuation, table) is expected
             assert oracle._satisfies(g, None, env, None, table) is expected
+    by_id = {id(g): g for f in asked for g in subformulas(f)}
     for key, truth in table.items():
-        g, items = key if isinstance(key, tuple) else (key, ())
-        assert tarski_eval(g, model, dict(items), valuation) is truth
+        i, items = key if isinstance(key, tuple) else (key, ())
+        assert tarski_eval(by_id[i], model, dict(items), valuation) is truth
 
 
 # ---------------------------------------------------------------------------
