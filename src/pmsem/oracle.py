@@ -38,9 +38,9 @@ assignment, whose memo is dropped when the point is done; as
 formula costs about one connective step.  The memos of one `_sweep`
 call reach one dict of tables, which intern the Meanings of all its
 points and cache `disjoin`, `negate` and `memberwise_union` on them,
-dropped when the call returns (see `propsem`).  Only disagreeing points are kept,
-and each section records them in (formula, world, assignment) order,
-as a formula-by-formula sweep would.
+dropped when the call returns (see `propsem`).  Only disagreeing
+points are kept, and each section records them in (formula, world,
+assignment) order, as a formula-by-formula sweep would.
 """
 from __future__ import annotations
 
