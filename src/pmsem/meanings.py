@@ -18,10 +18,8 @@ counts the tests and candidates it would make, and `full` counts the
 subsets of the union.  `swap_family` pushes the tag swap through a family
 pointwise.
 
-This module keeps no state: the memo of an evaluation point lives on
-its assignment, and the tables that cache `disjoin`, `negate` and
-`memberwise_union` across the points of a sweep live in that memo and
-die with the sweep (see `propsem`).  `is_true` caches its answer on the
+This module keeps no state: the tables that cache its cores belong to
+an evaluation (see `propsem`).  `is_true` caches its answer on the
 Meaning itself, a value that holds nothing else alive, so each interned
 Meaning of a sweep is scanned once.
 """
@@ -179,8 +177,13 @@ def swap_family(family) -> frozenset[frozenset[Pair]]:
 # ---------------------------------------------------------------------------
 # connective cores shared by the propositional and quantified evaluators
 
-def disjoin(left: Meaning, right: Meaning) -> Meaning:
-    return Meaning(left.members | right.members)
+def disjoin(first: Meaning, *rest: Meaning) -> Meaning:
+    """Meaning of the disjunction of one or more Meanings: the union of
+    their families."""
+    members = first.members
+    for m in rest:
+        members = members | m.members
+    return Meaning(members)
 
 
 def negate(m: Meaning, policy: str = "minimal") -> Meaning:

@@ -152,6 +152,12 @@ def _parse_mapping(text: str, where: str) -> dict[str, Formula]:
     return entries
 
 
+def _first_word(text: str) -> tuple[str, str]:
+    """text's first word and the rest, split at any run of whitespace."""
+    parts = text.split(None, 1) + ["", ""]
+    return parts[0], parts[1]
+
+
 def parse_script(text: str, source: str = "<script>") -> tuple[ProofLine, ...]:
     lines: list[ProofLine] = []
     seen: set[str] = set()
@@ -163,9 +169,8 @@ def parse_script(text: str, source: str = "<script>") -> tuple[ProofLine, ...]:
         head, sep, just_text = stripped.partition(";")
         if not sep:
             raise ProofError(f"{where}: missing '; JUSTIFICATION'")
-        head = head.strip()
-        label, _, formula_text = head.partition(" ")
-        if not label or not formula_text.strip():
+        label, formula_text = _first_word(head)
+        if not formula_text:
             raise ProofError(f"{where}: expected 'LABEL formula'")
         if label in seen:
             raise ProofError(f"{where}: duplicate label {label}")
@@ -173,26 +178,25 @@ def parse_script(text: str, source: str = "<script>") -> tuple[ProofLine, ...]:
             formula = parse(formula_text)
         except FormulaSyntaxError as exc:
             raise ProofError(f"{where}: {exc}") from None
-        just_parts = just_text.strip().split(None, 1)
-        if not just_parts:
+        rule, rest = _first_word(just_text)
+        if not rule:
             raise ProofError(f"{where}: empty justification")
-        rule = just_parts[0].upper()
-        rest = just_parts[1] if len(just_parts) > 1 else ""
+        rule = rule.upper()
         mapping: dict[str, Formula] = {}
         if rule == "AX":
-            name, _, mapping_text = rest.strip().partition(" ")
+            name, mapping_text = _first_word(rest)
             if not name:
                 raise ProofError(f"{where}: AX needs an axiom name")
             args: tuple[str, ...] = (name,)
-            if mapping_text.strip():
+            if mapping_text:
                 mapping = _parse_mapping(mapping_text, where)
         elif rule == "MP":
             args = tuple(rest.split())
             if len(args) != 2:
                 raise ProofError(f"{where}: MP takes two labels")
         elif rule == "SUB":
-            source_label, _, mapping_text = rest.strip().partition(" ")
-            if not source_label or not mapping_text.strip():
+            source_label, mapping_text = _first_word(rest)
+            if not mapping_text:
                 raise ProofError(f"{where}: SUB takes a label and a substitution")
             args = (source_label,)
             mapping = _parse_mapping(mapping_text, where)

@@ -14,7 +14,7 @@ One recursion, `_ev`, gives every formula its Meaning:
     variable it lacks but xi names is read as its universal closure;
   * (x)q merges the instance meanings of q at every individual of the
     domain member by member, so its truth is the conjunction of theirs;
-    (Ex)q pools all members of all instances, their disjunction.
+    (Ex)q disjoins them.
 
 `eval_prop` runs it without a world, where predicates and quantifiers
 are errors, and `eval_fo` in one, both through `_evaluate`.
@@ -26,17 +26,17 @@ connective step.  A memo, a plain dict on the assignment, maps each
 policy to a `_Context` of these tables and the world's valuation: one
 context per point, policy and world, for both base modes, and one
 valuation per context, never per call.  Its entry None is a dict of
-four tables: the intern table gives each distinct Meaning one shared
-object, so that while it lives an id names a Meaning; one maps the
-pair of ids of two interned operands to their interned union; a table
-per policy maps the id of an interned operand to its interned negation;
-and one maps the tuple of ids of interned instances to their interned
-member-wise union.  These are the unique table and the computed tables
-of BDD packages (Bryant 1986; Brace, Rudell and Bryant 1990), or
-hash-consing (Filliatre and Conchon 2006).  `_ev` looks there before it
-calls `disjoin`, `negate` or `memberwise_union` and records a result
-only once the core has returned it, so a refusal (ValueError) leaves no
-entry.
+two tables, the unique table and the computed table of BDD packages
+(Bryant 1986; Brace, Rudell and Bryant 1990), or hash-consing
+(Filliatre and Conchon 2006).  "interned" gives each distinct Meaning
+one shared object, so that while it lives an id names a Meaning.
+"computed" maps a core and the ids of its interned operands to their
+interned result: (disjoin, id(m), id(n)) for m v n, (negate, policy,
+id(m)) for ~m, and (disjoin, *ids) and (memberwise_union, *ids) for the
+instances of (Ex)q and (x)q, so m v n and an (Ex)q whose instances are
+m and n share an entry.  `_ev` looks there before it calls a core and
+records a result only once the core has returned it, so a refusal
+(ValueError) leaves no entry.
 `sweep_point` makes points whose memos share one dict of tables that
 their caller owns and drops; a lone `eval_fo` makes a memo and a dict
 of its own and drops both on return.  Only `eval_prop` on an assignment
@@ -196,15 +196,10 @@ class _Context:
     """What `_ev` reads besides the formula, its environment and table:
     the world (None for `eval_prop`) and its valuation xi, tables, which
     maps each environment, as the tuple of its items, to its table, and,
-    from shared (a memo's entry None), four tables: interned maps each
-    Meaning to its one shared copy, disjunctions the pair of ids of two
-    interned operands to their interned union, negations the id of an
-    interned operand to its interned negation under this policy, and
-    unions the tuple of ids of interned instances to their interned
-    member-wise union."""
+    from shared (a memo's entry None), the intern and computed tables
+    of the module docstring."""
 
-    __slots__ = ("values", "policy", "world", "xi", "tables", "interned", "disjunctions",
-                 "negations", "unions")
+    __slots__ = ("values", "policy", "world", "xi", "tables", "interned", "computed")
 
     def __init__(self, values, policy, world, shared):
         self.values = values
@@ -214,9 +209,7 @@ class _Context:
         self.tables = {(): {}}
         if shared is not None:  # None: eval_prop without a memo reads no table
             self.interned = shared.setdefault("interned", {})
-            self.disjunctions = shared.setdefault("disjoin", {})
-            self.negations = shared.setdefault(("negate", policy), {})
-            self.unions = shared.setdefault("memberwise_union", {})
+            self.computed = shared.setdefault("computed", {})
 
 
 class _Unbound(Exception):
@@ -239,9 +232,8 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
         if table is None:
             return disjoin(m, n)
         # m and n are interned, and so is what the table gives back
-        disjunctions = ctx.disjunctions
-        key = (id(m), id(n))
-        table[g] = m = disjunctions.get(key) or _computed(disjunctions, key, disjoin(m, n), ctx)
+        key = (disjoin, id(m), id(n))
+        table[g] = m = ctx.computed.get(key) or _computed(key, disjoin(m, n), ctx)
         return m
     elif isinstance(g, Not):
         operand = g.operand
@@ -249,9 +241,8 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
         if table is None:
             return negate(m, ctx.policy)
         # m is interned, and so is what the table gives back
-        negations = ctx.negations
-        table[g] = m = negations.get(id(m)) or _computed(
-            negations, id(m), negate(m, ctx.policy), ctx)
+        key = (negate, ctx.policy, id(m))
+        table[g] = m = ctx.computed.get(key) or _computed(key, negate(m, ctx.policy), ctx)
         return m
     elif isinstance(g, PropVar):
         try:
@@ -275,14 +266,15 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
             inner = {**env, g.variable: d}
             inner_table = ctx.tables.setdefault(tuple(inner.items()), {})
             instances.append(inner_table.get(g.body) or _ev(g.body, inner, inner_table, ctx))
+        # the instances are interned, and so is what the table gives back
         if isinstance(g, Exists):
-            m = Meaning(frozenset().union(*(i.members for i in instances)))
-        else:  # the instances are interned, and so is what the table gives back
-            unions = ctx.unions
-            key = tuple(map(id, instances))
-            table[g] = m = unions.get(key) or _computed(
-                unions, key, memberwise_union(instances), ctx)
-            return m
+            key = (disjoin, *map(id, instances))
+            m = ctx.computed.get(key) or _computed(key, disjoin(*instances), ctx)
+        else:
+            key = (memberwise_union, *map(id, instances))
+            m = ctx.computed.get(key) or _computed(key, memberwise_union(instances), ctx)
+        table[g] = m
+        return m
     else:
         raise TypeError(f"not a formula: {g!r}")
     if table is not None:
@@ -290,10 +282,10 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
     return m
 
 
-def _computed(cache, key, m: Meaning, ctx: _Context) -> Meaning:
+def _computed(key, m: Meaning, ctx: _Context) -> Meaning:
     """Intern m, a core's result on the interned operands of key, and
-    record it in cache."""
-    cache[key] = m = ctx.interned.setdefault(m, m)
+    record it in the computed table."""
+    ctx.computed[key] = m = ctx.interned.setdefault(m, m)
     return m
 
 

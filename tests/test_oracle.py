@@ -436,12 +436,61 @@ def test_corrupted_fo_evaluator_is_caught():
 
 def test_corrupted_disjunction_is_caught(monkeypatch):
     """A `disjoin` that keeps only its left operand, met through the
-    sweep's disjoin table, is caught at a disjunction."""
+    sweep's computed table, is caught at a disjunction."""
     monkeypatch.setattr(propsem, "disjoin", lambda left, right: left)
     report = check_equivalence(SweepConfig(prop_vars=("p", "q"), max_depth=2))
     assert not report.ok
     assert report.disagreements[0].section == "prop"
     assert isinstance(parse(report.disagreements[0].formula), Or)
+
+
+def test_corrupted_exists_is_caught(monkeypatch):
+    """(Ex)q disjoins its instances through the computed table: a
+    `disjoin` that keeps only its first operand is caught in a sweep of
+    36 formulas with no disjunction."""
+    monkeypatch.setattr(propsem, "disjoin", lambda first, *rest: first)
+    config = SweepConfig(include_prop=False, include_fo=True, fo_max_size=3,
+                         fo_max_individuals=2)
+    formulas = enumerate_formulas((), ("S",), max_depth=4, max_quantifiers=2, max_size=3,
+                                  closed_only=True)
+    assert len(formulas) == 36
+    assert not any(isinstance(g, Or) for f in formulas for g in subformulas(f))
+    report = check_equivalence(config)
+    assert not report.ok
+    assert all(any(isinstance(g, Exists) for g in subformulas(parse(d.formula)))
+               for d in report.disagreements)
+
+
+def test_no_core_runs_twice_on_the_same_operands(monkeypatch):
+    """Within one sweep each core runs once per distinct operands: once
+    per operand and policy for `negate`, once per operands for `disjoin`,
+    whether a disjunction or an (Ex)q asks, and once per instances for
+    `memberwise_union`."""
+    records = []
+
+    def recording(core, record):
+        def wrapper(*args):
+            records.append(record(*args))
+            return core(*args)
+        return wrapper
+
+    monkeypatch.setattr(propsem, "disjoin", recording(
+        propsem.disjoin, lambda *operands: ("disjoin", *map(id, operands))))
+    monkeypatch.setattr(propsem, "negate", recording(
+        propsem.negate, lambda m, policy: ("negate", policy, id(m))))
+    monkeypatch.setattr(propsem, "memberwise_union", recording(
+        propsem.memberwise_union, lambda instances: ("memberwise_union", *map(id, instances))))
+    # One section per sweep: a second sweep may meet objects at the
+    # addresses the first one freed.
+    for config in (
+        SweepConfig(prop_vars=("p", "q", "r")),
+        SweepConfig(include_prop=False, include_fo=True),
+        SweepConfig(include_prop=False, include_fo=True, fo_prop_vars=("p",),
+                    fo_max_individuals=2),
+    ):
+        records.clear()
+        assert check_equivalence(config).ok
+        assert records and len(set(records)) == len(records)
 
 
 def test_sampled_fo_misses_replay_across_worlds_and_assignments():

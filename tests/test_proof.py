@@ -242,6 +242,15 @@ def test_invalid_corpus_rejected_at_marked_line(path):
     assert all(lv.status == "unchecked" for lv in later)
 
 
+@pytest.mark.parametrize("path", VALID + INVALID, ids=lambda p_: p_.stem)
+def test_tabs_separate_words_as_spaces_do(path):
+    """Every space of a corpus script may be a tab: between label and
+    formula, rule and arguments, axiom name or SUB label and mapping."""
+    text = path.read_text()
+    tabbed = check_proof(parse_script(text.replace(" ", "\t")))
+    assert tabbed.to_dict() == check_proof(parse_script(text)).to_dict()
+
+
 def test_derivation_of_self_implication():
     report = check_proof(load_script(str(PROOFS / "valid" / "imp_self.proof")))
     assert report.valid

@@ -332,10 +332,10 @@ FO_TREES = st.recursive(
 )
 @settings(max_examples=30, deadline=None)
 def test_sweep_tables_match_fresh_evaluation(prop_calls, fo_calls, seed, individuals):
-    """Points that share one sweep's intern, disjoin, negate and
-    member-wise union tables give, at every point and under interleaved
-    policies, the Meanings a fresh evaluation gives.  Two sweeps run in turn, so the
-    second meets objects at the addresses the first one freed."""
+    """Points that share one sweep's intern and computed tables give, at
+    every point and under interleaved policies, the Meanings a fresh
+    evaluation gives.  Two sweeps run in turn, so the second meets
+    objects at the addresses the first one freed."""
     mode = "canonical" if seed is None else "sampled"
 
     def points(variables, world):
@@ -352,3 +352,18 @@ def test_sweep_tables_match_fresh_evaluation(prop_calls, fo_calls, seed, individ
                 point = sweep_point(h, shared)
                 for f, policy in fo_calls:
                     assert eval_fo(f, world, point, policy) == table_free(f, world, h, policy)
+
+
+def test_computed_negations_are_kept_per_policy():
+    """~(p v q) with p = {{a, b}} and q = {{c}} has different `minimal`
+    and `full` Meanings; one point gives each as a table-free evaluation
+    does, in either order, so no negation is served across policies."""
+    a, b, c = (Pair(Complex(name, (), True), True) for name in "ABC")
+    h = PropAssignment({"p": meaning({a, b}), "q": meaning({c})}, default_world(["p", "q"]))
+    f = parse("~(p v q)")
+    fresh = {policy: eval_prop(f, h, policy) for policy in POLICIES}
+    assert fresh["minimal"] != fresh["full"]
+    for order in (POLICIES, POLICIES[::-1]):
+        point = sweep_point(h, {})
+        for policy in order:
+            assert eval_prop(f, point, policy) == fresh[policy]
