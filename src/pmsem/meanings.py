@@ -63,11 +63,8 @@ def sorted_members(m: Meaning) -> list[frozenset[Pair]]:
 
 
 def is_true(m: Meaning) -> bool:
-    """True exactly when some member consists of diagonal pairs only.
-
-    The answer is cached on m, which is immutable, as a formula caches
-    its hash.
-    """
+    """True exactly when some member consists of diagonal pairs only;
+    the answer is cached on m, which is immutable."""
     truth = m._truth
     if truth is None:
         truth = any(all(p.diagonal for p in member) for member in m.members)

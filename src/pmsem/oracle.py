@@ -4,10 +4,10 @@
 and quantification over a finite model, which a propositional formula
 does not need; `truth_table_eval` is its propositional case.  It shares
 the AST with the meaning evaluators and nothing else, so it can referee
-them.  Its one recursion, `_satisfies`, records nothing when called
-through `tarski_eval`; the sweep gives it a table per point, a plain
-dict of booleans that records each (subformula, environment) truth once
-the point has decided it and is dropped with the point.
+them.  Its one recursion, `_satisfies`, records each (subformula,
+environment) truth it decides in a table, a plain dict of booleans:
+one per `tarski_eval` call, and one per point in a sweep, dropped with
+the point.
 
 `enumerate_formulas` lists formulas exhaustively in a stable order:
 by node count, atoms first, then negations, disjunctions and quantified
@@ -113,23 +113,17 @@ def tarski_eval(
 ) -> bool:
     """Classical satisfaction over a finite model; a propositional
     formula needs no model."""
-    return _satisfies(f, model, env or {}, valuation, None)
+    return _satisfies(f, model, env or {}, valuation, {})
 
 
 def _satisfies(f: Formula, model, env, valuation, table) -> bool:
-    """The satisfaction clauses.  table, one point's (None: record
-    nothing), maps each (subformula, environment) decided at the point
-    to its truth, under the id of the formula at the empty environment
-    and under (that id, the environment's items) otherwise.  The caller
-    keeps every formula it asks about alive while the table lives, as a
-    sweep's formula list does; an id spares the formula hash, a Python
-    call, which cost more than the recursion it saves.  A truth is
-    recorded once it is decided, so a ValueError leaves no entry."""
-    if table is not None:
-        key = (id(f), tuple(env.items())) if env else id(f)
-        truth = table.get(key)
-        if truth is not None:  # a recorded False is a hit too
-            return truth
+    """The satisfaction clauses.  table maps each (subformula,
+    environment) decided to its truth, under the formula alone at the
+    empty environment; a ValueError leaves no entry."""
+    key = (f, tuple(env.items())) if env else f
+    truth = table.get(key)
+    if truth is not None:  # a recorded False is a hit too
+        return truth
     if isinstance(f, PropVar):
         try:
             truth = valuation[f.name]
@@ -162,8 +156,7 @@ def _satisfies(f: Formula, model, env, valuation, table) -> bool:
                 break
     else:
         raise TypeError(f"not a formula: {f!r}")
-    if table is not None:
-        table[key] = truth
+    table[key] = truth
     return truth
 
 
@@ -401,10 +394,8 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
 
 
 def _cost(f: Formula, n: int, memo: dict) -> int:
-    """S_n(f).  memo maps the id of each subformula seen, which formulas
-    share, to its cost: every formula counted stays alive meanwhile, and
-    an id spares the formula hash, a Python call."""
-    cost = memo.get(id(f))
+    """S_n(f), memoized per subformula, which formulas share, in memo."""
+    cost = memo.get(f)
     if cost is None:
         if isinstance(f, Not):
             cost = 1 + _cost(f.operand, n, memo)
@@ -414,7 +405,7 @@ def _cost(f: Formula, n: int, memo: dict) -> int:
             cost = 1 + n * _cost(f.body, n, memo)
         else:
             cost = 1
-        memo[id(f)] = cost
+        memo[f] = cost
     return cost
 
 

@@ -21,8 +21,9 @@ are errors, and `eval_fo` in one, both through `_evaluate`.
 
 Memos.  Each subformula's Meaning is recorded once per environment, in
 a table keyed by the whole environment, which is all `_ev` reads that
-varies; so a formula whose subformulas are recorded costs about one
-connective step.  A memo, a plain dict on the assignment, maps each
+varies, and found there by identity (formulas are hash-consed); so a
+formula whose subformulas are recorded costs about one connective step.
+A memo, a plain dict on the assignment, maps each
 policy to a `_Context` of these tables and the world's valuation: one
 context per point, policy and world, for both base modes, and one
 valuation per context, never per call.  Its entry None is a dict of

@@ -53,24 +53,29 @@ connective in "(Ex). S(x) .=>. p" closes the scope, giving
 The printer emits a canonical reading of every formula: binary
 connectives fully parenthesized, quantifiers with a single dot, and
 quantified operands wrapped in parentheses wherever the maximal-scope
-rule could swallow a neighbour.  parse(print_formula(f)) == f for every
+rule could swallow a neighbour.  parse(print_formula(f)) is f for every
 formula f.
 
 Parsed formulas are desugared: only PropVar, PredApp, Or, Not, ForAll
 and Exists nodes exist.  =>, <=> and conjunction build their expansions
 at parse time.
 
+Nodes are hash-consed (Filliatre and Conchon 2006): equal formulas are
+one object, so == and hash are the object's own.  Each node class holds
+its live nodes weakly, keyed by the one field or the tuple of fields.
+
 Parsed trees are bounded: at most MAX_DEPTH levels and MAX_NODES nodes
 once desugared, or parse raises FormulaSyntaxError.  The recursive
 walks (printer, evaluators, oracles) take one or two stack frames per
 level, so the depth bound keeps them far below the interpreter's
-recursion limit; the node bound caps the doubling that <=> desugaring
-causes by copying both sides.  Each parenthesis group counts as a level
-while parsing.
+recursion limit; the node bound caps the tree they traverse, which <=>
+desugaring doubles by sharing both sides.  Each parenthesis group
+counts as a level while parsing.
 """
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -87,24 +92,29 @@ class FormulaSyntaxError(ValueError):
 
 
 class Formula:
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
 
-    def __hash__(self):
-        # Cached on the node: the memoized sweeps hash every subformula
-        # they look up, and the generated dataclass hash would rehash the
-        # whole subtree each time.  Same value as the generated hash.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(tuple(getattr(self, name) for name in self.__dataclass_fields__))
-            object.__setattr__(self, "_hash", h)
-            return h
+    def __new__(cls, *fields):
+        if len(fields) != len(cls.__match_args__):
+            raise TypeError(f"{cls.__name__} takes {', '.join(cls.__match_args__)}")
+        key = fields[0] if len(fields) == 1 else fields
+        node = cls._live.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(node, name, value)
+            cls._live[key] = node
+        return node
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild a node through __new__
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 def _node(cls):
-    """A frozen, slotted dataclass formula node with the cached hash."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls.__hash__ = Formula.__hash__
+    """A frozen, slotted dataclass formula node with its table of live nodes."""
+    cls = dataclass(frozen=True, slots=True, init=False, eq=False)(cls)
+    cls._live = weakref.WeakValueDictionary()
     return cls
 
 
@@ -442,7 +452,7 @@ def _check_bounds(f: Formula) -> None:
 # printer
 
 def print_formula(f: Formula) -> str:
-    """Canonical ASCII rendering; parse(print_formula(f)) == f."""
+    """Canonical ASCII rendering; parse(print_formula(f)) is f."""
     if isinstance(f, PropVar):
         return f.name
     if isinstance(f, PredApp):

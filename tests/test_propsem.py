@@ -266,7 +266,7 @@ def test_render_of_negated_disjunction():
 # memo-carrying assignments
 
 def copied(f):
-    """A structurally equal tree that shares no node with f."""
+    """f rebuilt from its printed text: hash-consing makes it f itself."""
     return parse(print_formula(f))
 
 

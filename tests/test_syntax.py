@@ -1,7 +1,13 @@
 """Parser, printer and formula utilities."""
-import pytest
-from hypothesis import given, strategies as st
+import copy
+import gc
+import pickle
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pmsem.oracle import enumerate_formulas
+from pmsem.proof import apply_substitution
 from pmsem.syntax import (
     _lex,
     Exists,
@@ -20,6 +26,7 @@ from pmsem.syntax import (
     print_formula,
     prop_variables,
 )
+from test_propsem import FO_TREES, PROP_TREES
 
 p, q, r = PropVar("p"), PropVar("q"), PropVar("r")
 
@@ -252,3 +259,57 @@ def test_prop_variables_ignore_individuals():
     f = parse("(x). S(x) v p")
     assert prop_variables(f) == {"p"}
     assert predicates(f) == {"S"}
+
+
+# ---------------------------------------------------------------------------
+# hash-consing
+
+NODE_CLASSES = (PropVar, PredApp, Or, Not, ForAll, Exists)
+
+
+@given(st.one_of(PROP_TREES, FO_TREES))
+@settings(max_examples=200)
+def test_equal_formulas_are_one_node(f):
+    """Rebuilding a formula, by parsing its text or by substituting
+    nothing, gives the node itself, and its hash is the object's own."""
+    assert parse(print_formula(f)) is f
+    assert apply_substitution(f, {}) is f
+    assert hash(f) == object.__hash__(f)
+
+
+def test_copies_and_pickles_are_the_node():
+    for f in (parse("p v ~q"), parse("(x). S(x) .=>. (Ey). S(y)")):
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PropVar(),
+        lambda: PropVar("p", "q"),
+        lambda: PropVar(name="p"),
+        lambda: Not(p, q),
+        lambda: Or(p),
+        lambda: Or(left=p, right=q),
+        lambda: PredApp("S"),
+        lambda: ForAll("x", p, q),
+    ],
+)
+def test_construction_takes_exactly_the_fields_by_position(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_nodes_nobody_uses_are_freed():
+    """Each class holds its live nodes weakly: a dropped enumeration
+    leaves its tables no larger than before it was built."""
+    gc.collect()
+    before = {cls: len(cls._live) for cls in NODE_CLASSES}
+    formulas = enumerate_formulas(("p", "q", "r"), max_depth=6, max_size=8)
+    assert len(Or._live) > before[Or] + 1000
+    del formulas
+    gc.collect()
+    for cls in NODE_CLASSES:
+        assert len(cls._live) <= before[cls], cls.__name__
