@@ -18,13 +18,15 @@ counts the tests and candidates it would make, and `full` counts the
 subsets of the union.  `swap_family` pushes the tag swap through a family
 pointwise.
 
-This module keeps no state: the tables that cache its cores belong to
-an evaluation (see `propsem`).  `is_true` caches its answer on the
-Meaning itself, a value that holds nothing else alive, so each interned
-Meaning of a sweep is scanned once.
+Meanings are hash-consed (Filliatre and Conchon 2006): equal families
+are one object, so == and hash are the object's own.  The module's only
+state is a weak table of live Meanings; the tables that cache its cores
+belong to an evaluation (see `propsem`).  `is_true` caches its answer,
+a bool, on the Meaning itself, so each live Meaning is scanned once.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from .ontology import Pair, World, existing_complexes, pair_key, swap
@@ -32,20 +34,33 @@ from .ontology import Pair, World, existing_complexes, pair_key, swap
 POLICIES = ("minimal", "full")
 
 _TRANSVERSAL_LIMIT = 2**18
+_live: dict = {}  # member family -> weak reference to its one live Meaning
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Meaning:
     members: frozenset[frozenset[Pair]]
 
-    _truth = None  # set by is_true; not a field, so equality, hash and repr ignore it
+    _truth = None  # set by is_true; not a field, so repr ignores it
 
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("a Meaning needs at least one member")
-        for m in self.members:
-            if not m:
+    def __new__(cls, members):
+        ref = _live.get(members)
+        m = None if ref is None else ref()
+        if m is None:
+            if not members:
+                raise ValueError("a Meaning needs at least one member")
+            if not all(members):
                 raise ValueError("Meaning members must be non-empty")
+            m = object.__new__(cls)
+            object.__setattr__(m, "members", members)
+            # when m dies its entry goes, unless a new Meaning holds it already
+            _live[members] = weakref.ref(
+                m, lambda ref, key=members: _live.get(key) is ref and _live.pop(key))
+        return m
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild a Meaning through __new__
+        return Meaning, (self.members,)
 
 
 def meaning(*members) -> Meaning:

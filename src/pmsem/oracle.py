@@ -36,8 +36,8 @@ assignment, is evaluated under `propsem.sweep_point`'s copy of the
 assignment, whose memo is dropped when the point is done; as
 `enumerate_formulas` lists every formula after its subformulas, each
 formula costs about one connective step.  The memos of one `_sweep`
-call share the tables `propsem` describes, dropped when the call
-returns.  Only disagreeing points are kept, and each section records
+call share the computed table `propsem` describes, dropped when the
+call returns.  Only disagreeing points are kept, and each section records
 them in (formula, world, assignment) order, as a formula-by-formula
 sweep would.
 """
@@ -414,13 +414,13 @@ def _sweep(formulas, groups, policies, points) -> list:
     assignments, in (formula, world, assignment) order; a group's
     evaluator(world) gives evaluate(f, point, policy)."""
     misses = []
-    shared = {}  # the tables all points share (see propsem), dropped on return
+    computed = {}  # the computed table all points share (see propsem), dropped on return
     for worlds, variables, ids, evaluator in groups:
         for wdx, w in enumerate(worlds):
             model = None if w is None else model_from_world(w)
             evaluate = evaluator(w)
             for adx, h in enumerate(points(variables, w)):
-                point = sweep_point(h, shared)
+                point = sweep_point(h, computed)
                 truths = h.truths()
                 decided = {}  # the classical table of this point
                 for i in ids:

@@ -26,23 +26,20 @@ formula whose subformulas are recorded costs about one connective step.
 A memo, a plain dict on the assignment, maps each
 policy to a `_Context` of these tables and the world's valuation: one
 context per point, policy and world, for both base modes, and one
-valuation per context, never per call.  Its entry None is a dict of
-two tables, the unique table and the computed table of BDD packages
-(Bryant 1986; Brace, Rudell and Bryant 1990), or hash-consing
-(Filliatre and Conchon 2006).  "interned" gives each distinct Meaning
-one shared object, so that while it lives an id names a Meaning.
-"computed" maps a core and the ids of its interned operands to their
-interned result: (disjoin, id(m), id(n)) for m v n, (negate, policy,
-id(m)) for ~m, and (disjoin, *ids) and (memberwise_union, *ids) for the
-instances of (Ex)q and (x)q, so m v n and an (Ex)q whose instances are
-m and n share an entry.  `_ev` looks there before it calls a core and
-records a result only once the core has returned it, so a refusal
-(ValueError) leaves no entry.
-`sweep_point` makes points whose memos share one dict of tables that
-their caller owns and drops; a lone `eval_fo` makes a memo and a dict
-of its own and drops both on return.  Only `eval_prop` on an assignment
-without a memo records nothing (a table per call raised
-`negation_stress` p50 by 12-16 %).
+valuation per context, never per call.  Its entry None is the computed
+table of BDD packages (Bryant 1986; Brace, Rudell and Bryant 1990),
+which maps a core and its operands to their result.  Meanings are
+hash-consed (see `meanings`), so the operands themselves are the key:
+(disjoin, m, n) for m v n, (negate, policy, m) for ~m, and
+(disjoin, *instances) and (memberwise_union, *instances) for (Ex)q and
+(x)q, so m v n and an (Ex)q whose instances are m and n share an entry.
+`_ev` looks there before it calls a core and records a result only
+once the core has returned it, so a refusal (ValueError) leaves no
+entry.  `sweep_point` makes points whose memos share one computed table
+that their caller owns and drops; a lone `eval_fo` makes a memo and a
+table of its own and drops both on return.  Only `eval_prop` on an
+assignment without a memo records nothing (a table per call raised
+`negation_stress` p50 by 8.3 %).
 
 Assignments.  `canonical_assignments` enumerates the 2^n classical
 corners: each variable is carried by its own propositional constant (p
@@ -146,11 +143,11 @@ def eval_fo(
     return _evaluate(f, h, policy, world, any_variable)
 
 
-def sweep_point(h: PropAssignment, tables: dict) -> PropAssignment:
-    """A copy of h whose memo reaches tables, a dict the caller owns,
+def sweep_point(h: PropAssignment, computed: dict) -> PropAssignment:
+    """A copy of h whose memo reaches computed, a table the caller owns,
     shares with the other points it makes and drops when they are done."""
     point = PropAssignment(values=h.values, world=h.world)
-    point.memo = {None: tables}
+    point.memo = {None: computed}
     return point
 
 
@@ -196,21 +193,19 @@ def _evaluate(f: Formula, h, policy: str, world=None, any_variable=None) -> Mean
 class _Context:
     """What `_ev` reads besides the formula, its environment and table:
     the world (None for `eval_prop`) and its valuation xi, tables, which
-    maps each environment, as the tuple of its items, to its table, and,
-    from shared (a memo's entry None), the intern and computed tables
-    of the module docstring."""
+    maps each environment, as the tuple of its items, to its table, and
+    computed, a memo's entry None (None for `eval_prop` without a memo),
+    the computed table of the module docstring."""
 
-    __slots__ = ("values", "policy", "world", "xi", "tables", "interned", "computed")
+    __slots__ = ("values", "policy", "world", "xi", "tables", "computed")
 
-    def __init__(self, values, policy, world, shared):
+    def __init__(self, values, policy, world, computed):
         self.values = values
         self.policy = policy
         self.world = world
         self.xi = None if world is None else default_binding(world)
         self.tables = {(): {}}
-        if shared is not None:  # None: eval_prop without a memo reads no table
-            self.interned = shared.setdefault("interned", {})
-            self.computed = shared.setdefault("computed", {})
+        self.computed = computed
 
 
 class _Unbound(Exception):
@@ -219,7 +214,7 @@ class _Unbound(Exception):
 
 
 def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
-    """Meaning of g in environment env, interned and recorded in table.
+    """Meaning of g in environment env, recorded in table.
 
     Without a table (None: `eval_prop` without a memo) every subformula
     is evaluated afresh.  An empty table and a miss are both falsy, and
@@ -232,18 +227,16 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
         n = table and table.get(right) or _ev(right, env, table, ctx)
         if table is None:
             return disjoin(m, n)
-        # m and n are interned, and so is what the table gives back
-        key = (disjoin, id(m), id(n))
-        table[g] = m = ctx.computed.get(key) or _computed(key, disjoin(m, n), ctx)
+        computed, key = ctx.computed, (disjoin, m, n)
+        table[g] = m = computed.get(key) or computed.setdefault(key, disjoin(m, n))
         return m
     elif isinstance(g, Not):
         operand = g.operand
         m = table and table.get(operand) or _ev(operand, env, table, ctx)
         if table is None:
             return negate(m, ctx.policy)
-        # m is interned, and so is what the table gives back
-        key = (negate, ctx.policy, id(m))
-        table[g] = m = ctx.computed.get(key) or _computed(key, negate(m, ctx.policy), ctx)
+        computed, key = ctx.computed, (negate, ctx.policy, m)
+        table[g] = m = computed.get(key) or computed.setdefault(key, negate(m, ctx.policy))
         return m
     elif isinstance(g, PropVar):
         try:
@@ -267,26 +260,17 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
             inner = {**env, g.variable: d}
             inner_table = ctx.tables.setdefault(tuple(inner.items()), {})
             instances.append(inner_table.get(g.body) or _ev(g.body, inner, inner_table, ctx))
-        # the instances are interned, and so is what the table gives back
+        computed = ctx.computed
         if isinstance(g, Exists):
-            key = (disjoin, *map(id, instances))
-            m = ctx.computed.get(key) or _computed(key, disjoin(*instances), ctx)
+            key = (disjoin, *instances)
+            m = computed.get(key) or computed.setdefault(key, disjoin(*instances))
         else:
-            key = (memberwise_union, *map(id, instances))
-            m = ctx.computed.get(key) or _computed(key, memberwise_union(instances), ctx)
-        table[g] = m
-        return m
+            key = (memberwise_union, *instances)
+            m = computed.get(key) or computed.setdefault(key, memberwise_union(instances))
     else:
         raise TypeError(f"not a formula: {g!r}")
     if table is not None:
-        table[g] = m = ctx.interned.setdefault(m, m)
-    return m
-
-
-def _computed(key, m: Meaning, ctx: _Context) -> Meaning:
-    """Intern m, a core's result on the interned operands of key, and
-    record it in the computed table."""
-    ctx.computed[key] = m = ctx.interned.setdefault(m, m)
+        table[g] = m
     return m
 
 

@@ -502,8 +502,8 @@ def subformulas(f: Formula) -> list[Formula]:
 
 def free_variables(f: Formula) -> frozenset[str]:
     """Free individual variables of f."""
-    # Direct recursion: eval_fo calls this once per check, and a walk
-    # over `children` is measurably slower on the quantified sweep.
+    # Direct recursion: enumerate_formulas(closed_only=True) calls this on
+    # every formula it builds, where a walk over `children` is slower.
     if isinstance(f, PropVar):
         return frozenset()
     if isinstance(f, PredApp):

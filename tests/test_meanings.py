@@ -1,10 +1,14 @@
 """Meaning families and the operations the connectives are built from."""
+import copy
 import dataclasses
+import gc
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pmsem.meanings as meanings
 from pmsem.meanings import (
     Meaning,
     atom_meaning,
@@ -38,13 +42,17 @@ def w_two():
 # construction invariants
 
 def test_meaning_rejects_empty_family():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a Meaning needs at least one member"):
         Meaning(frozenset())
+    assert frozenset() not in meanings._live
 
 
 def test_meaning_rejects_empty_member():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Meaning members must be non-empty"):
         meaning(set())
+    with pytest.raises(ValueError, match="Meaning members must be non-empty"):
+        meaning({A}, set())
+    assert frozenset({frozenset({A}), frozenset()}) not in meanings._live
 
 
 def test_meaning_is_hashable_and_comparable():
@@ -289,14 +297,14 @@ def test_disjunction_truth_is_classical(m1, m2):
 
 @given(_small_meanings)
 def test_cached_truth_is_invisible(m):
-    """A Meaning whose truth was read equals, hashes, prints and
-    converts like a fresh equal one, and keeps answering the same."""
+    """A Meaning whose truth was read prints and converts as its members
+    alone, is still the Meaning an equal family gives, and keeps
+    answering the same."""
     truth = is_true(m)
-    fresh = Meaning(frozenset(m.members))
-    assert m == fresh and fresh == m and hash(m) == hash(fresh)
-    assert repr(m) == repr(fresh) and render_meaning(m) == render_meaning(fresh)
-    assert dataclasses.asdict(m) == dataclasses.asdict(fresh)
-    assert is_true(m) is truth is is_true(fresh)
+    assert repr(m) == f"Meaning(members={m.members!r})"
+    assert dataclasses.asdict(m) == {"members": m.members}
+    assert Meaning(frozenset(m.members)) is m
+    assert is_true(m) is truth is is_true(meaning(*m.members))
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +377,38 @@ def test_atom_meanings_are_grounded():
     w = w_two()
     assert meaning_in_world(atom_meaning(w, "S", ("a",)), w)
     assert meaning_in_world(atom_meaning(w, "S", ("b",)), w)
+
+
+# ---------------------------------------------------------------------------
+# hash-consing
+
+@given(_small_meanings)
+@settings(max_examples=200)
+def test_equal_families_are_one_meaning(m):
+    """Any family equal to m's, built afresh or by a core, gives m
+    itself, and its hash is the object's own."""
+    assert Meaning(frozenset(frozenset(set(member)) for member in m.members)) is m
+    assert meaning(*m.members) is m
+    assert disjoin(m, m) is m
+    for policy in ("minimal", "full"):
+        assert negate(m, policy) is negate(meaning(*m.members), policy)
+    assert hash(m) == object.__hash__(m)
+
+
+def test_copies_and_pickles_are_the_meaning():
+    for m in (meaning({A}), meaning({A, B}, {C})):
+        assert copy.copy(m) is m
+        assert copy.deepcopy(m) is m
+        assert pickle.loads(pickle.dumps(m)) is m
+
+
+def test_meanings_nobody_uses_are_freed():
+    """The table holds its Meanings weakly: dropped Meanings leave it
+    as large as before they were built."""
+    gc.collect()
+    before = len(meanings._live)
+    built = [meaning({Pair(Complex(f"Q{i}", (), True), True)}) for i in range(500)]
+    assert len(meanings._live) == before + len(built)
+    del built
+    gc.collect()
+    assert len(meanings._live) == before

@@ -1,12 +1,12 @@
 """Classical evaluators, formula enumeration and agreement sweeps."""
 import gc
 import json
-import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pmsem.meanings as meanings
 import pmsem.oracle as oracle
 import pmsem.propsem as propsem
 from pmsem.fosem import enumerate_worlds, eval_fo
@@ -471,14 +471,17 @@ def test_no_core_runs_twice_on_the_same_operands(monkeypatch):
             return core(*args)
         return wrapper
 
+    def families(operands):
+        return tuple(m.members for m in operands)
+
     monkeypatch.setattr(propsem, "disjoin", recording(
-        propsem.disjoin, lambda *operands: ("disjoin", *map(id, operands))))
+        propsem.disjoin, lambda *operands: ("disjoin", *families(operands))))
     monkeypatch.setattr(propsem, "negate", recording(
-        propsem.negate, lambda m, policy: ("negate", policy, id(m))))
+        propsem.negate, lambda m, policy: ("negate", policy, m.members)))
     monkeypatch.setattr(propsem, "memberwise_union", recording(
-        propsem.memberwise_union, lambda instances: ("memberwise_union", *map(id, instances))))
-    # One section per sweep: a second sweep may meet objects at the
-    # addresses the first one freed.
+        propsem.memberwise_union, lambda instances: ("memberwise_union", *families(instances))))
+    # One section per sweep: its computed table dies with it, so a
+    # second sweep runs the cores again.
     for config in (
         SweepConfig(prop_vars=("p", "q", "r")),
         SweepConfig(include_prop=False, include_fo=True),
@@ -542,22 +545,27 @@ def test_fo_eval_is_called_once_per_check():
 
 
 def test_sweep_drops_its_tables():
-    """The Meanings a sweep interns die with it: it keeps no table once
-    it returns."""
-    refs = []
+    """A sweep keeps no table once it returns: the Meanings it made die
+    with it, and the table of live Meanings is again as large as before
+    the sweep.  Meanings alive before it, such as the equal ones other
+    tests hold, rightly stay."""
+    gc.collect()
+    before = len(meanings._live)
+    sizes = []
 
-    def kept(evaluate):
+    def counted(evaluate):
         def evaluator(*args):
             m = evaluate(*args)
-            refs.append(weakref.ref(m))
+            sizes.append(len(meanings._live))
             return m
         return evaluator
 
     config = SweepConfig(prop_vars=("p",), max_depth=2, include_fo=True, fo_prop_vars=("p",),
                          fo_max_size=4, fo_max_individuals=2)
-    assert check_equivalence(config, kept(eval_prop), kept(eval_fo)).ok
+    assert check_equivalence(config, counted(eval_prop), counted(eval_fo)).ok
+    assert max(sizes) > before
     gc.collect()
-    assert refs and all(ref() is None for ref in refs)
+    assert len(meanings._live) == before
 
 
 def test_refused_negation_leaves_no_entry(monkeypatch):

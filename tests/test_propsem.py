@@ -332,10 +332,10 @@ FO_TREES = st.recursive(
 )
 @settings(max_examples=30, deadline=None)
 def test_sweep_tables_match_fresh_evaluation(prop_calls, fo_calls, seed, individuals):
-    """Points that share one sweep's intern and computed tables give, at
-    every point and under interleaved policies, the Meanings a fresh
-    evaluation gives.  Two sweeps run in turn, so the second meets
-    objects at the addresses the first one freed."""
+    """Points that share one sweep's computed table give, at every
+    point and under interleaved policies, the Meanings a fresh
+    evaluation gives.  Two sweeps run in turn, each with a table of its
+    own."""
     mode = "canonical" if seed is None else "sampled"
 
     def points(variables, world):
