@@ -16,7 +16,9 @@ all, the upward closure of the minimal ones within the union.  Both
 refuse work past one budget, _TRANSVERSAL_LIMIT: a `minimal` step
 counts the tests and candidates it would make, and `full` counts the
 subsets of the union.  `swap_family` pushes the tag swap through a family
-pointwise.
+pointwise.  Pairs are hash-consed in `ontology` and each holds its
+swap, so negation builds no Pair, and a set of pairs hashes its pairs
+by identity, in C.
 
 Meanings are hash-consed (Filliatre and Conchon 2006): equal families
 are one object, so == and hash are the object's own.  The module's only
@@ -29,7 +31,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from .ontology import Pair, World, existing_complexes, pair_key, swap
+from .ontology import Pair, World, existing_complexes, pair_key
 
 POLICIES = ("minimal", "full")
 
@@ -177,13 +179,13 @@ def _within_budget(work: int, members: list[frozenset[Pair]]) -> None:
 
 
 def _singletons(m: frozenset[Pair]) -> list[frozenset[Pair]]:
-    # A one-pair set is its own singleton; reusing it saves hashing a Pair.
+    # A one-pair set is its own singleton; reusing it saves building a frozenset.
     return [m] if len(m) == 1 else [frozenset((b,)) for b in m]
 
 
 def swap_family(family) -> frozenset[frozenset[Pair]]:
     """Apply the tag swap to every pair of every set in the family."""
-    return frozenset(frozenset(swap(p) for p in m) for m in family)
+    return frozenset(frozenset(p.swapped for p in m) for m in family)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +209,7 @@ def negate(m: Meaning, policy: str = "minimal") -> Meaning:
     members = m.members
     if len(members) == 1:
         (only,) = members
-        return Meaning(frozenset(frozenset({swap(p)}) for p in only))
+        return Meaning(frozenset(frozenset({p.swapped}) for p in only))
     return Meaning(swap_family(transversals(members, policy)))
 
 

@@ -12,10 +12,16 @@ A Pair tags an existing complex either `diagonal` (the complex paired
 with itself) or `flipped` (the complex paired with its opposite).
 `swap` exchanges the two tags and is an involution, as is `opposite`
 on complexes.
+
+Pairs are hash-consed (Filliatre and Conchon 2006): equal pairs are one
+object, so == and hash are the object's own.  A pair is built together
+with its swap, and each holds the other, so `swap` is an attribute
+read.  The module's only state is a weak table of live pairs.
 """
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 
 from .syntax import PRED_NAME, PROP_VAR
@@ -43,12 +49,41 @@ def opposite(c: Complex) -> Complex:
     return Complex(c.relation, c.args, not c.positive)
 
 
-@dataclass(frozen=True)
+_live: dict = {}  # (relation, args, positive, diagonal) -> weak reference to the live Pair
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Pair:
-    """An existing complex tagged diagonal (<x,x>) or flipped (<x,opposite(x)>)."""
+    """An existing complex tagged diagonal (<x,x>) or flipped (<x,opposite(x)>).
+
+    `swapped` is the same complex with the other tag.  It is not a
+    field, so repr and == never follow it.
+    """
 
     base: Complex
     diagonal: bool
+
+    def __new__(cls, base, diagonal):
+        # a flat key, so that no lookup calls Complex's Python-level hash
+        key = (base.relation, base.args, base.positive, bool(diagonal))
+        ref = _live.get(key)
+        p = None if ref is None else ref()
+        if p is None:
+            # a pair is built with its swap; each holds the other, so they die together
+            p, q = object.__new__(cls), object.__new__(cls)
+            for pair, other, tag in ((p, q, key[3]), (q, p, not key[3])):
+                object.__setattr__(pair, "base", base)
+                object.__setattr__(pair, "diagonal", tag)
+                object.__setattr__(pair, "swapped", other)
+                k = (*key[:3], tag)
+                # when pair dies its entry goes, unless a new Pair holds it already
+                _live[k] = weakref.ref(
+                    pair, lambda ref, k=k: _live.get(k) is ref and _live.pop(k))
+        return p
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild a Pair through __new__
+        return Pair, (self.base, self.diagonal)
 
     def render(self) -> str:
         return f"<{self.base.render()},{'=' if self.diagonal else '0'}>"
@@ -56,7 +91,7 @@ class Pair:
 
 def swap(p: Pair) -> Pair:
     """Exchange the diagonal and flipped tags; an involution."""
-    return Pair(p.base, not p.diagonal)
+    return p.swapped
 
 
 def pair_key(p: Pair) -> tuple:

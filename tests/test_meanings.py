@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pmsem.meanings as meanings
+import pmsem.ontology as ontology
 from pmsem.meanings import (
     Meaning,
     atom_meaning,
@@ -261,6 +262,22 @@ def test_negate_singleton_member_swaps_pointwise():
 def test_negate_multi_member_swaps_transversals():
     m = meaning({A}, {B})
     assert negate(m) == meaning({Pair(A.base, False), Pair(B.base, True)})
+
+
+@pytest.mark.parametrize("policy", ["minimal", "full"])
+@pytest.mark.parametrize("m", [meaning({A}, {B, C}), meaning({A, B, C})])
+def test_negate_builds_no_pair(monkeypatch, policy, m):
+    """Negation reads each pair's swap; it never constructs a Pair."""
+    built = []
+    new = ontology.Pair.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ontology.Pair, "__new__", staticmethod(counting_new))
+    assert negate(m, policy) is not m
+    assert built == []
 
 
 def test_negate_full_policy_keeps_truth():

@@ -1,9 +1,13 @@
 """Complexes, pairs, worlds and their file format."""
+import copy
+import gc
+import pickle
 import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+import pmsem.ontology as ontology
 from pmsem.ontology import (
     Complex,
     Pair,
@@ -82,6 +86,48 @@ def test_render_pair():
     c = Complex("S", ("a",), True)
     assert Pair(c, True).render() == "<S(a)+,=>"
     assert Pair(c, False).render() == "<S(a)+,0>"
+
+
+# ---------------------------------------------------------------------------
+# hash-consing
+
+@given(_complexes, st.booleans())
+def test_equal_pairs_are_one_object(c, diag):
+    """A pair over an equal but distinct complex is the pair itself,
+    its swap is the pair with the other tag, and its hash is the
+    object's own."""
+    twin = Complex(c.relation, tuple(list(c.args)), c.positive)
+    assert twin is not c
+    pr = Pair(c, diag)
+    assert Pair(twin, diag) is pr
+    assert swap(swap(pr)) is pr
+    assert swap(pr) is Pair(pr.base, not pr.diagonal)
+    assert hash(pr) == object.__hash__(pr)
+
+
+def test_pair_equality_and_repr_are_its_own():
+    pr = Pair(Complex("S", ("a",), True), True)
+    assert Pair.__hash__ is object.__hash__
+    assert repr(pr) == "Pair(base=Complex(relation='S', args=('a',), positive=True), diagonal=True)"
+
+
+def test_copies_and_pickles_are_the_pair():
+    for pr in (Pair(Complex("S", ("a",), True), True), Pair(Complex("P", (), False), False)):
+        assert copy.copy(pr) is pr
+        assert copy.deepcopy(pr) is pr
+        assert pickle.loads(pickle.dumps(pr)) is pr
+
+
+def test_pairs_nobody_uses_are_freed():
+    """The table holds its pairs weakly: a pair and its swap hold each
+    other, and the next collection frees both."""
+    gc.collect()
+    before = len(ontology._live)
+    built = [Pair(Complex(f"Q{i}", (), True), True) for i in range(500)]
+    assert len(ontology._live) == before + 2 * len(built)
+    del built
+    gc.collect()
+    assert len(ontology._live) == before
 
 
 # ---------------------------------------------------------------------------
