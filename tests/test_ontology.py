@@ -107,6 +107,7 @@ def test_equal_pairs_are_one_object(c, diag):
 
 def test_pair_equality_and_repr_are_its_own():
     pr = Pair(Complex("S", ("a",), True), True)
+    assert Pair.__eq__ is object.__eq__
     assert Pair.__hash__ is object.__hash__
     assert repr(pr) == "Pair(base=Complex(relation='S', args=('a',), positive=True), diagonal=True)"
 
