@@ -20,17 +20,16 @@ pointwise.  Pairs are hash-consed in `ontology` and each holds its
 swap, so negation builds no Pair, and a set of pairs hashes its pairs
 by identity, in C.
 
-Meanings are hash-consed (Filliatre and Conchon 2006): equal families
-are one object, so == and hash are the object's own.  The module's only
-state is a weak table of live Meanings; the tables that cache its cores
-belong to an evaluation (see `propsem`).  `is_true` caches its answer,
-a bool, on the Meaning itself, so each live Meaning is scanned once.
+Meanings are hash-consed through `hashcons`, keyed by the member
+family.  The tables that cache the cores belong to an evaluation (see
+`propsem`).  `is_true` caches its answer, a bool, on the Meaning
+itself, so each live Meaning is scanned once.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
+from .hashcons import HashConsed, record
 from .ontology import Pair, World, existing_complexes, pair_key
 
 POLICIES = ("minimal", "full")
@@ -40,14 +39,14 @@ _live: dict = {}  # member family -> weak reference to its one live Meaning
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Meaning:
+class Meaning(HashConsed):
     members: frozenset[frozenset[Pair]]
 
     _truth = None  # set by is_true; not a field, so repr ignores it
 
     def __new__(cls, members):
         ref = _live.get(members)
-        m = None if ref is None else ref()
+        m = ref and ref()
         if m is None:
             if not members:
                 raise ValueError("a Meaning needs at least one member")
@@ -55,14 +54,8 @@ class Meaning:
                 raise ValueError("Meaning members must be non-empty")
             m = object.__new__(cls)
             object.__setattr__(m, "members", members)
-            # when m dies its entry goes, unless a new Meaning holds it already
-            _live[members] = weakref.ref(
-                m, lambda ref, key=members: _live.get(key) is ref and _live.pop(key))
+            record(_live, members, m)
         return m
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild a Meaning through __new__
-        return Meaning, (self.members,)
 
 
 def meaning(*members) -> Meaning:

@@ -13,17 +13,16 @@ with itself) or `flipped` (the complex paired with its opposite).
 `swap` exchanges the two tags and is an involution, as is `opposite`
 on complexes.
 
-Pairs are hash-consed (Filliatre and Conchon 2006): equal pairs are one
-object, so == and hash are the object's own.  A pair is built together
-with its swap, and each holds the other, so `swap` is an attribute
-read.  The module's only state is a weak table of live pairs.
+Pairs are hash-consed through `hashcons`, keyed by the flat tuple
+(relation, args, positive, diagonal).  A pair is built together with
+its swap, and each holds the other, so `swap` is an attribute read.
 """
 from __future__ import annotations
 
 import re
-import weakref
 from dataclasses import dataclass
 
+from .hashcons import HashConsed, record
 from .syntax import PRED_NAME, PROP_VAR
 
 
@@ -31,7 +30,7 @@ class WorldError(ValueError):
     """Raised for malformed world files or inconsistent world data."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Complex:
     relation: str
     args: tuple[str, ...]
@@ -53,7 +52,7 @@ _live: dict = {}  # (relation, args, positive, diagonal) -> weak reference to th
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Pair:
+class Pair(HashConsed):
     """An existing complex tagged diagonal (<x,x>) or flipped (<x,opposite(x)>).
 
     `swapped` is the same complex with the other tag.  It is not a
@@ -67,7 +66,7 @@ class Pair:
         # a flat key, so that no lookup calls Complex's Python-level hash
         key = (base.relation, base.args, base.positive, bool(diagonal))
         ref = _live.get(key)
-        p = None if ref is None else ref()
+        p = ref and ref()
         if p is None:
             # a pair is built with its swap; each holds the other, so they die together
             p, q = object.__new__(cls), object.__new__(cls)
@@ -75,15 +74,8 @@ class Pair:
                 object.__setattr__(pair, "base", base)
                 object.__setattr__(pair, "diagonal", tag)
                 object.__setattr__(pair, "swapped", other)
-                k = (*key[:3], tag)
-                # when pair dies its entry goes, unless a new Pair holds it already
-                _live[k] = weakref.ref(
-                    pair, lambda ref, k=k: _live.get(k) is ref and _live.pop(k))
+                record(_live, (*key[:3], tag), pair)
         return p
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild a Pair through __new__
-        return Pair, (self.base, self.diagonal)
 
     def render(self) -> str:
         return f"<{self.base.render()},{'=' if self.diagonal else '0'}>"

@@ -60,9 +60,8 @@ Parsed formulas are desugared: only PropVar, PredApp, Or, Not, ForAll
 and Exists nodes exist.  =>, <=> and conjunction build their expansions
 at parse time.
 
-Nodes are hash-consed (Filliatre and Conchon 2006): equal formulas are
-one object, so == and hash are the object's own.  Each node class holds
-its live nodes weakly, keyed by the one field or the tuple of fields.
+Nodes are hash-consed through `hashcons`: each node class keeps its own
+table, keyed by the one field or the tuple of fields.
 
 Parsed trees are bounded: at most MAX_DEPTH levels and MAX_NODES nodes
 once desugared, or parse raises FormulaSyntaxError.  The recursive
@@ -75,9 +74,10 @@ counts as a level while parsing.
 from __future__ import annotations
 
 import re
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
+
+from .hashcons import HashConsed, record
 
 MAX_DEPTH = 100
 MAX_NODES = 10_000
@@ -91,30 +91,27 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-class Formula:
-    __slots__ = ("__weakref__",)
+class Formula(HashConsed):
+    __slots__ = ()
 
     def __new__(cls, *fields):
         if len(fields) != len(cls.__match_args__):
             raise TypeError(f"{cls.__name__} takes {', '.join(cls.__match_args__)}")
         key = fields[0] if len(fields) == 1 else fields
-        node = cls._live.get(key)
+        ref = cls._live.get(key)
+        node = ref and ref()
         if node is None:
             node = object.__new__(cls)
             for name, value in zip(cls.__match_args__, fields):
                 object.__setattr__(node, name, value)
-            cls._live[key] = node
+            record(cls._live, key, node)
         return node
-
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild a node through __new__
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 def _node(cls):
     """A frozen, slotted dataclass formula node with its table of live nodes."""
     cls = dataclass(frozen=True, slots=True, init=False, eq=False)(cls)
-    cls._live = weakref.WeakValueDictionary()
+    cls._live = {}
     return cls
 
 

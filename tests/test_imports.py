@@ -61,3 +61,20 @@ def test_no_private_imports_across_modules(path):
 def test_the_check_sees_a_private_import():
     source = "from .propsem import (\n    PropAssignment,\n    _ev,\n)\nfrom . import _x as y\n"
     assert private_imports(source) == ["line 1: _ev", "line 5: _x"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports in source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_hashcons_holds_weak_references():
+    """Hash-consing is decided in one module: no other imports weakref."""
+    holders = [path.name for path in PACKAGE if "weakref" in imported_modules(path.read_text())]
+    assert holders == ["hashcons.py"]

@@ -277,6 +277,16 @@ def test_equal_formulas_are_one_node(f):
     assert hash(f) == object.__hash__(f)
 
 
+def test_equal_fields_in_two_node_classes_are_two_nodes():
+    """Each node class keeps its own table, so a universal and an
+    existential with the same variable and body stay apart."""
+    body = PredApp("S", "x")
+    every, some = ForAll("x", body), Exists("x", body)
+    assert every is not some
+    assert ForAll._live[("x", body)]() is every
+    assert Exists._live[("x", body)]() is some
+
+
 def test_copies_and_pickles_are_the_node():
     for f in (parse("p v ~q"), parse("(x). S(x) .=>. (Ey). S(y)")):
         assert copy.copy(f) is f
