@@ -12,7 +12,8 @@ point, policy and world, which builds the valuation once).
 
 `enumerate_worlds` lists every small world over a vocabulary, and
 `logical_truth` checks a closed formula in each of them, calling
-`eval_fo` without a memo: each call drops the tables it made (see `propsem`).
+`eval_fo` without a memo: like every lone call, each drops the tables
+it made (see `propsem`).
 The falsifying assignment, if any, carries the world it is grounded in.
 """
 from __future__ import annotations

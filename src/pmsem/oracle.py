@@ -47,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass, field, asdict
 
 from .fosem import enumerate_worlds, eval_fo, world_vocabulary
-from .meanings import is_true
+from .meanings import POLICIES, is_true
 from .ontology import World
 from .propsem import enumerate_assignments, eval_prop, sweep_point
 from .syntax import (
@@ -434,14 +434,19 @@ def _sweep(formulas, groups, policies, points) -> list:
 
 
 def _check_config(config: SweepConfig) -> None:
-    """Reject a sweep of no section, bounds under which an included
-    section would check nothing, and names outside their syntax class,
-    which would not parse back from the formulas printed.
-
-    `enumerate_worlds` rejects an individual count below 1.
-    """
+    """Reject a sweep of no section, no policies, a repeated or unknown
+    policy, bounds under which an included section would check nothing,
+    and names outside their syntax class, which would not parse back
+    from the formulas printed."""
     if not (config.include_prop or config.include_fo):
         raise ValueError("sweep includes neither the propositional nor the quantified section")
+    if not config.policies:
+        raise ValueError("sweep has no policies")
+    if len(set(config.policies)) < len(config.policies):
+        raise ValueError(f"sweep repeats a policy: {', '.join(config.policies)}")
+    for policy in config.policies:
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}")
     bounds = []
     names = []  # (kind, name, the class it must fullmatch)
     if config.include_prop:
@@ -452,6 +457,7 @@ def _check_config(config: SweepConfig) -> None:
             ("quantified depth", config.fo_max_depth, 0),
             ("quantified size", config.fo_max_size, 1),
             ("quantifier bound", config.fo_max_quantifiers, 0),
+            ("individual bound", config.fo_max_individuals, 1),
         ]
         names += [("a propositional variable", v, PROP_VAR) for v in config.fo_prop_vars]
         names += [("an individual variable", v, IND_VAR) for v in config.fo_ind_vars]

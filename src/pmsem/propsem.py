@@ -36,10 +36,9 @@ hash-consed (see `meanings`), so the operands themselves are the key:
 `_ev` looks there before it calls a core and records a result only
 once the core has returned it, so a refusal (ValueError) leaves no
 entry.  `sweep_point` makes points whose memos share one computed table
-that their caller owns and drops; a lone `eval_fo` makes a memo and a
-table of its own and drops both on return.  Only `eval_prop` on an
-assignment without a memo records nothing (a table per call raised
-`negation_stress` p50 by 8.3 %).
+that their caller owns and drops; a lone `eval_prop` or `eval_fo` makes
+a memo and a table of its own and drops both on return, so it builds
+each distinct subformula once.
 
 Assignments.  `canonical_assignments` enumerates the 2^n classical
 corners: each variable is carried by its own propositional constant (p
@@ -61,6 +60,7 @@ import random
 from dataclasses import dataclass, field
 
 from .meanings import (
+    POLICIES,
     Meaning,
     atom_meaning,
     disjoin,
@@ -164,13 +164,9 @@ def default_binding(world: World) -> dict[str, str]:
 
 def _evaluate(f: Formula, h, policy: str, world=None, any_variable=None) -> Meaning:
     """`_ev` of f from the starting environment, through h's memo or, for
-    a lone `eval_fo`, one of its own: the only code that reads or fills
-    a memo or builds a `_Context`."""
-    memo = h.memo
-    if memo is None:
-        if world is None:  # eval_prop without a memo records nothing
-            return _ev(f, None, None, _Context(h.values, policy, None, None))
-        memo = {}
+    a lone call, one of its own: the only code that reads or fills a
+    memo or builds a `_Context`."""
+    memo = {} if h.memo is None else h.memo
     ctx = memo.get(policy)
     if not ctx or ctx.world is not world:
         ctx = memo[policy] = _Context(h.values, policy, world, memo.setdefault(None, {}))
@@ -194,12 +190,14 @@ class _Context:
     """What `_ev` reads besides the formula, its environment and table:
     the world (None for `eval_prop`) and its valuation xi, tables, which
     maps each environment, as the tuple of its items, to its table, and
-    computed, a memo's entry None (None for `eval_prop` without a memo),
-    the computed table of the module docstring."""
+    computed, a memo's entry None, the computed table of the module
+    docstring."""
 
     __slots__ = ("values", "policy", "world", "xi", "tables", "computed")
 
     def __init__(self, values, policy, world, computed):
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}")
         self.values = values
         self.policy = policy
         self.world = world
@@ -216,25 +214,19 @@ class _Unbound(Exception):
 def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
     """Meaning of g in environment env, recorded in table.
 
-    Without a table (None: `eval_prop` without a memo) every subformula
-    is evaluated afresh.  An empty table and a miss are both falsy, and
-    Meanings never are, so `table and table.get(g) or ...` recurses
-    exactly when g is not recorded.
+    A miss is None and Meanings are never falsy, so
+    `table.get(g) or ...` recurses exactly when g is not recorded.
     """
     if isinstance(g, Or):
         left, right = g.left, g.right
-        m = table and table.get(left) or _ev(left, env, table, ctx)
-        n = table and table.get(right) or _ev(right, env, table, ctx)
-        if table is None:
-            return disjoin(m, n)
+        m = table.get(left) or _ev(left, env, table, ctx)
+        n = table.get(right) or _ev(right, env, table, ctx)
         computed, key = ctx.computed, (disjoin, m, n)
         table[g] = m = computed.get(key) or computed.setdefault(key, disjoin(m, n))
         return m
     elif isinstance(g, Not):
         operand = g.operand
-        m = table and table.get(operand) or _ev(operand, env, table, ctx)
-        if table is None:
-            return negate(m, ctx.policy)
+        m = table.get(operand) or _ev(operand, env, table, ctx)
         computed, key = ctx.computed, (negate, ctx.policy, m)
         table[g] = m = computed.get(key) or computed.setdefault(key, negate(m, ctx.policy))
         return m
@@ -269,8 +261,7 @@ def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
             m = computed.get(key) or computed.setdefault(key, memberwise_union(instances))
     else:
         raise TypeError(f"not a formula: {g!r}")
-    if table is not None:
-        table[g] = m
+    table[g] = m
     return m
 
 

@@ -423,10 +423,13 @@ def test_compare_sweeps_variables_that_parse_back(capsys):
         ["--no-prop", "--fo", "--fo-size", "0"],
         ["--no-prop"],
         ["--no-prop", "--fo", "--fo-quantifiers", "-1"],
+        ["--no-prop", "--fo", "--fo-size", "10", "--fo-depth", "3", "--fo-individuals", "0"],
     ],
 )
 def test_compare_rejects_bounds_that_check_nothing(capsys, argv):
+    start = time.perf_counter()
     assert_usage_error(capsys, "compare", *argv)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("n", ["-1", "9"])

@@ -195,8 +195,9 @@ FACTS = [(r, (i,)) for r in ("R", "S") for i in ("a", "b")]
 def table_free(f, world, h, policy="minimal", any_variable=None):
     """The Meaning of f in world under h by the induction `propsem`
     states, evaluated afresh with no table: the reference the tabled
-    evaluator is compared against."""
-    xi = default_binding(world)
+    evaluator is compared against.  A world without individuals (a
+    propositional assignment's) has no valuation."""
+    xi = default_binding(world) if world.individuals else {}
     start = {} if any_variable is None else dict.fromkeys(xi, xi[any_variable])
 
     def ev(g, env):

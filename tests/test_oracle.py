@@ -291,6 +291,25 @@ def test_check_budget_refuses_before_any_point(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (SweepConfig(policies=()), "sweep has no policies"),
+        (SweepConfig(policies=("minimal", "minimal")), "sweep repeats a policy"),
+        (SweepConfig(policies=("minimal", "bogus")), "unknown policy 'bogus'"),
+    ],
+)
+def test_sweep_refuses_unchecked_policies_before_listing(monkeypatch, config, message):
+    """No policies and a repeated or unknown policy are refused before
+    any formula is listed."""
+    def unlisted(*args, **kwargs):
+        raise AssertionError("formulas listed before the config was checked")
+
+    monkeypatch.setattr(oracle, "enumerate_formulas", unlisted)
+    with pytest.raises(ValueError, match=message):
+        check_equivalence(config)
+
+
 def test_work_budget_weighs_quantifiers_by_the_domain(monkeypatch):
     # 10 closed formulas over S and x, at the 2 one-individual worlds
     # and the 4 two-individual ones, under 2 policies: (x).S(x) costs 2

@@ -4,8 +4,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pmsem import propsem
 from pmsem.fosem import enumerate_worlds
-from pmsem.meanings import POLICIES, is_true, meaning, meaning_in_world, render_meaning
+from pmsem.meanings import POLICIES, is_true, meaning, meaning_in_world, negate, render_meaning
 from pmsem.ontology import Complex, Pair, World, constant_name
 from pmsem.propsem import (
     MAX_ASSIGNMENTS,
@@ -297,8 +298,10 @@ def test_memo_point_matches_fresh_evaluation(calls, index, seed):
         h = sampled_assignments(["p", "q"], default_world(["p", "q"]), seed, 1, size_bound=2)[0]
     point = sweep_point(h, {})
     for f, policy in calls:
-        assert eval_prop(f, point, policy) == eval_prop(f, h, policy)
-        assert eval_prop(copied(f), point, policy) == eval_prop(f, h, policy)
+        fresh = table_free(f, h.world, h, policy)
+        assert eval_prop(f, point, policy) == fresh
+        assert eval_prop(copied(f), point, policy) == fresh
+        assert eval_prop(f, h, policy) == fresh
 
 
 def test_memo_stays_with_its_point():
@@ -346,7 +349,7 @@ def test_sweep_tables_match_fresh_evaluation(prop_calls, fo_calls, seed, individ
         for h in points(["p", "q"], None):
             point = sweep_point(h, shared)
             for f, policy in prop_calls:
-                assert eval_prop(f, point, policy) == eval_prop(f, h, policy)
+                assert eval_prop(f, point, policy) == table_free(f, h.world, h, policy)
         for world in enumerate_worlds(["S"], ["p"], individuals):
             for h in points(["p"], world):
                 point = sweep_point(h, shared)
@@ -361,9 +364,41 @@ def test_computed_negations_are_kept_per_policy():
     a, b, c = (Pair(Complex(name, (), True), True) for name in "ABC")
     h = PropAssignment({"p": meaning({a, b}), "q": meaning({c})}, default_world(["p", "q"]))
     f = parse("~(p v q)")
-    fresh = {policy: eval_prop(f, h, policy) for policy in POLICIES}
+    fresh = {policy: table_free(f, h.world, h, policy) for policy in POLICIES}
     assert fresh["minimal"] != fresh["full"]
     for order in (POLICIES, POLICIES[::-1]):
         point = sweep_point(h, {})
         for policy in order:
             assert eval_prop(f, point, policy) == fresh[policy]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_lone_evaluation_negates_each_distinct_negation_once(monkeypatch, policy):
+    """A lone `eval_prop` records its subformulas in tables of its own
+    and drops them on return: the four distinct negations of
+    ~(p v q) <=> ~(p v q) are computed once each."""
+    calls = []
+
+    def counting_negate(m, policy):
+        calls.append(m)
+        return negate(m, policy)
+
+    monkeypatch.setattr(propsem, "negate", counting_negate)
+    h = canonical_assignments(["p", "q"])[0]
+    f = parse("~(p v q) <=> ~(p v q)")
+    assert eval_prop(f, h, policy) == table_free(f, h.world, h, policy)
+    assert len(calls) == 4
+    assert h.memo is None  # a lone eval_prop drops its own memo
+
+
+def test_unknown_policy_is_refused():
+    h = h_of(p=P_TRUE)
+    world = World(individuals=("a",), predicates=("S",))
+    for evaluate in (
+        lambda: eval_prop(parse("~p"), h, "bogus"),
+        lambda: eval_prop(parse("p"), sweep_point(h, {}), "bogus"),
+        lambda: eval_fo(parse("(x).S(x)"), world, policy="bogus"),
+        lambda: classify(parse("p v ~p"), policy="bogus"),
+    ):
+        with pytest.raises(ValueError, match="^unknown policy 'bogus'$"):
+            evaluate()
