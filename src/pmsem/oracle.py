@@ -436,8 +436,10 @@ def _sweep(formulas, groups, policies, points) -> list:
 def _check_config(config: SweepConfig) -> None:
     """Reject a sweep of no section, no policies, a repeated or unknown
     policy, bounds under which an included section would check nothing,
-    and names outside their syntax class, which would not parse back
-    from the formulas printed."""
+    names outside their syntax class, which would not parse back from
+    the formulas printed, and assignment parameters that
+    `enumerate_assignments` refuses (an unknown mode, or a sampled seed,
+    count or size bound)."""
     if not (config.include_prop or config.include_fo):
         raise ValueError("sweep includes neither the propositional nor the quantified section")
     if not config.policies:
@@ -468,6 +470,8 @@ def _check_config(config: SweepConfig) -> None:
     for kind, name, pattern in names:
         if not pattern.fullmatch(name):
             raise ValueError(f"cannot sweep {name!r} as {kind}")
+    enumerate_assignments((), None, config.mode, seed=config.seed, count=config.count,
+                          size_bound=config.size_bound)
 
 
 def _check_point(report, text, expected, got, world, adx, h) -> None:

@@ -50,8 +50,11 @@ arbitrary Meanings over the world's existing complexes from a seeded
 generator.  Over no variables both give the one empty assignment.
 Either raises ValueError rather than build more than MAX_ASSIGNMENTS.
 
-`classify` sweeps assignments and reports tautology / contradiction /
-contingent with witness assignments.
+`classify` reports tautology / contradiction / contingent with witness
+assignments.  It evaluates the first assignment and then the later ones
+up to the first whose truth differs, which settles the verdict; its
+`assignments_checked` counts the assignments enumerated, not those
+evaluated.
 """
 from __future__ import annotations
 
@@ -389,7 +392,7 @@ class Verdict:
     kind: str  # tautology | contradiction | contingent
     witness_true: PropAssignment | None = None
     witness_false: PropAssignment | None = None
-    assignments_checked: int = 0
+    assignments_checked: int = 0  # enumerated, not only those evaluated
 
 
 def classify(
@@ -402,27 +405,14 @@ def classify(
     count: int | None = None,
     size_bound: int = 3,
 ) -> Verdict:
-    """Sweep assignments and classify f as tautology/contradiction/contingent."""
-    assignments = enumerate_assignments(
+    """Classify f as tautology/contradiction/contingent, evaluating no
+    assignment after the first whose truth differs from the first one's."""
+    points = enumerate_assignments(
         prop_variables(f), world, mode, seed=seed, count=count, size_bound=size_bound
     )
-    witness_true = witness_false = None
-    for h in assignments:
-        if is_true(eval_prop(f, h, policy)):
-            if witness_true is None:
-                witness_true = h
-        else:
-            if witness_false is None:
-                witness_false = h
-    if witness_false is None:
-        kind = "tautology"
-    elif witness_true is None:
-        kind = "contradiction"
-    else:
-        kind = "contingent"
-    return Verdict(
-        kind=kind,
-        witness_true=witness_true,
-        witness_false=witness_false,
-        assignments_checked=len(assignments),
-    )
+    first, *rest = points
+    truth = is_true(eval_prop(f, first, policy))
+    other = next((h for h in rest if is_true(eval_prop(f, h, policy)) != truth), None)
+    kind = "contingent" if other else "tautology" if truth else "contradiction"
+    witnesses = (first, other) if truth else (other, first)
+    return Verdict(kind, *witnesses, assignments_checked=len(points))

@@ -424,6 +424,12 @@ def test_compare_sweeps_variables_that_parse_back(capsys):
         ["--no-prop"],
         ["--no-prop", "--fo", "--fo-quantifiers", "-1"],
         ["--no-prop", "--fo", "--fo-size", "10", "--fo-depth", "3", "--fo-individuals", "0"],
+        ["--no-prop", "--fo", "--fo-size", "10", "--fo-depth", "3", "--mode", "sampled",
+         "--seed", "1", "--count", "0"],
+        ["--no-prop", "--fo", "--fo-size", "10", "--fo-depth", "3", "--mode", "sampled",
+         "--count", "0"],
+        ["--no-prop", "--fo", "--fo-size", "10", "--fo-depth", "3", "--mode", "sampled",
+         "--seed", "1", "--count", "0", "--size-bound", "0"],
     ],
 )
 def test_compare_rejects_bounds_that_check_nothing(capsys, argv):

@@ -43,8 +43,7 @@ COMPARE_CONFIGS = (
     # past the sweep work budget: refused with exit 2
     ("--no-prop", "--fo", "--fo-individuals", "6"),
 )
-# Cyclic implication chains of 4 and 6 clauses.  The 6-clause chain
-# under `full` takes about 11 s, so it is pinned under `minimal` only.
+# Cyclic implication chains of 4 and 6 clauses.
 CHAIN_4 = "~~((p v ~q) . (q v ~r) . (r v ~p1) . (p1 v ~p))"
 CHAIN_6 = "~~((p v ~q) . (q v ~r) . (r v ~p1) . (p1 v ~q1) . (q1 v ~r1) . (r1 v ~p))"
 EVAL_CONFIGS = (
@@ -77,6 +76,7 @@ INVOCATIONS = (
     [("compare", *c) for c in COMPARE_CONFIGS]
     + [("compare", *c, "--json") for c in COMPARE_CONFIGS]
     + [("taut", CHAIN_4, "--policy", "full"), ("taut", CHAIN_6)]
+    + [("taut", CHAIN_6, "--policy", "full", *fmt) for fmt in TEXT_AND_JSON]
     + [("eval", *c, *fmt) for fmt in TEXT_AND_JSON for c in EVAL_CONFIGS]
     + [("fo-eval", f, "--model", FO_WORLD, "--base-mode", base, *fmt)
        for fmt in TEXT_AND_JSON for base in ("all", "any:x") for f in FO_EVAL_FORMULAS]

@@ -297,11 +297,12 @@ def test_check_budget_refuses_before_any_point(monkeypatch):
         (SweepConfig(policies=()), "sweep has no policies"),
         (SweepConfig(policies=("minimal", "minimal")), "sweep repeats a policy"),
         (SweepConfig(policies=("minimal", "bogus")), "unknown policy 'bogus'"),
+        (SweepConfig(mode="bogus"), "unknown assignment mode 'bogus'"),
     ],
 )
 def test_sweep_refuses_unchecked_policies_before_listing(monkeypatch, config, message):
-    """No policies and a repeated or unknown policy are refused before
-    any formula is listed."""
+    """No policies, a repeated or unknown policy and an unknown
+    assignment mode are refused before any formula is listed."""
     def unlisted(*args, **kwargs):
         raise AssertionError("formulas listed before the config was checked")
 

@@ -8,10 +8,12 @@ from pmsem import propsem
 from pmsem.fosem import enumerate_worlds
 from pmsem.meanings import POLICIES, is_true, meaning, meaning_in_world, negate, render_meaning
 from pmsem.ontology import Complex, Pair, World, constant_name
+from pmsem.oracle import enumerate_formulas
 from pmsem.propsem import (
     MAX_ASSIGNMENTS,
     MAX_SIZE_BOUND,
     PropAssignment,
+    Verdict,
     canonical_assignments,
     classify,
     declared_assignment,
@@ -32,6 +34,7 @@ from pmsem.syntax import (
     equivalent,
     parse,
     print_formula,
+    prop_variables,
 )
 from test_fosem import table_free
 
@@ -224,6 +227,74 @@ def test_classify_sampled_mode():
     v = classify(parse("p v ~p"), mode="sampled", seed=11, count=16)
     assert v.kind == "tautology"
     assert v.assignments_checked == 16
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize(
+    "text, evaluated",
+    [
+        # true at TT, false at TF: settled at the second assignment
+        ("p . q", 2),
+        # false only at FF, the last assignment
+        ("p v q", 4),
+        # a tautology is settled only by its last assignment
+        ("(p v ~p) . (q v ~q)", 4),
+    ],
+)
+def test_classify_stops_once_the_verdict_is_settled(monkeypatch, policy, text, evaluated):
+    calls = []
+
+    def counting(f, h, policy="minimal"):
+        calls.append(h)
+        return eval_prop(f, h, policy)
+
+    monkeypatch.setattr(propsem, "eval_prop", counting)
+    assert classify(parse(text), policy=policy).assignments_checked == 4
+    assert len(calls) == evaluated
+
+
+def reference_classify(f, mode, policy, **kwargs):
+    """The reference verdict: evaluate every assignment, then take the
+    first true and the first false one as witnesses."""
+    assignments = enumerate_assignments(prop_variables(f), None, mode, **kwargs)
+    witness_true = witness_false = None
+    for h in assignments:
+        if is_true(eval_prop(f, h, policy)):
+            if witness_true is None:
+                witness_true = h
+        else:
+            if witness_false is None:
+                witness_false = h
+    if witness_false is None:
+        kind = "tautology"
+    elif witness_true is None:
+        kind = "contradiction"
+    else:
+        kind = "contingent"
+    return Verdict(kind, witness_true, witness_false, len(assignments))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("mode, kwargs", [("canonical", {}), ("sampled", {"seed": 5, "count": 8})])
+def test_classify_matches_the_evaluate_every_point_loop(policy, mode, kwargs):
+    formulas = enumerate_formulas(("p", "q", "r"), max_depth=2)
+    assert len(formulas) == 243
+
+    def summary(v, points):
+        return (
+            v.kind,
+            None if v.witness_true is None else points.index(v.witness_true),
+            None if v.witness_false is None else points.index(v.witness_false),
+            v.assignments_checked,
+        )
+
+    kinds = set()  # depth 2 holds no contradiction
+    for f in formulas:
+        points = enumerate_assignments(prop_variables(f), None, mode, **kwargs)
+        got = classify(f, mode=mode, policy=policy, **kwargs)
+        assert summary(got, points) == summary(reference_classify(f, mode, policy, **kwargs), points)
+        kinds.add(got.kind)
+    assert kinds == {"tautology", "contingent"}
 
 
 # ---------------------------------------------------------------------------
