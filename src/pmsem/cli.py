@@ -31,9 +31,9 @@ import json
 import sys
 
 from .fosem import eval_fo, logical_truth
-from .meanings import is_true, render_meaning
-from .ontology import load_world
-from .oracle import SweepConfig, check_equivalence, describe_world
+from .meanings import POLICIES, is_true, render_meaning
+from .ontology import describe_world, load_world
+from .oracle import SweepConfig, check_equivalence
 from .proof import check_proof, load_script
 from .propsem import (
     classify,
@@ -59,7 +59,7 @@ _PROP_NAMES = variable_names(PROP_LETTERS, 8)
 def _add_policy(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--policy",
-        choices=("minimal", "full"),
+        choices=POLICIES,
         default="minimal",
         help="transversal policy used by negation (default: minimal)",
     )
@@ -270,7 +270,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     prop_size = args.prop_size
     if prop_size is None and args.prop_depth > 2:
         prop_size = 7
-    policies = ("minimal", "full") if args.policy == "both" else (args.policy,)
+    policies = POLICIES if args.policy == "both" else (args.policy,)
     config = SweepConfig(
         prop_vars=_PROP_NAMES[: args.vars],
         max_depth=args.prop_depth,
@@ -391,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--policy",
-        choices=("minimal", "full", "both"),
+        choices=(*POLICIES, "both"),
         default="both",
         help="transversal policies to sweep (default: both)",
     )

@@ -155,6 +155,15 @@ class World:
         )
 
 
+def describe_world(w: World) -> str:
+    facts = ", ".join(f"{r}({','.join(a)})" for r, a in sorted(w.facts)) or "none"
+    consts = ", ".join(f"{n}={'true' if v else 'false'}" for n, v in w.constants)
+    parts = [f"individuals {{{', '.join(w.individuals)}}}", f"facts {{{facts}}}"]
+    if consts:
+        parts.append(consts)
+    return "; ".join(parts)
+
+
 def constant_name(variable: str) -> str:
     """The propositional constant carrying a variable: p -> P, q1 -> Q1."""
     return variable.upper()

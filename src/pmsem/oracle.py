@@ -1,13 +1,4 @@
-"""Independent classical evaluators and agreement sweeps.
-
-`tarski_eval` decides formulas the classical way: boolean recursion,
-and quantification over a finite model, which a propositional formula
-does not need; `truth_table_eval` is its propositional case.  It shares
-the AST with the meaning evaluators and nothing else, so it can referee
-them.  Its one recursion, `_satisfies`, records each (subformula,
-environment) truth it decides in a table, a plain dict of booleans:
-one per `tarski_eval` call, and one per point in a sweep, dropped with
-the point.
+"""Formula enumeration and agreement sweeps against the classical referee.
 
 `enumerate_formulas` lists formulas exhaustively in a stable order:
 by node count, atoms first, then negations, disjunctions and quantified
@@ -25,7 +16,7 @@ S_n(f) units: 1 for each node, where (x)g and (Ex)g cost 1 + n * S_n(g);
 a sampled point that assigns a variable costs size_bound times that.
 
 `check_equivalence` reports every point where the meaning evaluators
-and the classical ones disagree, and every point where the two
+and `classical.satisfies` disagree, and every point where the two
 transversal policies disagree with each other; reports are
 deterministic and JSON-ready.  One loop runs both of its sections over
 groups of (worlds, propositional variables, formulas, evaluator): the
@@ -46,9 +37,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, asdict
 
+from .classical import TarskiModel, satisfies, tarski_eval, truth_table_eval
 from .fosem import enumerate_worlds, eval_fo, world_vocabulary
 from .meanings import POLICIES, is_true
-from .ontology import World
+from .ontology import describe_world
 from .propsem import enumerate_assignments, eval_prop, sweep_point
 from .syntax import (
     IND_VAR,
@@ -71,93 +63,15 @@ __all__ = [
     "Disagreement",
     "EquivalenceReport",
     "SweepConfig",
-    "TarskiModel",
     "check_equivalence",
     "enumerate_formulas",
     "formula_depth",
-    "model_from_world",
     "quantifier_count",
+    # `classical`'s, re-exported for `perfbench` until ROADMAP item 1
+    "TarskiModel",
     "tarski_eval",
     "truth_table_eval",
 ]
-
-
-# ---------------------------------------------------------------------------
-# classical evaluators
-
-def truth_table_eval(f: Formula, valuation: dict[str, bool]) -> bool:
-    """Classical boolean value of a propositional formula."""
-    return tarski_eval(f, None, None, valuation)
-
-
-@dataclass
-class TarskiModel:
-    domain: tuple[str, ...]
-    facts: frozenset[tuple[str, tuple[str, ...]]]
-    prop_values: dict[str, bool]
-
-
-def model_from_world(w: World) -> TarskiModel:
-    return TarskiModel(
-        domain=w.individuals,
-        facts=w.facts,
-        prop_values={name: value for name, value in w.constants},
-    )
-
-
-def tarski_eval(
-    f: Formula,
-    model: TarskiModel | None = None,
-    env: dict[str, str] | None = None,
-    valuation: dict[str, bool] | None = None,
-) -> bool:
-    """Classical satisfaction over a finite model; a propositional
-    formula needs no model."""
-    return _satisfies(f, model, env or {}, valuation, {})
-
-
-def _satisfies(f: Formula, model, env, valuation, table) -> bool:
-    """The satisfaction clauses.  table maps each (subformula,
-    environment) decided to its truth, under the formula alone at the
-    empty environment; a ValueError leaves no entry."""
-    key = (f, tuple(env.items())) if env else f
-    truth = table.get(key)
-    if truth is not None:  # a recorded False is a hit too
-        return truth
-    if isinstance(f, PropVar):
-        try:
-            truth = valuation[f.name]
-        except (KeyError, TypeError):  # TypeError: no valuation at all
-            raise ValueError(f"no truth value for propositional variable {f.name}") from None
-    elif isinstance(f, Not):
-        truth = not _satisfies(f.operand, model, env, valuation, table)
-    elif isinstance(f, Or):
-        truth = (_satisfies(f.left, model, env, valuation, table)
-                 or _satisfies(f.right, model, env, valuation, table))
-    elif isinstance(f, PredApp):
-        if f.argument not in env:
-            raise ValueError(f"unbound individual variable {f.argument}")
-        truth = (f.predicate, (env[f.argument],)) in model.facts
-    elif model is None:
-        raise ValueError("quantified formulas need a model")
-    # Loops, not generators: a closure would give every call, the
-    # propositional ones included, cell variables to set up.
-    elif isinstance(f, ForAll):
-        truth = True
-        for d in model.domain:
-            if not _satisfies(f.body, model, {**env, f.variable: d}, valuation, table):
-                truth = False
-                break
-    elif isinstance(f, Exists):
-        truth = False
-        for d in model.domain:
-            if _satisfies(f.body, model, {**env, f.variable: d}, valuation, table):
-                truth = True
-                break
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    table[key] = truth
-    return truth
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +236,6 @@ class EquivalenceReport:
         return "\n".join(lines)
 
 
-def describe_world(w: World) -> str:
-    facts = ", ".join(f"{r}({','.join(a)})" for r, a in sorted(w.facts)) or "none"
-    consts = ", ".join(f"{n}={'true' if v else 'false'}" for n, v in w.constants)
-    parts = [f"individuals {{{', '.join(w.individuals)}}}", f"facts {{{facts}}}"]
-    if consts:
-        parts.append(consts)
-    return "; ".join(parts)
-
-
 # Most units of work a sweep runs, both sections together (see `_cost`).
 # `pm compare --vars 7` at the default depth needs 6,496,000.
 MAX_WORK = 2**23
@@ -417,7 +322,7 @@ def _sweep(formulas, groups, policies, points) -> list:
     computed = {}  # the computed table all points share (see propsem), dropped on return
     for worlds, variables, ids, evaluator in groups:
         for wdx, w in enumerate(worlds):
-            model = None if w is None else model_from_world(w)
+            domain, facts = (None, None) if w is None else (w.individuals, w.facts)
             evaluate = evaluator(w)
             for adx, h in enumerate(points(variables, w)):
                 point = sweep_point(h, computed)
@@ -425,7 +330,7 @@ def _sweep(formulas, groups, policies, points) -> list:
                 decided = {}  # the classical table of this point
                 for i in ids:
                     f = formulas[i]
-                    expected = _satisfies(f, model, {}, truths, decided)
+                    expected = satisfies(f, domain, facts, {}, truths, decided)
                     got = [is_true(evaluate(f, point, policy)) for policy in policies]
                     if got.count(expected) != len(got):
                         misses.append(((i, wdx, adx), expected, got, w, h))

@@ -17,14 +17,10 @@ from pathlib import Path
 
 import pytest
 
+from pmsem.classical import truth_table_eval
 from pmsem.cli import main
 from pmsem.meanings import meaning_in_world
-from pmsem.oracle import (
-    SweepConfig,
-    check_equivalence,
-    enumerate_formulas,
-    truth_table_eval,
-)
+from pmsem.oracle import SweepConfig, check_equivalence, enumerate_formulas
 from pmsem.proof import check_proof, load_script
 from pmsem.propsem import canonical_assignments, classify, eval_prop
 from pmsem.syntax import parse, prop_variables

@@ -1,0 +1,229 @@
+"""The classical referee, and Meaning truth refereed by it."""
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pmsem.classical import TarskiModel, satisfies, tarski_eval, truth_table_eval
+from pmsem.fosem import default_binding, enumerate_worlds, eval_fo
+from pmsem.meanings import POLICIES, is_true
+from pmsem.ontology import World
+from pmsem.propsem import enumerate_assignments
+from pmsem.syntax import Exists, ForAll, Not, Or, PredApp, PropVar, parse
+from test_propsem import FO_TREES, PROP_TREES
+
+p = PropVar("p")
+
+
+def model(world):
+    """The Tarskian model of a World: its individuals and its facts."""
+    return TarskiModel(world.individuals, world.facts, {})
+
+
+# ---------------------------------------------------------------------------
+# truth tables
+
+def test_excluded_middle_true_everywhere():
+    f = parse("p v ~p")
+    assert truth_table_eval(f, {"p": True})
+    assert truth_table_eval(f, {"p": False})
+
+
+def test_disjunction_false_only_at_false_false():
+    f = parse("p v q")
+    assert not truth_table_eval(f, {"p": False, "q": False})
+    assert truth_table_eval(f, {"p": True, "q": False})
+
+
+def test_conditional_reflexive():
+    f = parse("p .=>. p")
+    assert truth_table_eval(f, {"p": True})
+    assert truth_table_eval(f, {"p": False})
+
+
+def test_truth_table_rejects_predicates():
+    with pytest.raises(ValueError):
+        truth_table_eval(parse("S(x)"), {})
+
+
+def test_truth_table_rejects_missing_variable():
+    with pytest.raises(ValueError):
+        truth_table_eval(parse("p"), {})
+
+
+_vals = st.fixed_dictionaries({"p": st.booleans(), "q": st.booleans()})
+
+
+@given(_vals)
+@settings(max_examples=40)
+def test_oracle_matches_itself_via_de_morgan(vals):
+    lhs = truth_table_eval(parse("~(p v q)"), vals)
+    rhs = truth_table_eval(parse("~p . ~q"), vals)
+    assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# finite models
+
+def _model(facts, individuals=("a", "b")):
+    w = World(
+        individuals=tuple(individuals),
+        predicates=("S",),
+        facts=frozenset({("S", (i,)) for i in facts}),
+    )
+    return model(w)
+
+
+def test_universal_true_when_extension_full():
+    assert tarski_eval(parse("(x).S(x)"), _model(("a", "b")))
+
+
+def test_existential_false_when_extension_empty():
+    assert not tarski_eval(parse("(Ex).S(x)"), _model(()))
+
+
+def test_universal_false_on_partial_extension():
+    assert not tarski_eval(parse("(x).S(x)"), _model(("a",)))
+
+
+def test_tarski_uses_valuation_for_prop_vars():
+    f = parse("(x). S(x) v p")
+    assert tarski_eval(f, _model(()), None, {"p": True})
+    assert not tarski_eval(f, _model(()), None, {"p": False})
+
+
+def test_tarski_needs_a_model_for_quantifiers():
+    with pytest.raises(ValueError):
+        tarski_eval(parse("(x).p"), None, None, {"p": True})
+
+
+def test_tarski_rejects_unbound_individual():
+    with pytest.raises(ValueError):
+        tarski_eval(parse("S(x)"), _model(("a",)))
+
+
+def classical_key(f, env):
+    """The key of (f, env) in a point's classical table, as `satisfies`
+    lays it out."""
+    return (f, tuple(env.items())) if env else f
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(PROP_TREES, FO_TREES),
+            st.dictionaries(st.sampled_from("xy"), st.integers(0, 2), max_size=2),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from(enumerate_worlds(["S"], [], 3)),
+    st.fixed_dictionaries({"p": st.booleans()}, optional={"q": st.booleans()}),
+)
+@settings(max_examples=60, deadline=None)
+def test_classical_table_matches_tarski_eval(calls, world, valuation):
+    """One point's classical table serves formulas in any order, open
+    ones at non-empty environments included, with the truths
+    `tarski_eval` gives without a table.  Each formula is asked, then its
+    negation, which finds it recorded, then both again with neither a
+    model nor a valuation, which only the table can answer; p and ~p
+    come first, so a recorded True and a recorded False are both served.
+    An unbound variable or a missing valuation raises the error
+    `tarski_eval` raises and records nothing for the formula."""
+    domain, facts = world.individuals, world.facts
+    table = {}
+    for f, picks in [(p, {})] + calls:
+        env = {v: domain[i % len(domain)] for v, i in picks.items()}
+        for g in (f, Not(f)):
+            try:
+                expected = tarski_eval(g, model(world), env, valuation)
+            except ValueError as error:
+                with pytest.raises(ValueError) as raised:
+                    satisfies(g, domain, facts, env, valuation, table)
+                assert str(raised.value) == str(error)
+                assert classical_key(g, env) not in table
+                continue
+            assert satisfies(g, domain, facts, env, valuation, table) is expected
+            assert satisfies(g, None, None, env, None, table) is expected
+    for key, truth in table.items():
+        g, items = key if isinstance(key, tuple) else (key, ())
+        assert tarski_eval(g, model(world), dict(items), valuation) is truth
+
+
+# ---------------------------------------------------------------------------
+# Meaning truth against the referee, beyond the acceptance vocabularies
+
+PREDICATES = ("R", "S", "T")
+
+THREE_PREDICATE_TREES = st.recursive(
+    st.sampled_from([PropVar("p"), PropVar("q")]
+                    + [PredApp(s, v) for s in PREDICATES for v in "xy"]),
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(Or, sub, sub),
+        st.builds(ForAll, st.sampled_from("xy"), sub),
+        st.builds(Exists, st.sampled_from("xy"), sub),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def worlds(draw):
+    """A world over R, S and T of 1 to 4 individuals, with constants
+    carrying p and q."""
+    individuals = ("a", "b", "c", "d")[: draw(st.integers(1, 4))]
+    facts = draw(st.frozensets(st.tuples(
+        st.sampled_from(PREDICATES), st.tuples(st.sampled_from(individuals)))))
+    return World(individuals, PREDICATES, facts, (("P", True), ("Q", True)))
+
+
+def universal_atoms(f, bound=frozenset()):
+    """f with each atom whose variable no quantifier binds closed by a
+    universal quantifier of its own: how base mode "all" reads it."""
+    if isinstance(f, PredApp):
+        return f if f.argument in bound else ForAll(f.argument, f)
+    if isinstance(f, Not):
+        return Not(universal_atoms(f.operand, bound))
+    if isinstance(f, Or):
+        return Or(universal_atoms(f.left, bound), universal_atoms(f.right, bound))
+    if isinstance(f, (ForAll, Exists)):
+        return type(f)(f.variable, universal_atoms(f.body, bound | {f.variable}))
+    return f
+
+
+# The transversal budget's refusals, which are not disagreements.
+BUDGET = re.compile("too large|choice sets")
+
+
+@given(
+    THREE_PREDICATE_TREES,
+    worlds(),
+    st.one_of(st.integers(0, 3), st.integers(4, 2**16)),
+)
+@settings(max_examples=300, deadline=None)
+def test_meaning_truth_agrees_with_tarski_eval(f, world, pick):
+    """`eval_fo`'s truth is the classical truth in worlds of up to four
+    individuals over three predicates and two propositional variables,
+    under both policies and both base modes, at canonical assignments
+    (pick 0-3) and sampled ones (pick a seed).  Under base mode "all"
+    each free atom is its own universal closure; under "any:x" every
+    valuation variable names x's individual."""
+    if pick < 4:
+        h = enumerate_assignments(("p", "q"), world)[pick]
+    else:
+        h = enumerate_assignments(("p", "q"), world, "sampled", seed=pick, count=1,
+                                  size_bound=2)[0]
+    xi = default_binding(h.world)
+    classical = {
+        None: tarski_eval(universal_atoms(f), model(h.world), None, h.truths()),
+        "x": tarski_eval(f, model(h.world), dict.fromkeys(xi, xi["x"]), h.truths()),
+    }
+    for policy in POLICIES:
+        for any_variable, expected in classical.items():
+            try:
+                got = is_true(eval_fo(f, h.world, h, policy, any_variable))
+            except ValueError as error:
+                assert BUDGET.search(str(error)), error
+                continue
+            assert got is expected, (policy, any_variable)

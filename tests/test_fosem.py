@@ -19,8 +19,8 @@ from pmsem.meanings import (
     negate,
     render_meaning,
 )
-from pmsem.ontology import Complex, Pair, World
-from pmsem.oracle import SweepConfig, check_equivalence, describe_world, enumerate_formulas
+from pmsem.ontology import Complex, Pair, World, describe_world
+from pmsem.oracle import SweepConfig, check_equivalence, enumerate_formulas
 from pmsem.propsem import canonical_assignments, declared_assignment, sweep_point
 from pmsem.syntax import (
     Exists,

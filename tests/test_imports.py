@@ -78,3 +78,34 @@ def test_only_hashcons_holds_weak_references():
     """Hash-consing is decided in one module: no other imports weakref."""
     holders = [path.name for path in PACKAGE if "weakref" in imported_modules(path.read_text())]
     assert holders == ["hashcons.py"]
+
+
+def package_imports(source: str) -> set[str]:
+    """Modules of the package that source imports: relative imports, and
+    absolute ones from `pmsem`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "pmsem":
+            names |= {node.module.partition(".")[2] or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[2] for alias in node.names
+                      if alias.name.startswith("pmsem.")}
+    return names
+
+
+def test_the_check_sees_package_imports():
+    source = ("from .ontology import World\nfrom . import meanings\n"
+              "from pmsem.propsem import eval_prop\nfrom pmsem import fosem\n"
+              "import pmsem.oracle\nimport os\nfrom collections import Counter\n")
+    assert package_imports(source) == {"ontology", "meanings", "propsem", "fosem", "oracle"}
+
+
+def test_classical_referee_imports_only_syntax():
+    """The classical referee shares the AST with the meaning side and
+    nothing else, so it can referee it."""
+    assert package_imports((ROOT / "src" / "pmsem" / "classical.py").read_text()) == {"syntax"}

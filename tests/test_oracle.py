@@ -1,26 +1,21 @@
-"""Classical evaluators, formula enumeration and agreement sweeps."""
+"""Formula enumeration and agreement sweeps."""
 import gc
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import pmsem.meanings as meanings
 import pmsem.oracle as oracle
 import pmsem.propsem as propsem
-from pmsem.fosem import enumerate_worlds, eval_fo
+from pmsem.fosem import eval_fo
 from pmsem.meanings import negate
-from pmsem.ontology import World
 from pmsem.oracle import (
     SweepConfig,
     check_equivalence,
     enumerate_formulas,
     formula_depth,
-    model_from_world,
     quantifier_count,
-    tarski_eval,
-    truth_table_eval,
 )
 from pmsem.propsem import eval_prop
 from pmsem.syntax import (
@@ -34,7 +29,6 @@ from pmsem.syntax import (
     prop_variables,
     subformulas,
 )
-from test_propsem import FO_TREES, PROP_TREES
 
 p = PropVar("p")
 
@@ -48,125 +42,6 @@ FAULT_REPORTS = json.loads(
 def assert_pinned(name, report):
     assert json.loads(json.dumps(report.to_dict())) == FAULT_REPORTS[name]["dict"]
     assert report.to_text() == "\n".join(FAULT_REPORTS[name]["text"])
-
-
-# ---------------------------------------------------------------------------
-# truth tables
-
-def test_excluded_middle_true_everywhere():
-    f = parse("p v ~p")
-    assert truth_table_eval(f, {"p": True})
-    assert truth_table_eval(f, {"p": False})
-
-
-def test_disjunction_false_only_at_false_false():
-    f = parse("p v q")
-    assert not truth_table_eval(f, {"p": False, "q": False})
-    assert truth_table_eval(f, {"p": True, "q": False})
-
-
-def test_conditional_reflexive():
-    f = parse("p .=>. p")
-    assert truth_table_eval(f, {"p": True})
-    assert truth_table_eval(f, {"p": False})
-
-
-def test_truth_table_rejects_predicates():
-    with pytest.raises(ValueError):
-        truth_table_eval(parse("S(x)"), {})
-
-
-def test_truth_table_rejects_missing_variable():
-    with pytest.raises(ValueError):
-        truth_table_eval(parse("p"), {})
-
-
-# ---------------------------------------------------------------------------
-# finite models
-
-def _model(facts, individuals=("a", "b")):
-    w = World(
-        individuals=tuple(individuals),
-        predicates=("S",),
-        facts=frozenset({("S", (i,)) for i in facts}),
-    )
-    return model_from_world(w)
-
-
-def test_universal_true_when_extension_full():
-    assert tarski_eval(parse("(x).S(x)"), _model(("a", "b")))
-
-
-def test_existential_false_when_extension_empty():
-    assert not tarski_eval(parse("(Ex).S(x)"), _model(()))
-
-
-def test_universal_false_on_partial_extension():
-    assert not tarski_eval(parse("(x).S(x)"), _model(("a",)))
-
-
-def test_tarski_uses_valuation_for_prop_vars():
-    f = parse("(x). S(x) v p")
-    assert tarski_eval(f, _model(()), None, {"p": True})
-    assert not tarski_eval(f, _model(()), None, {"p": False})
-
-
-def test_tarski_needs_a_model_for_quantifiers():
-    with pytest.raises(ValueError):
-        tarski_eval(parse("(x).p"), None, None, {"p": True})
-
-
-def test_tarski_rejects_unbound_individual():
-    with pytest.raises(ValueError):
-        tarski_eval(parse("S(x)"), _model(("a",)))
-
-
-def classical_key(f, env):
-    """The key of (f, env) in a point's classical table, as
-    `oracle._satisfies` lays it out."""
-    return (f, tuple(env.items())) if env else f
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.one_of(PROP_TREES, FO_TREES),
-            st.dictionaries(st.sampled_from("xy"), st.integers(0, 2), max_size=2),
-        ),
-        min_size=1,
-        max_size=8,
-    ),
-    st.sampled_from(enumerate_worlds(["S"], [], 3)),
-    st.fixed_dictionaries({"p": st.booleans()}, optional={"q": st.booleans()}),
-)
-@settings(max_examples=60, deadline=None)
-def test_classical_table_matches_tarski_eval(calls, world, valuation):
-    """One point's classical table serves formulas in any order, open
-    ones at non-empty environments included, with the truths
-    `tarski_eval` gives without a table.  Each formula is asked, then its
-    negation, which finds it recorded, then both again with neither a
-    model nor a valuation, which only the table can answer; p and ~p
-    come first, so a recorded True and a recorded False are both served.
-    An unbound variable or a missing valuation raises the error
-    `tarski_eval` raises and records nothing for the formula."""
-    model = model_from_world(world)
-    table = {}
-    for f, picks in [(p, {})] + calls:
-        env = {v: world.individuals[i % len(world.individuals)] for v, i in picks.items()}
-        for g in (f, Not(f)):
-            try:
-                expected = tarski_eval(g, model, env, valuation)
-            except ValueError as error:
-                with pytest.raises(ValueError) as raised:
-                    oracle._satisfies(g, model, env, valuation, table)
-                assert str(raised.value) == str(error)
-                assert classical_key(g, env) not in table
-                continue
-            assert oracle._satisfies(g, model, env, valuation, table) is expected
-            assert oracle._satisfies(g, None, env, None, table) is expected
-    for key, truth in table.items():
-        g, items = key if isinstance(key, tuple) else (key, ())
-        assert tarski_eval(g, model, dict(items), valuation) is truth
 
 
 # ---------------------------------------------------------------------------
@@ -627,17 +502,3 @@ def test_report_text_mentions_seed_in_sampled_mode():
     config = SweepConfig(prop_vars=("p",), max_depth=1, mode="sampled", seed=9, count=2)
     text = check_equivalence(config).to_text()
     assert "seed=9" in text
-
-
-# ---------------------------------------------------------------------------
-# cross-validation property
-
-_vals = st.fixed_dictionaries({"p": st.booleans(), "q": st.booleans()})
-
-
-@given(_vals)
-@settings(max_examples=40)
-def test_oracle_matches_itself_via_de_morgan(vals):
-    lhs = truth_table_eval(parse("~(p v q)"), vals)
-    rhs = truth_table_eval(parse("~p . ~q"), vals)
-    assert lhs == rhs
