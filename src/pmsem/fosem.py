@@ -7,14 +7,14 @@ the world's valuation, `default_binding`: one variable per individual
 (x, y, z, x1, ...), and at least x, y and z.  A free variable the
 valuation names takes, under base mode "all", every individual, as in
 its universal closure, and under base mode "any:<u>" the value of u.
-`propsem` states the induction and the one memo rule (one context per
-point, policy and world, which builds the valuation once).
+`propsem` states the induction and the program it compiles.
 
 `enumerate_worlds` lists every small world over a vocabulary, and
-`logical_truth` checks a closed formula in each of them, calling
-`eval_fo` without a memo: like every lone call, each drops the tables
-it made (see `propsem`).
-The falsifying assignment, if any, carries the world it is grounded in.
+`logical_truth` checks a closed formula in each of them: it compiles
+the formula once per domain, as the worlds come in domain order, and
+runs the program at each world and assignment with a computed table of
+its own (see `propsem`).  The falsifying assignment, if any, carries
+the world it is grounded in.
 """
 from __future__ import annotations
 
@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 from .meanings import is_true
 from .ontology import World, constant_name
-from .propsem import PropAssignment, default_binding, enumerate_assignments, eval_fo
+from .propsem import (
+    PropAssignment,
+    compile_program,
+    default_binding,
+    enumerate_assignments,
+    eval_fo,
+    run,
+)
 from .syntax import Formula, free_variables, predicates, prop_variables
 
 __all__ = [
@@ -117,9 +124,12 @@ def logical_truth(
         raise ValueError("logical truth needs a closed formula")
     preds, pvars = world_vocabulary(f)
     worlds = enumerate_worlds(preds, pvars, max_individuals)
+    program = domain = None
     for checked, w in enumerate(worlds, 1):
+        if program is None or w.individuals != domain:
+            program, domain = compile_program([f], pvars, w), w.individuals
         for h in enumerate_assignments(pvars, w, mode, seed=seed, count=count,
                                        size_bound=size_bound):
-            if not is_true(eval_fo(f, w, h, policy)):
+            if not is_true(run(program, h.values, w, policy, {})[program.roots[0]]):
                 return FoVerdict(kind="falsifiable", worlds_checked=checked, witness_assignment=h)
     return FoVerdict(kind="logical_truth", worlds_checked=len(worlds))

@@ -15,22 +15,25 @@ check of f at a point of n individuals (1 without quantifiers) costs
 S_n(f) units: 1 for each node, where (x)g and (Ex)g cost 1 + n * S_n(g);
 a sampled point that assigns a variable costs size_bound times that.
 
-`check_equivalence` reports every point where the meaning evaluators
+`check_equivalence` reports every point where the meaning evaluator
 and `classical.satisfies` disagree, and every point where the two
 transversal policies disagree with each other; reports are
 deterministic and JSON-ready.  One loop runs both of its sections over
-groups of (worlds, propositional variables, formulas, evaluator): the
+groups of (worlds, propositional variables, formulas): the
 propositional section is one group whose one world is None, and the
 quantified section one group per vocabulary (`fosem.world_vocabulary`,
-first seen first) over all its worlds.  Each point, a world and an
-assignment, is evaluated under `propsem.sweep_point`'s copy of the
-assignment, whose memo is dropped when the point is done; as
-`enumerate_formulas` lists every formula after its subformulas, each
-formula costs about one connective step.  The memos of one `_sweep`
-call share the computed table `propsem` describes, dropped when the
-call returns.  Only disagreeing points are kept, and each section records
-them in (formula, world, assignment) order, as a formula-by-formula
-sweep would.
+first seen first) over all its worlds.  A group's formulas are
+compiled into one `propsem` program per domain (the worlds of a
+vocabulary come in domain order), and the program is dropped before
+the next is compiled; `enumerate_formulas` lists every formula after
+its subformulas, so the program shares each subformula's steps.  At
+each point, a world and an assignment, the program runs once per
+policy, and all runs of one `_sweep` call share the computed table
+`propsem` describes, dropped when the call returns.  An evaluator
+given to `check_equivalence` replaces the program: it is called once
+per formula, point and policy.  Only disagreeing points are kept, and
+each section records them in (formula, world, assignment) order, as a
+formula-by-formula sweep would.
 """
 from __future__ import annotations
 
@@ -38,10 +41,10 @@ from collections import Counter
 from dataclasses import dataclass, field, asdict
 
 from .classical import TarskiModel, satisfies, tarski_eval, truth_table_eval
-from .fosem import enumerate_worlds, eval_fo, world_vocabulary
+from .fosem import enumerate_worlds, world_vocabulary
 from .meanings import POLICIES, is_true
 from .ontology import describe_world
-from .propsem import enumerate_assignments, eval_prop, sweep_point
+from .propsem import compile_program, enumerate_assignments, run
 from .syntax import (
     IND_VAR,
     PRED_NAME,
@@ -242,9 +245,8 @@ MAX_WORK = 2**23
 
 
 def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> EquivalenceReport:
-    """Sweep the meaning evaluators against the classical oracles."""
-    prop_eval = prop_eval or eval_prop
-    fo_eval = fo_eval or eval_fo
+    """Sweep the meaning evaluator, or the evaluators given, against the
+    classical oracles."""
     report = EquivalenceReport(config=config)
     _check_config(config)
 
@@ -252,15 +254,13 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
         return enumerate_assignments(variables, world, config.mode, seed=config.seed,
                                      count=config.count, size_bound=config.size_bound)
 
-    def bind(world):
-        return lambda f, h, policy: fo_eval(f, world, h, policy)
-
-    sections = []  # (name, formulas, groups of (worlds, variables, ids, evaluator))
+    sections = []  # (name, formulas, groups of (worlds, variables, ids), evaluator or None)
     if config.include_prop:
         formulas = enumerate_formulas(config.prop_vars, max_depth=config.max_depth,
                                       max_size=config.max_size)
-        groups = [([None], config.prop_vars, range(len(formulas)), lambda w: prop_eval)]
-        sections.append(("prop", formulas, groups))
+        evaluate = prop_eval and (lambda f, world, h, policy: prop_eval(f, h, policy))
+        groups = [([None], config.prop_vars, range(len(formulas)))]
+        sections.append(("prop", formulas, groups, evaluate))
     if config.include_fo:
         formulas = enumerate_formulas(config.fo_prop_vars, config.fo_predicates,
                                       config.fo_ind_vars, config.fo_max_depth,
@@ -269,15 +269,15 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
         vocabularies: dict[tuple, list[int]] = {}
         for i, f in enumerate(formulas):
             vocabularies.setdefault(world_vocabulary(f), []).append(i)
-        groups = [(enumerate_worlds(preds, pvars, config.fo_max_individuals), pvars, ids, bind)
+        groups = [(enumerate_worlds(preds, pvars, config.fo_max_individuals), pvars, ids)
                   for (preds, pvars), ids in vocabularies.items()]
-        sections.append(("fo", formulas, groups))
+        sections.append(("fo", formulas, groups, fo_eval))
 
     work = 0
     costs: dict[int, dict] = {}  # domain size -> memo of `_cost`
-    for name, formulas, groups in sections:
+    for name, formulas, groups, _ in sections:
         checks = 0
-        for worlds, variables, ids, _ in groups:
+        for worlds, variables, ids in groups:
             # Every world of one vocabulary has as many assignments.
             per_world = len(points(variables, None)) * len(config.policies)
             checks += per_world * len(ids) * len(worlds)
@@ -291,8 +291,9 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
     if work > MAX_WORK:
         raise ValueError(f"the sweep needs {work} units of work, more than {MAX_WORK}")
 
-    for _, formulas, groups in sections:
-        for (i, _, adx), expected, got, w, h in _sweep(formulas, groups, config.policies, points):
+    for _, formulas, groups, evaluate in sections:
+        for (i, _, adx), expected, got, w, h in _sweep(formulas, groups, config.policies, points,
+                                                       evaluate):
             got = dict(zip(config.policies, got))
             _check_point(report, print_formula(formulas[i]), expected, got, w, adx, h)
     return report
@@ -314,24 +315,33 @@ def _cost(f: Formula, n: int, memo: dict) -> int:
     return cost
 
 
-def _sweep(formulas, groups, policies, points) -> list:
+def _sweep(formulas, groups, policies, points, evaluate=None) -> list:
     """The misses of each group's formulas at each of its worlds and
-    assignments, in (formula, world, assignment) order; a group's
-    evaluator(world) gives evaluate(f, point, policy)."""
+    assignments, in (formula, world, assignment) order, from the group's
+    program or, if given, from evaluate(f, world, point, policy)."""
     misses = []
-    computed = {}  # the computed table all points share (see propsem), dropped on return
-    for worlds, variables, ids, evaluator in groups:
+    computed = {}  # the computed table all runs share (see propsem), dropped on return
+    for worlds, variables, ids in groups:
+        group = [formulas[i] for i in ids]
+        program = domain = None
         for wdx, w in enumerate(worlds):
-            domain, facts = (None, None) if w is None else (w.individuals, w.facts)
-            evaluate = evaluator(w)
+            individuals, facts = (None, None) if w is None else (w.individuals, w.facts)
+            if evaluate:
+                roots = range(len(group))
+            elif program is None or individuals != domain:
+                program = None  # the last domain's program goes before the next is built
+                program, domain = compile_program(group, variables, w), individuals
+                roots = program.roots
             for adx, h in enumerate(points(variables, w)):
-                point = sweep_point(h, computed)
+                if evaluate:
+                    runs = [[evaluate(f, w, h, policy) for f in group] for policy in policies]
+                else:
+                    runs = [run(program, h.values, w, policy, computed) for policy in policies]
                 truths = h.truths()
                 decided = {}  # the classical table of this point
-                for i in ids:
-                    f = formulas[i]
-                    expected = satisfies(f, domain, facts, {}, truths, decided)
-                    got = [is_true(evaluate(f, point, policy)) for policy in policies]
+                for i, f, slot in zip(ids, group, roots):
+                    expected = satisfies(f, individuals, facts, {}, truths, decided)
+                    got = [is_true(out[slot]) for out in runs]
                     if got.count(expected) != len(got):
                         misses.append(((i, wdx, adx), expected, got, w, h))
     misses.sort(key=lambda miss: miss[0])

@@ -1,44 +1,52 @@
 """Evaluation of formulas into Meanings, and propositional assignments.
 
-One recursion, `_ev`, gives every formula its Meaning:
+One evaluator gives every formula its Meaning: `compile_program` lowers
+a list of formulas to a straight-line program, and `run` fills its
+slots in order, each step reading only earlier slots:
 
-  * a propositional variable takes the assignment's Meaning;
-  * disjunction unions the two families; negation swaps the hitting-set
-    family (or maps a lone member to swapped singletons);
-  * a predicate application takes the atom meaning at the individual
-    the environment gives its variable.  `eval_fo` starts the
-    environment from the world's valuation xi (`default_binding`: one
-    variable per individual, and at least x, y and z): under base mode
-    "any" it maps every valuation variable to the designated variable's
-    individual; under base mode "all" it is empty, and an atom whose
-    variable it lacks but xi names is read as its universal closure;
-  * (x)q merges the instance meanings of q at every individual of the
-    domain member by member, so its truth is the conjunction of theirs;
-    (Ex)q disjoins them.
+  * (VAR, p) takes the assignment's Meaning of p;
+  * (OR, i, j) unions the families of slots i and j; (NOT, i) swaps the
+    hitting-set family of slot i (or maps a lone member to swapped
+    singletons);
+  * (ATOM, S, d) is the atom meaning of S at the individual d;
+  * (ALL, slots) merges the Meanings of a quantifier's instances member
+    by member, so its truth is the conjunction of theirs; (EX, slots)
+    disjoins them.
 
-`eval_prop` runs it without a world, where predicates and quantifiers
-are errors, and `eval_fo` in one, both through `_evaluate`.
+Lowering.  A subformula is lowered once per environment, which maps
+individual variables to individuals; its key is the sorted tuple of
+its items, so (x)(y)g and (y)(x)g reach g in the same environments.  A
+quantifier lowers its body at every individual of the domain, in the
+world's order.  A predicate application reads its variable from the
+environment; outside it, a variable the world's valuation xi names
+(`default_binding`: one variable per individual, and at least x, y and
+z) is read, under base mode "all", as the atom's universal closure.
+Base mode "any:<u>" starts the environment with every variable of xi
+at u's individual.  Steps are numbered by value, as in the DAG of a
+basic block (Aho, Sethi and Ullman 1986, section 9.8): a step equal to
+an earlier one, such as an atom two environments ground at the same
+individual, takes that step's slot, so each slot is one distinct
+computation.  A program depends on its world only through the domain,
+so it serves every world with the same individuals.  A variable the
+assignment does not cover, a predicate or quantifier without a world,
+and an unbound individual variable are refused as the program is
+compiled, in left-to-right order, before anything is evaluated.
 
-Memos.  Each subformula's Meaning is recorded once per environment, in
-a table keyed by the whole environment, which is all `_ev` reads that
-varies, and found there by identity (formulas are hash-consed); so a
-formula whose subformulas are recorded costs about one connective step.
-A memo, a plain dict on the assignment, maps each
-policy to a `_Context` of these tables and the world's valuation: one
-context per point, policy and world, for both base modes, and one
-valuation per context, never per call.  Its entry None is the computed
-table of BDD packages (Bryant 1986; Brace, Rudell and Bryant 1990),
-which maps a core and its operands to their result.  Meanings are
+Running.  `run` refuses an unknown policy before any step and looks
+the cores up as module globals at every step.  Its caller's computed
+table is that of BDD packages (Bryant 1986; Brace, Rudell and Bryant
+1990): it maps a core and its operands to their result.  Meanings are
 hash-consed (see `meanings`), so the operands themselves are the key:
 (disjoin, m, n) for m v n, (negate, policy, m) for ~m, and
 (disjoin, *instances) and (memberwise_union, *instances) for (Ex)q and
 (x)q, so m v n and an (Ex)q whose instances are m and n share an entry.
-`_ev` looks there before it calls a core and records a result only
+A step looks there before it calls a core and records a result only
 once the core has returned it, so a refusal (ValueError) leaves no
-entry.  `sweep_point` makes points whose memos share one computed table
-that their caller owns and drops; a lone `eval_prop` or `eval_fo` makes
-a memo and a table of its own and drops both on return, so it builds
-each distinct subformula once.
+entry.  A sweep shares one computed table across its points and drops
+it when done (see `oracle`); `eval_prop` and `eval_fo` compile and run
+their one formula with a table of their own, `classify` compiles once
+per call and `fosem.logical_truth` once per domain, each run with a
+table of its own.
 
 Assignments.  `canonical_assignments` enumerates the 2^n classical
 corners: each variable is carried by its own propositional constant (p
@@ -51,16 +59,17 @@ generator.  Over no variables both give the one empty assignment.
 Either raises ValueError rather than build more than MAX_ASSIGNMENTS.
 
 `classify` reports tautology / contradiction / contingent with witness
-assignments.  It evaluates the first assignment and then the later ones
-up to the first whose truth differs, which settles the verdict; its
+assignments.  It runs the first assignment and then the later ones up
+to the first whose truth differs, which settles the verdict; its
 `assignments_checked` counts the assignments enumerated, not those
-evaluated.
+run.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .meanings import (
     POLICIES,
@@ -88,21 +97,21 @@ from .syntax import (
 )
 
 __all__ = [
+    "Program",
     "PropAssignment",
     "Verdict",
     "canonical_assignments",
     "classify",
+    "compile_program",
     "declared_assignment",
     "default_binding",
     "default_world",
     "enumerate_assignments",
     "eval_fo",
     "eval_prop",
+    "run",
     "sampled_assignments",
-    "sweep_point",
 ]
-
-_NO_ENV: dict = {}  # the empty environment eval_prop and base mode "all" start in; never changed
 
 
 def default_world(variables) -> World:
@@ -117,8 +126,6 @@ class PropAssignment:
 
     values: dict[str, Meaning]
     world: World
-    # Set by `sweep_point`; never copied by replace().
-    memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def truths(self) -> dict[str, bool]:
         return {var: is_true(m) for var, m in self.values.items()}
@@ -130,7 +137,7 @@ class PropAssignment:
 
 def eval_prop(f: Formula, h: PropAssignment, policy: str = "minimal") -> Meaning:
     """Meaning of a propositional formula under h."""
-    return _evaluate(f, h, policy)
+    return _run_one(f, h.values, None, policy)
 
 
 def eval_fo(
@@ -142,20 +149,18 @@ def eval_fo(
 ) -> Meaning:
     """Meaning of a monadic formula in world under assignment, in base
     mode "all" (any_variable None) or "any:<any_variable>"."""
-    h = PropAssignment({}, world) if assignment is None else assignment
-    return _evaluate(f, h, policy, world, any_variable)
+    values = {} if assignment is None else assignment.values
+    return _run_one(f, values, world, policy, any_variable)
 
 
-def sweep_point(h: PropAssignment, computed: dict) -> PropAssignment:
-    """A copy of h whose memo reaches computed, a table the caller owns,
-    shares with the other points it makes and drops when they are done."""
-    point = PropAssignment(values=h.values, world=h.world)
-    point.memo = {None: computed}
-    return point
+def _run_one(f, values, world, policy, any_variable=None) -> Meaning:
+    """f's Meaning from a program and a computed table of its own."""
+    program = compile_program([f], values, world, any_variable)
+    return run(program, values, world, policy, {})[program.roots[0]]
 
 
 def default_binding(world: World) -> dict[str, str]:
-    """The valuation of individual variables `eval_fo` reads: one
+    """The valuation of individual variables a program reads: one
     variable per individual (x, y, z, x1, ...), in name order, and at
     least x, y and z, which repeat the individuals of a smaller world."""
     individuals = sorted(world.individuals)
@@ -165,107 +170,135 @@ def default_binding(world: World) -> dict[str, str]:
     return {v: individuals[i % len(individuals)] for i, v in enumerate(names)}
 
 
-def _evaluate(f: Formula, h, policy: str, world=None, any_variable=None) -> Meaning:
-    """`_ev` of f from the starting environment, through h's memo or, for
-    a lone call, one of its own: the only code that reads or fills a
-    memo or builds a `_Context`."""
-    memo = {} if h.memo is None else h.memo
-    ctx = memo.get(policy)
-    if not ctx or ctx.world is not world:
-        ctx = memo[policy] = _Context(h.values, policy, world, memo.setdefault(None, {}))
-    if any_variable is None:
-        env = _NO_ENV
-        table = ctx.tables[()]
-    else:
-        xi = ctx.xi
-        if any_variable not in xi:
-            raise ValueError(f"designated variable {any_variable} is not in the valuation")
-        env = dict.fromkeys(xi, xi[any_variable])
-        table = ctx.tables.setdefault(tuple(env.items()), {})
-    try:
-        return table.get(f) or _ev(f, env, table, ctx)
-    except _Unbound:
-        unbound = sorted(free_variables(f) - set(ctx.xi))
-        raise ValueError(f"unbound individual variables: {unbound}") from None
+# ---------------------------------------------------------------------------
+# the straight-line program
+
+# Step codes.  A step is (code, a, b) and fills the slot of its index.
+_VAR, _ATOM, _OR, _NOT, _ALL, _EX = range(6)
 
 
-class _Context:
-    """What `_ev` reads besides the formula, its environment and table:
-    the world (None for `eval_prop`) and its valuation xi, tables, which
-    maps each environment, as the tuple of its items, to its table, and
-    computed, a memo's entry None, the computed table of the module
-    docstring."""
+class Program(NamedTuple):
+    """Steps in slot order, and the slot of each formula compiled."""
 
-    __slots__ = ("values", "policy", "world", "xi", "tables", "computed")
-
-    def __init__(self, values, policy, world, computed):
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}")
-        self.values = values
-        self.policy = policy
-        self.world = world
-        self.xi = None if world is None else default_binding(world)
-        self.tables = {(): {}}
-        self.computed = computed
+    steps: tuple[tuple, ...]
+    roots: tuple[int, ...]
 
 
-class _Unbound(Exception):
-    """A predicate's variable is neither quantified nor named by the
-    valuation."""
+def compile_program(formulas, names, world: World | None = None,
+                    any_variable: str | None = None) -> Program:
+    """The program of formulas under assignments to names, in world's
+    domain (no world: predicates and quantifiers are refused), in base
+    mode "all" (any_variable None) or "any:<any_variable>"."""
+    lowering = _Lowering(names, world, any_variable)
+    roots = tuple(lowering.root(f) for f in formulas)
+    return Program(tuple(lowering.steps), roots)
 
 
-def _ev(g: Formula, env, table, ctx: _Context) -> Meaning:
-    """Meaning of g in environment env, recorded in table.
+class _Lowering:
+    """The tables of one `compile_program` call, dropped on its return:
+    slots maps (subformula, environment) to a slot, and numbers maps a
+    step to its slot."""
 
-    A miss is None and Meanings are never falsy, so
-    `table.get(g) or ...` recurses exactly when g is not recorded.
-    """
-    if isinstance(g, Or):
-        left, right = g.left, g.right
-        m = table.get(left) or _ev(left, env, table, ctx)
-        n = table.get(right) or _ev(right, env, table, ctx)
-        computed, key = ctx.computed, (disjoin, m, n)
-        table[g] = m = computed.get(key) or computed.setdefault(key, disjoin(m, n))
-        return m
-    elif isinstance(g, Not):
-        operand = g.operand
-        m = table.get(operand) or _ev(operand, env, table, ctx)
-        computed, key = ctx.computed, (negate, ctx.policy, m)
-        table[g] = m = computed.get(key) or computed.setdefault(key, negate(m, ctx.policy))
-        return m
-    elif isinstance(g, PropVar):
-        try:
-            m = ctx.values[g.name]
-        except KeyError:
-            raise ValueError(f"assignment does not cover variable {g.name}") from None
-    elif ctx.world is None:
-        kind = "predicates" if isinstance(g, PredApp) else "quantifiers"
-        raise ValueError(f"eval_prop takes propositional formulas; use eval_fo for {kind}")
-    elif isinstance(g, PredApp):
-        if g.argument in env:
-            m = atom_meaning(ctx.world, g.predicate, (env[g.argument],))
-        elif g.argument not in ctx.xi:
-            raise _Unbound
+    __slots__ = ("names", "individuals", "xi", "start", "formula", "slots", "numbers", "steps")
+
+    def __init__(self, names, world, any_variable):
+        self.names = names
+        self.individuals = self.xi = None
+        self.start = ()
+        if world is not None:
+            self.individuals = world.individuals
+            self.xi = xi = default_binding(world)
+            if any_variable is not None:
+                if any_variable not in xi:
+                    raise ValueError(f"designated variable {any_variable} is not in the valuation")
+                self.start = tuple(sorted(dict.fromkeys(xi, xi[any_variable]).items()))
+        self.slots = {}
+        self.numbers = {}
+        self.steps = []
+
+    def root(self, f: Formula) -> int:
+        self.formula = f  # named by an unbound variable's refusal
+        return self.lower(f, self.start)
+
+    def lower(self, g: Formula, env: tuple) -> int:
+        key = (g, env)
+        slot = self.slots.get(key)
+        if slot is not None:
+            return slot
+        if isinstance(g, Or):
+            step = (_OR, self.lower(g.left, env), self.lower(g.right, env))
+        elif isinstance(g, Not):
+            step = (_NOT, self.lower(g.operand, env), None)
+        elif isinstance(g, PropVar):
+            if g.name not in self.names:
+                raise ValueError(f"assignment does not cover variable {g.name}")
+            step = (_VAR, g.name, None)
+        elif self.xi is None:
+            kind = "predicates" if isinstance(g, PredApp) else "quantifiers"
+            raise ValueError(f"eval_prop takes propositional formulas; use eval_fo for {kind}")
         else:
-            m = _ev(ForAll(g.argument, g), env, table, ctx)
-    elif isinstance(g, (ForAll, Exists)):
-        # The body's Meaning with g's variable at each individual.
-        instances = []
-        for d in ctx.world.individuals:
-            inner = {**env, g.variable: d}
-            inner_table = ctx.tables.setdefault(tuple(inner.items()), {})
-            instances.append(inner_table.get(g.body) or _ev(g.body, inner, inner_table, ctx))
-        computed = ctx.computed
-        if isinstance(g, Exists):
-            key = (disjoin, *instances)
-            m = computed.get(key) or computed.setdefault(key, disjoin(*instances))
-        else:
-            key = (memberwise_union, *instances)
-            m = computed.get(key) or computed.setdefault(key, memberwise_union(instances))
-    else:
+            step = self.lower_individual(g, env)
+        slot = self.numbers.get(step)
+        if slot is None:
+            slot = self.numbers[step] = len(self.steps)
+            self.steps.append(step)
+        self.slots[key] = slot
+        return slot
+
+    def lower_individual(self, g: Formula, env: tuple) -> tuple:
+        """The step of a predicate application or quantified formula."""
+        if isinstance(g, PredApp):
+            for variable, individual in env:
+                if variable == g.argument:
+                    return (_ATOM, g.predicate, individual)
+            if g.argument not in self.xi:
+                unbound = sorted(free_variables(self.formula) - set(self.xi))
+                raise ValueError(f"unbound individual variables: {unbound}")
+            g = ForAll(g.argument, g)  # the atom's universal closure
+        if isinstance(g, (ForAll, Exists)):
+            # The body with g's variable at each individual.
+            bound = dict(env)
+            instances = []
+            for d in self.individuals:
+                bound[g.variable] = d
+                instances.append(self.lower(g.body, tuple(sorted(bound.items()))))
+            return (_EX if isinstance(g, Exists) else _ALL, tuple(instances), None)
         raise TypeError(f"not a formula: {g!r}")
-    table[g] = m
-    return m
+
+
+def run(program: Program, values: dict, world: World | None, policy: str,
+        computed: dict) -> list[Meaning]:
+    """The Meaning of every slot of program under the assignment values,
+    in world (one with the domain it was compiled for), through the
+    computed table of the module docstring."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    out = []
+    put = out.append
+    for code, a, b in program.steps:
+        # A miss is None and Meanings are never falsy, so
+        # `computed.get(key) or ...` calls the core exactly on a miss.
+        if code == _OR:
+            m, n = out[a], out[b]
+            key = (disjoin, m, n)
+            put(computed.get(key) or computed.setdefault(key, disjoin(m, n)))
+        elif code == _NOT:
+            m = out[a]
+            key = (negate, policy, m)
+            put(computed.get(key) or computed.setdefault(key, negate(m, policy)))
+        elif code == _ATOM:
+            put(atom_meaning(world, a, (b,)))
+        elif code == _VAR:
+            put(values[a])
+        else:
+            instances = [out[i] for i in a]
+            if code == _EX:
+                key = (disjoin, *instances)
+                put(computed.get(key) or computed.setdefault(key, disjoin(*instances)))
+            else:
+                key = (memberwise_union, *instances)
+                put(computed.get(key) or computed.setdefault(key, memberwise_union(instances)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +425,7 @@ class Verdict:
     kind: str  # tautology | contradiction | contingent
     witness_true: PropAssignment | None = None
     witness_false: PropAssignment | None = None
-    assignments_checked: int = 0  # enumerated, not only those evaluated
+    assignments_checked: int = 0  # enumerated, not only those run
 
 
 def classify(
@@ -405,14 +438,21 @@ def classify(
     count: int | None = None,
     size_bound: int = 3,
 ) -> Verdict:
-    """Classify f as tautology/contradiction/contingent, evaluating no
-    assignment after the first whose truth differs from the first one's."""
-    points = enumerate_assignments(
-        prop_variables(f), world, mode, seed=seed, count=count, size_bound=size_bound
-    )
+    """Classify f as tautology/contradiction/contingent, running f's
+    program at no assignment after the first whose truth differs from
+    the first one's."""
+    names = prop_variables(f)
+    points = enumerate_assignments(names, world, mode, seed=seed, count=count,
+                                   size_bound=size_bound)
+    program = compile_program([f], names)
+    (root,) = program.roots
+
+    def truth(h: PropAssignment) -> bool:
+        return is_true(run(program, h.values, None, policy, {})[root])
+
     first, *rest = points
-    truth = is_true(eval_prop(f, first, policy))
-    other = next((h for h in rest if is_true(eval_prop(f, h, policy)) != truth), None)
-    kind = "contingent" if other else "tautology" if truth else "contradiction"
-    witnesses = (first, other) if truth else (other, first)
+    first_truth = truth(first)
+    other = next((h for h in rest if truth(h) != first_truth), None)
+    kind = "contingent" if other else "tautology" if first_truth else "contradiction"
+    witnesses = (first, other) if first_truth else (other, first)
     return Verdict(kind, *witnesses, assignments_checked=len(points))

@@ -21,7 +21,7 @@ from pmsem.meanings import (
 )
 from pmsem.ontology import Complex, Pair, World, describe_world
 from pmsem.oracle import SweepConfig, check_equivalence, enumerate_formulas
-from pmsem.propsem import canonical_assignments, declared_assignment, sweep_point
+from pmsem.propsem import canonical_assignments, compile_program, declared_assignment, run
 from pmsem.syntax import (
     Exists,
     ForAll,
@@ -68,7 +68,7 @@ def test_default_binding_min_pool():
     assert set(xi.values()) == {"a"}
 
 
-def test_valuation_is_built_once_per_point_and_policy(monkeypatch):
+def test_valuation_is_built_once_per_program(monkeypatch):
     calls = []
 
     def counting(world):
@@ -79,8 +79,9 @@ def test_valuation_is_built_once_per_point_and_policy(monkeypatch):
     config = SweepConfig(include_prop=False, include_fo=True, fo_max_size=3)
     report = check_equivalence(config)
     assert report.ok and report.fo_formulas > 1
-    # One check per formula, point and policy; one valuation per point and policy.
-    assert len(calls) == report.fo_checks // report.fo_formulas
+    # One vocabulary, S, whose worlds have 1, 2 or 3 individuals: one
+    # program, and one valuation, per domain.
+    assert [len(world.individuals) for world in calls] == [1, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +174,7 @@ def test_render_universal_example():
 
 
 # ---------------------------------------------------------------------------
-# memo-carrying assignments
+# programs against a fresh evaluation
 
 IND_VARS = st.sampled_from(("x", "y"))
 
@@ -194,8 +195,8 @@ FACTS = [(r, (i,)) for r in ("R", "S") for i in ("a", "b")]
 
 def table_free(f, world, h, policy="minimal", any_variable=None):
     """The Meaning of f in world under h by the induction `propsem`
-    states, evaluated afresh with no table: the reference the tabled
-    evaluator is compared against.  A world without individuals (a
+    states, evaluated afresh with no table: the reference the compiled
+    programs are compared against.  A world without individuals (a
     propositional assignment's) has no valuation."""
     xi = default_binding(world) if world.individuals else {}
     start = {} if any_variable is None else dict.fromkeys(xi, xi[any_variable])
@@ -235,9 +236,9 @@ def table_free(f, world, h, policy="minimal", any_variable=None):
 )
 @settings(max_examples=60, deadline=None)
 def test_memo_binding_matches_fresh_evaluation(calls, individuals, facts, p_true):
-    """One memo-carrying assignment serves formulas in any order, under
-    interleaved policies and base modes, with the Meanings a fresh
-    evaluation gives."""
+    """One program per base mode, run under interleaved policies with one
+    computed table, gives every formula, in any order, the Meaning a
+    fresh evaluation gives; so does a lone eval_fo."""
     world = World(
         individuals=individuals,
         predicates=("R", "S"),
@@ -245,30 +246,34 @@ def test_memo_binding_matches_fresh_evaluation(calls, individuals, facts, p_true
         constants=(("P", True),),
     )
     h = canonical_assignments(["p"], world)[0 if p_true else 1]
-    point = sweep_point(h, {})
-    for f, policy, any_variable in calls:
+    formulas = [f for f, _, _ in calls]
+    programs = {u: compile_program(formulas, h.values, world, u) for u in (None, "x", "y")}
+    computed = {}
+    for k, (f, policy, any_variable) in enumerate(calls):
         fresh = table_free(f, h.world, h, policy, any_variable)
-        assert eval_fo(f, h.world, point, policy, any_variable) == fresh
+        program = programs[any_variable]
+        assert run(program, h.values, world, policy, computed)[program.roots[k]] == fresh
         assert eval_fo(f, h.world, h, policy, any_variable) == fresh
 
 
 def test_memo_is_not_served_to_another_assignment():
+    """One program and computed table serve both assignments: a run
+    keeps no slot for the next."""
     world = World(individuals=("a",), predicates=("S",), constants=(("P", True),))
     h_true, h_false = canonical_assignments(["p"], world)
-    h_true = sweep_point(h_true, {})
-    f = parse("(x).p")
-    assert is_true(eval_fo(f, world, h_true))
-    assert not is_true(eval_fo(f, world, h_false))
-    assert h_false.memo is None  # a lone eval_fo drops its own memo
+    program = compile_program([parse("(x).p")], ["p"], world)
+    computed = {}
+    assert is_true(run(program, h_true.values, world, "minimal", computed)[program.roots[0]])
+    assert not is_true(run(program, h_false.values, world, "minimal", computed)[program.roots[0]])
 
 
 def test_memo_is_not_served_to_another_binding():
-    """A memo filled in one world is not read in another."""
-    (h,) = canonical_assignments([], w())
-    h = sweep_point(h, {})
-    f = parse("(x).S(x)")
-    assert not is_true(eval_fo(f, w(), h))
-    assert is_true(eval_fo(f, w(facts=("a", "b")), h))
+    """A program compiled in one world runs in another of the same
+    domain, and reads that world's facts."""
+    program = compile_program([parse("(x).S(x)")], (), w())
+    computed = {}
+    assert not is_true(run(program, {}, w(), "minimal", computed)[program.roots[0]])
+    assert is_true(run(program, {}, w(facts=("a", "b")), "minimal", computed)[program.roots[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from pmsem.syntax import (
     ForAll,
     Not,
     Or,
+    PredApp,
     PropVar,
     parse,
     print_formula,
@@ -463,10 +464,29 @@ def test_sweep_drops_its_tables():
     assert len(meanings._live) == before
 
 
+def test_sweep_frees_its_formulas_by_reference_counting():
+    """With the cyclic collector off, a sweep still leaves every formula
+    class's table of live nodes, and the table of live Meanings, as large
+    as before it: nothing it builds, its programs included, sits in a
+    reference cycle."""
+    classes = (PropVar, PredApp, Or, Not, ForAll, Exists)
+    config = SweepConfig(prop_vars=("p", "q"), max_depth=2, include_fo=True, fo_prop_vars=("p",),
+                         fo_max_size=5, fo_max_individuals=2)
+    gc.collect()
+    gc.disable()
+    try:
+        before = [len(cls._live) for cls in classes] + [len(meanings._live)]
+        assert check_equivalence(config).ok
+        after = [len(cls._live) for cls in classes] + [len(meanings._live)]
+    finally:
+        gc.enable()
+    assert after == before
+
+
 def test_refused_negation_leaves_no_entry(monkeypatch):
     """A ValueError from `negate`, such as a transversal budget's
-    refusal, comes out of the sweep, and the sweep's tables keep nothing
-    for the refused operand: the next point asks `negate` again."""
+    refusal, comes out of the sweep, and the computed table keeps
+    nothing for the refused operand: the next run asks `negate` again."""
     calls = []
 
     def refuse_first(m, policy="minimal"):
@@ -481,11 +501,13 @@ def test_refused_negation_leaves_no_entry(monkeypatch):
 
     calls.clear()
     h = propsem.canonical_assignments(["p"])[0]
-    shared = {}
-    first, second = (propsem.sweep_point(h, shared) for _ in range(2))
+    program = propsem.compile_program([Not(p)], ["p"])
+    computed = {}
     with pytest.raises(ValueError, match="refused"):
-        eval_prop(Not(p), first)
-    assert eval_prop(Not(p), second) == negate(h.values["p"])
+        propsem.run(program, h.values, None, "minimal", computed)
+    assert computed == {}
+    out = propsem.run(program, h.values, None, "minimal", computed)
+    assert out[program.roots[0]] == negate(h.values["p"])
     assert len(calls) == 2
 
 

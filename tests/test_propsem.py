@@ -1,4 +1,5 @@
 """Propositional evaluation, assignments and the tautology decision."""
+import re
 from dataclasses import replace
 
 import pytest
@@ -6,7 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from pmsem import propsem
 from pmsem.fosem import enumerate_worlds
-from pmsem.meanings import POLICIES, is_true, meaning, meaning_in_world, negate, render_meaning
+from pmsem.meanings import (
+    POLICIES,
+    atom_meaning,
+    is_true,
+    meaning,
+    meaning_in_world,
+    negate,
+    render_meaning,
+)
 from pmsem.ontology import Complex, Pair, World, constant_name
 from pmsem.oracle import enumerate_formulas
 from pmsem.propsem import (
@@ -16,13 +25,14 @@ from pmsem.propsem import (
     Verdict,
     canonical_assignments,
     classify,
+    compile_program,
     declared_assignment,
     default_world,
     enumerate_assignments,
     eval_fo,
     eval_prop,
+    run,
     sampled_assignments,
-    sweep_point,
 )
 from pmsem.syntax import (
     Exists,
@@ -90,6 +100,53 @@ def test_eval_rejects_uncovered_variable():
 def test_eval_rejects_quantified_formulas():
     with pytest.raises(ValueError):
         eval_prop(parse("(x).S(x)"), h_of())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the leftmost refusal wins, whichever kind it is
+        ("p1 v S(x)", "assignment does not cover variable p1"),
+        ("S(x) v p1", "eval_prop takes propositional formulas; use eval_fo for predicates"),
+        ("~((Ex).S(x)) v p1", "eval_prop takes propositional formulas; use eval_fo for quantifiers"),
+        ("p v ~p1 v (x).S(x)", "assignment does not cover variable p1"),
+    ],
+)
+def test_eval_prop_refuses_the_leftmost_name(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        eval_prop(parse(text), h_of(p=P_TRUE))
+
+
+@pytest.mark.parametrize(
+    "text, any_variable, message",
+    [
+        ("S(x9)", None, "unbound individual variables: ['x9']"),
+        # every unbound variable of the formula is named
+        ("S(x) v S(y9) v S(x9)", None, "unbound individual variables: ['x9', 'y9']"),
+        ("p1 v S(x9)", None, "assignment does not cover variable p1"),
+        ("S(x9) v p1", None, "unbound individual variables: ['x9']"),
+        ("S(x9) v p1", "x1", "designated variable x1 is not in the valuation"),
+        ("(x).S(x) v S(y9)", "x", "unbound individual variables: ['y9']"),
+    ],
+)
+def test_eval_fo_refuses_the_leftmost_name(text, any_variable, message):
+    world = World(individuals=("a", "b"), predicates=("S",))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        eval_fo(parse(text), world, None, "minimal", any_variable)
+
+
+def test_unknown_policy_is_refused_without_a_negation():
+    """The policy is checked before anything is evaluated, not only
+    where a negation reads it."""
+    h = h_of(p=P_TRUE, q=Q_FALSE)
+    world = World(individuals=("a",), predicates=("S",))
+    for evaluate in (
+        lambda: eval_prop(parse("p v q"), h, "bogus"),
+        lambda: eval_fo(parse("(Ex).S(x) v (x).S(x)"), world, policy="bogus"),
+        lambda: classify(parse("p v q"), policy="bogus"),
+    ):
+        with pytest.raises(ValueError, match="^unknown policy 'bogus'$"):
+            evaluate()
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +301,11 @@ def test_classify_sampled_mode():
 def test_classify_stops_once_the_verdict_is_settled(monkeypatch, policy, text, evaluated):
     calls = []
 
-    def counting(f, h, policy="minimal"):
-        calls.append(h)
-        return eval_prop(f, h, policy)
+    def counting(program, values, *args):
+        calls.append(values)
+        return run(program, values, *args)
 
-    monkeypatch.setattr(propsem, "eval_prop", counting)
+    monkeypatch.setattr(propsem, "run", counting)
     assert classify(parse(text), policy=policy).assignments_checked == 4
     assert len(calls) == evaluated
 
@@ -335,7 +392,7 @@ def test_render_of_negated_disjunction():
 
 
 # ---------------------------------------------------------------------------
-# memo-carrying assignments
+# programs against a fresh evaluation
 
 def copied(f):
     """f rebuilt from its printed text: hash-consing makes it f itself."""
@@ -354,6 +411,12 @@ PROP_TREES = st.recursive(
 )
 
 
+def meanings_of(program, values, world, policy, computed):
+    """The Meaning of each formula program was compiled from, in order."""
+    out = run(program, values, world, policy, computed)
+    return [out[slot] for slot in program.roots]
+
+
 @given(
     st.lists(st.tuples(PROP_TREES, st.sampled_from(("minimal", "full"))), min_size=1, max_size=12),
     st.integers(0, 3),
@@ -361,30 +424,33 @@ PROP_TREES = st.recursive(
 )
 @settings(max_examples=60, deadline=None)
 def test_memo_point_matches_fresh_evaluation(calls, index, seed):
-    """One memo-carrying point serves formulas in any order and under
-    interleaved policies with the Meanings a fresh evaluation gives."""
+    """One program of formulas and their copies, run at one point under
+    interleaved policies with one computed table, gives each the
+    Meaning a fresh evaluation gives; so does a lone eval_prop."""
     if seed is None:
         h = canonical_assignments(["p", "q"])[index]
     else:
         h = sampled_assignments(["p", "q"], default_world(["p", "q"]), seed, 1, size_bound=2)[0]
-    point = sweep_point(h, {})
-    for f, policy in calls:
+    program = compile_program([g for f, _ in calls for g in (f, copied(f))], h.values)
+    computed = {}
+    for k, (f, policy) in enumerate(calls):
         fresh = table_free(f, h.world, h, policy)
-        assert eval_prop(f, point, policy) == fresh
-        assert eval_prop(copied(f), point, policy) == fresh
+        assert meanings_of(program, h.values, None, policy, computed)[2 * k:2 * k + 2] == [fresh] * 2
         assert eval_prop(f, h, policy) == fresh
 
 
 def test_memo_stays_with_its_point():
+    """A run reads only the values it is given."""
     h, other = canonical_assignments(["p"])
-    point = sweep_point(h, {})
-    assert is_true(eval_prop(parse("p"), point))
-    assert replace(point, values=other.values).memo is None
-    assert not is_true(eval_prop(parse("p"), replace(point, values=other.values)))
+    program = compile_program([parse("p")], ["p"])
+    computed = {}
+    assert meanings_of(program, h.values, None, "minimal", computed) == [h.values["p"]]
+    assert meanings_of(program, other.values, None, "minimal", computed) == [other.values["p"]]
+    assert not is_true(eval_prop(parse("p"), replace(h, values=other.values)))
 
 
 # ---------------------------------------------------------------------------
-# tables shared by the points of a sweep
+# programs and the computed table of a sweep
 
 FO_TREES = st.recursive(
     st.sampled_from([PropVar("p"), PredApp("S", "x"), PredApp("S", "y")]),
@@ -406,10 +472,10 @@ FO_TREES = st.recursive(
 )
 @settings(max_examples=30, deadline=None)
 def test_sweep_tables_match_fresh_evaluation(prop_calls, fo_calls, seed, individuals):
-    """Points that share one sweep's computed table give, at every
-    point and under interleaved policies, the Meanings a fresh
+    """Programs whose runs share one sweep's computed table give, at
+    every point and under interleaved policies, the Meanings a fresh
     evaluation gives.  Two sweeps run in turn, each with a table of its
-    own."""
+    own, and the quantified program is compiled once per domain."""
     mode = "canonical" if seed is None else "sampled"
 
     def points(variables, world):
@@ -417,37 +483,67 @@ def test_sweep_tables_match_fresh_evaluation(prop_calls, fo_calls, seed, individ
 
     for _ in range(2):
         shared = {}
+        program = compile_program([f for f, _ in prop_calls], ["p", "q"])
         for h in points(["p", "q"], None):
-            point = sweep_point(h, shared)
-            for f, policy in prop_calls:
-                assert eval_prop(f, point, policy) == table_free(f, h.world, h, policy)
+            for k, (f, policy) in enumerate(prop_calls):
+                got = meanings_of(program, h.values, None, policy, shared)[k]
+                assert got == table_free(f, h.world, h, policy)
+        domain = None
         for world in enumerate_worlds(["S"], ["p"], individuals):
+            if world.individuals != domain:
+                program = compile_program([f for f, _ in fo_calls], ["p"], world)
+                domain = world.individuals
             for h in points(["p"], world):
-                point = sweep_point(h, shared)
-                for f, policy in fo_calls:
-                    assert eval_fo(f, world, point, policy) == table_free(f, world, h, policy)
+                for k, (f, policy) in enumerate(fo_calls):
+                    got = meanings_of(program, h.values, world, policy, shared)[k]
+                    assert got == table_free(f, world, h, policy)
 
 
 def test_computed_negations_are_kept_per_policy():
     """~(p v q) with p = {{a, b}} and q = {{c}} has different `minimal`
-    and `full` Meanings; one point gives each as a table-free evaluation
-    does, in either order, so no negation is served across policies."""
+    and `full` Meanings; one program and computed table give each as a
+    table-free evaluation does, in either order, so no negation is
+    served across policies."""
     a, b, c = (Pair(Complex(name, (), True), True) for name in "ABC")
     h = PropAssignment({"p": meaning({a, b}), "q": meaning({c})}, default_world(["p", "q"]))
     f = parse("~(p v q)")
     fresh = {policy: table_free(f, h.world, h, policy) for policy in POLICIES}
     assert fresh["minimal"] != fresh["full"]
+    program = compile_program([f], h.values)
     for order in (POLICIES, POLICIES[::-1]):
-        point = sweep_point(h, {})
+        computed = {}
         for policy in order:
-            assert eval_prop(f, point, policy) == fresh[policy]
+            assert meanings_of(program, h.values, None, policy, computed) == [fresh[policy]]
+
+
+def test_reordered_quantifiers_ground_no_atom_again(monkeypatch):
+    """(x)(y)g and (y)(x)g reach g in the same environments, whose keys
+    are sorted, so at one sweep point the second formula grounds no atom
+    the first has not; and each atom is grounded once per run."""
+    grounded = []
+
+    def counting(world, relation, args):
+        grounded.append((relation, args))
+        return atom_meaning(world, relation, args)
+
+    monkeypatch.setattr(propsem, "atom_meaning", counting)
+    world = World(individuals=("a", "b"), predicates=("S",), facts=frozenset({("S", ("a",))}))
+    first, second = parse("(x).(y).(S(x) v S(y))"), parse("(y).(x).(S(x) v S(y))")
+    alone = meanings_of(compile_program([first], (), world), {}, world, "minimal", {})
+    ground_first = len(grounded)
+    grounded.clear()
+    both = meanings_of(compile_program([first, second], (), world), {}, world, "minimal", {})
+    assert len(grounded) == ground_first
+    assert sorted(grounded) == [("S", ("a",)), ("S", ("b",))]
+    assert both == alone * 2 == [table_free(first, world, None, "minimal")] * 2
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_lone_evaluation_negates_each_distinct_negation_once(monkeypatch, policy):
-    """A lone `eval_prop` records its subformulas in tables of its own
-    and drops them on return: the four distinct negations of
-    ~(p v q) <=> ~(p v q) are computed once each."""
+    """A lone `eval_prop` compiles its formula, whose repeated subformulas
+    share their slots, and runs it with a computed table of its own: the
+    four distinct negations of ~(p v q) <=> ~(p v q) are computed once
+    each."""
     calls = []
 
     def counting_negate(m, policy):
@@ -459,7 +555,6 @@ def test_lone_evaluation_negates_each_distinct_negation_once(monkeypatch, policy
     f = parse("~(p v q) <=> ~(p v q)")
     assert eval_prop(f, h, policy) == table_free(f, h.world, h, policy)
     assert len(calls) == 4
-    assert h.memo is None  # a lone eval_prop drops its own memo
 
 
 def test_unknown_policy_is_refused():
@@ -467,7 +562,7 @@ def test_unknown_policy_is_refused():
     world = World(individuals=("a",), predicates=("S",))
     for evaluate in (
         lambda: eval_prop(parse("~p"), h, "bogus"),
-        lambda: eval_prop(parse("p"), sweep_point(h, {}), "bogus"),
+        lambda: run(compile_program([parse("p")], ["p"]), h.values, None, "bogus", {}),
         lambda: eval_fo(parse("(x).S(x)"), world, policy="bogus"),
         lambda: classify(parse("p v ~p"), policy="bogus"),
     ):
