@@ -324,11 +324,10 @@ def _sweep(formulas, groups, policies, points, evaluate=None) -> list:
     for worlds, variables, ids in groups:
         group = [formulas[i] for i in ids]
         program = domain = None
+        roots = range(len(group))  # where evaluate's results sit
         for wdx, w in enumerate(worlds):
             individuals, facts = (None, None) if w is None else (w.individuals, w.facts)
-            if evaluate:
-                roots = range(len(group))
-            elif program is None or individuals != domain:
+            if not evaluate and (program is None or individuals != domain):
                 program = None  # the last domain's program goes before the next is built
                 program, domain = compile_program(group, variables, w), individuals
                 roots = program.roots

@@ -14,8 +14,8 @@ slots in order, each step reading only earlier slots:
     disjoins them.
 
 Lowering.  A subformula is lowered once per environment, which maps
-individual variables to individuals; its key is the sorted tuple of
-its items, so (x)(y)g and (y)(x)g reach g in the same environments.  A
+individual variables to individuals and is keyed by the sorted tuple
+of its items, so (x)(y)g and (y)(x)g reach g in the same environments.  A
 quantifier lowers its body at every individual of the domain, in the
 world's order.  A predicate application reads its variable from the
 environment; outside it, a variable the world's valuation xi names
