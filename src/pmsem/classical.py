@@ -4,10 +4,15 @@
 model, quantification; `truth_table_eval` is its model-free case.  This
 module imports nothing from the package but `syntax`, so it shares only
 the AST with the meaning evaluators it referees.  Its one recursion,
-`satisfies`, reads a model as a domain and facts, as a `World` holds
-them, and records each (subformula, environment) truth it decides in a
-table of booleans: one per `tarski_eval` call, and one per point in a
-sweep, dropped with the point.
+`satisfies`, decides a block of points at once (Knuth, TAOCP 4A,
+7.1.3): a truth is a mask, an int whose bit k is the truth at the k-th
+point of the block, so ~, v, (x) and (Ex) are ^ with the all-points
+mask, |, & and |.  A block shares one domain; the points differ in
+their facts and their valuation, which map each fact and each variable
+to the mask of the points where it holds.  `tarski_eval` is the block
+of one point.  `satisfies` records each (subformula, environment) mask
+it decides in a table: one per `tarski_eval` call, and one per domain
+in a sweep, dropped with the domain.
 """
 from __future__ import annotations
 
@@ -38,17 +43,24 @@ def tarski_eval(
 ) -> bool:
     """Classical satisfaction over a finite model; a propositional
     formula needs no model."""
-    domain, facts = (None, None) if model is None else (model.domain, model.facts)
-    return satisfies(f, domain, facts, env or {}, valuation, {})
+    domain = facts = None
+    if model is not None:
+        domain, facts = model.domain, dict.fromkeys(model.facts, 1)
+    return bool(satisfies(f, domain, facts, env or {}, valuation, {}, 1))
 
 
-def satisfies(f: Formula, domain, facts, env, valuation, table) -> bool:
-    """The satisfaction clauses over a domain (None: no model) and its
-    facts.  table records each (subformula, environment) truth, under the
-    formula alone at the empty environment; a ValueError records none."""
+def satisfies(f: Formula, domain, facts, env, valuation, table, full) -> int:
+    """The mask of the points of a block where f holds under env, by the
+    satisfaction clauses over their domain (None: no model).  facts and
+    valuation map each fact (predicate, (individual,)) and each
+    propositional variable to the mask of the points where it holds (a
+    fact missing from facts holds at none), and full is the mask of all
+    the points.  table records each (subformula, environment) mask,
+    under the formula alone at the empty environment; a ValueError
+    records none."""
     key = (f, tuple(env.items())) if env else f
     truth = table.get(key)
-    if truth is not None:  # a recorded False is a hit too
+    if truth is not None:  # a recorded 0 is a hit too
         return truth
     if isinstance(f, PropVar):
         try:
@@ -56,29 +68,32 @@ def satisfies(f: Formula, domain, facts, env, valuation, table) -> bool:
         except (KeyError, TypeError):  # TypeError: no valuation at all
             raise ValueError(f"no truth value for propositional variable {f.name}") from None
     elif isinstance(f, Not):
-        truth = not satisfies(f.operand, domain, facts, env, valuation, table)
+        truth = full ^ satisfies(f.operand, domain, facts, env, valuation, table, full)
     elif isinstance(f, Or):
-        truth = (satisfies(f.left, domain, facts, env, valuation, table)
-                 or satisfies(f.right, domain, facts, env, valuation, table))
+        truth = satisfies(f.left, domain, facts, env, valuation, table, full)
+        if truth != full:
+            truth |= satisfies(f.right, domain, facts, env, valuation, table, full)
     elif isinstance(f, PredApp):
         if f.argument not in env:
             raise ValueError(f"unbound individual variable {f.argument}")
-        truth = (f.predicate, (env[f.argument],)) in facts
+        truth = facts.get((f.predicate, (env[f.argument],)), 0)
     elif domain is None:
         raise ValueError("quantified formulas need a model")
     # Loops, not generators: a closure would give every call, the
     # propositional ones included, cell variables to set up.
     elif isinstance(f, ForAll):
-        truth = True
+        truth = full
         for d in domain:
-            if not satisfies(f.body, domain, facts, {**env, f.variable: d}, valuation, table):
-                truth = False
+            truth &= satisfies(f.body, domain, facts, {**env, f.variable: d}, valuation, table,
+                               full)
+            if not truth:
                 break
     elif isinstance(f, Exists):
-        truth = False
+        truth = 0
         for d in domain:
-            if satisfies(f.body, domain, facts, {**env, f.variable: d}, valuation, table):
-                truth = True
+            truth |= satisfies(f.body, domain, facts, {**env, f.variable: d}, valuation, table,
+                               full)
+            if truth == full:
                 break
     else:
         raise TypeError(f"not a formula: {f!r}")

@@ -37,9 +37,10 @@ from .oracle import SweepConfig, check_equivalence
 from .proof import check_proof, load_script
 from .propsem import (
     classify,
+    compile_program,
     declared_assignment,
     enumerate_assignments,
-    eval_prop,
+    run,
 )
 from .syntax import (
     PROP_LETTERS,
@@ -137,17 +138,20 @@ def cmd_parse(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     f = parse(args.formula)
     world = load_world(args.world) if args.world else None
+    names = prop_variables(f)
     assignments = enumerate_assignments(
-        prop_variables(f),
+        names,
         world,
         args.mode,
         seed=args.seed,
         count=args.count,
         size_bound=args.size_bound,
     )
+    program = compile_program([f], names)
+    (root,) = program.roots
     rows = []
     for h in assignments:
-        m = eval_prop(f, h, args.policy)
+        m = run(program, h.values, None, args.policy, {})[root]
         rows.append((h.describe() or "empty", is_true(m), render_meaning(m)))
     if args.json:
         _emit(args, _dumps({

@@ -31,14 +31,20 @@ each point, a world and an assignment, the program runs once per
 policy, and all runs of one `_sweep` call share the computed table
 `propsem` describes, dropped when the call returns.  An evaluator
 given to `check_equivalence` replaces the program: it is called once
-per formula, point and policy.  Only disagreeing points are kept, and
-each section records them in (formula, world, assignment) order, as a
-formula-by-formula sweep would.
+per formula, point and policy.  The referee is called once per formula
+and domain: the points of a domain, its worlds by their assignments,
+form one block, and `classical.satisfies` gives each formula's truth
+at all of them as one mask, through one classical table per domain.
+A point's formulas are walked one by one only where its runs' truths
+differ from its bits of the masks.  Only disagreeing points are kept,
+and each section records them in (formula, world, assignment) order,
+as a formula-by-formula sweep would.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, asdict
+from itertools import groupby
 
 from .classical import TarskiModel, satisfies, tarski_eval, truth_table_eval
 from .fosem import enumerate_worlds, world_vocabulary
@@ -323,28 +329,50 @@ def _sweep(formulas, groups, policies, points, evaluate=None) -> list:
     computed = {}  # the computed table all runs share (see propsem), dropped on return
     for worlds, variables, ids in groups:
         group = [formulas[i] for i in ids]
-        program = domain = None
         roots = range(len(group))  # where evaluate's results sit
-        for wdx, w in enumerate(worlds):
-            individuals, facts = (None, None) if w is None else (w.individuals, w.facts)
-            if not evaluate and (program is None or individuals != domain):
+        # no world (the propositional section) has no domain
+        for domain, members in groupby(enumerate(worlds),
+                                       lambda item: getattr(item[1], "individuals", None)):
+            members = list(members)
+            if not evaluate:
                 program = None  # the last domain's program goes before the next is built
-                program, domain = compile_program(group, variables, w), individuals
+                program = compile_program(group, variables, members[0][1])
                 roots = program.roots
-            for adx, h in enumerate(points(variables, w)):
+            block = [(wdx, w, adx, h) for wdx, w in members
+                     for adx, h in enumerate(points(variables, w))]
+            masks = _referee(group, domain, block)
+            for k, (wdx, w, adx, h) in enumerate(block):
                 if evaluate:
                     runs = [[evaluate(f, w, h, policy) for f in group] for policy in policies]
                 else:
                     runs = [run(program, h.values, w, policy, computed) for policy in policies]
-                truths = h.truths()
-                decided = {}  # the classical table of this point
-                for i, f, slot in zip(ids, group, roots):
-                    expected = satisfies(f, individuals, facts, {}, truths, decided)
-                    got = [is_true(out[slot]) for out in runs]
-                    if got.count(expected) != len(got):
-                        misses.append(((i, wdx, adx), expected, got, w, h))
+                expected = [m >> k & 1 for m in masks]
+                got = [[is_true(out[slot]) for slot in roots] for out in runs]
+                if all(truths == expected for truths in got):
+                    continue
+                for j, (i, truth) in enumerate(zip(ids, expected)):
+                    column = [truths[j] for truths in got]
+                    if column.count(truth) != len(column):
+                        misses.append(((i, wdx, adx), bool(truth), column, w, h))
     misses.sort(key=lambda miss: miss[0])
     return misses
+
+
+def _referee(group, domain, block) -> list[int]:
+    """The classical truth of each formula of group over a block of
+    points (wdx, world, adx, assignment) of one domain, as a mask whose
+    bit k is its truth at the k-th point, from one table dropped on
+    return."""
+    facts, valuation = {}, {}
+    for k, (_, w, _, h) in enumerate(block):
+        bit = 1 << k
+        for fact in () if w is None else w.facts:
+            facts[fact] = facts.get(fact, 0) | bit
+        for name, truth in h.truths().items():
+            valuation[name] = valuation.get(name, 0) | (bit if truth else 0)
+    full = (1 << len(block)) - 1
+    table = {}
+    return [satisfies(f, domain, facts, {}, valuation, table, full) for f in group]
 
 
 def _check_config(config: SweepConfig) -> None:

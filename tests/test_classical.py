@@ -103,9 +103,51 @@ def test_tarski_rejects_unbound_individual():
 
 
 def classical_key(f, env):
-    """The key of (f, env) in a point's classical table, as `satisfies`
-    lays it out."""
+    """The key of (f, env) in a classical table, as `satisfies` lays it
+    out."""
     return (f, tuple(env.items())) if env else f
+
+
+WORLDS = enumerate_worlds(["S"], [], 3)
+
+
+@st.composite
+def blocks(draw):
+    """A block of points of one domain: worlds over S, each with a
+    valuation of p, and of q at every point or at none."""
+    n = draw(st.integers(1, 3))
+    names = draw(st.sampled_from([("p",), ("p", "q")]))
+    return draw(st.lists(
+        st.tuples(st.sampled_from([w for w in WORLDS if len(w.individuals) == n]),
+                  st.fixed_dictionaries({v: st.booleans() for v in names})),
+        min_size=1,
+        max_size=8,
+    ))
+
+
+def block_masks(block):
+    """The facts and valuation of a block of (world, valuation) points,
+    each mapped to the mask of the points where it holds, and the mask
+    of all of them."""
+    facts, valuation = {}, {}
+    for k, (world, values) in enumerate(block):
+        for fact in world.facts:
+            facts[fact] = facts.get(fact, 0) | 1 << k
+        for name, truth in values.items():
+            valuation[name] = valuation.get(name, 0) | truth << k
+    return facts, valuation, (1 << len(block)) - 1
+
+
+def pointwise(g, block, env):
+    """`tarski_eval` of g at each point of block: a truth, or the
+    message of the ValueError it raises."""
+    out = []
+    for world, values in block:
+        try:
+            out.append(tarski_eval(g, model(world), env, values))
+        except ValueError as error:
+            out.append(str(error))
+    return out
 
 
 @given(
@@ -117,37 +159,45 @@ def classical_key(f, env):
         min_size=1,
         max_size=8,
     ),
-    st.sampled_from(enumerate_worlds(["S"], [], 3)),
-    st.fixed_dictionaries({"p": st.booleans()}, optional={"q": st.booleans()}),
+    blocks(),
 )
 @settings(max_examples=60, deadline=None)
-def test_classical_table_matches_tarski_eval(calls, world, valuation):
-    """One point's classical table serves formulas in any order, open
-    ones at non-empty environments included, with the truths
-    `tarski_eval` gives without a table.  Each formula is asked, then its
-    negation, which finds it recorded, then both again with neither a
-    model nor a valuation, which only the table can answer; p and ~p
-    come first, so a recorded True and a recorded False are both served.
-    An unbound variable or a missing valuation raises the error
-    `tarski_eval` raises and records nothing for the formula."""
-    domain, facts = world.individuals, world.facts
+def test_classical_table_matches_tarski_eval(calls, block):
+    """One table serves a block's masks for formulas in any order, open
+    ones at non-empty environments included, and bit k of each is the
+    truth `tarski_eval` gives without a table at the block's k-th point.
+    Each formula is asked, then its negation, which finds it recorded,
+    then both again with neither a model nor a valuation, which only the
+    table can answer; p v ~p and its negation come first, so a recorded
+    all-points mask and a recorded 0 are both served.  An unbound
+    variable or a missing valuation raises an error `tarski_eval` raises
+    at some point of the block, and records nothing for the formula."""
+    domain = block[0][0].individuals
+    facts, valuation, full = block_masks(block)
     table = {}
-    for f, picks in [(p, {})] + calls:
+    excluded_middle = Or(p, Not(p))
+    for f, picks in [(excluded_middle, {})] + calls:
         env = {v: domain[i % len(domain)] for v, i in picks.items()}
         for g in (f, Not(f)):
-            try:
-                expected = tarski_eval(g, model(world), env, valuation)
-            except ValueError as error:
+            expected = pointwise(g, block, env)
+            errors = [e for e in expected if isinstance(e, str)]
+            if errors:
                 with pytest.raises(ValueError) as raised:
-                    satisfies(g, domain, facts, env, valuation, table)
-                assert str(raised.value) == str(error)
+                    satisfies(g, domain, facts, env, valuation, table, full)
+                assert str(raised.value) in errors
                 assert classical_key(g, env) not in table
                 continue
-            assert satisfies(g, domain, facts, env, valuation, table) is expected
-            assert satisfies(g, None, None, env, None, table) is expected
-    for key, truth in table.items():
+            mask = satisfies(g, domain, facts, env, valuation, table, full)
+            assert [bool(mask >> k & 1) for k in range(len(block))] == expected
+            assert satisfies(g, None, None, env, None, table, full) == mask
+    zero = Not(excluded_middle)
+    assert (table[excluded_middle], table[zero]) == (full, 0)
+    # served alone: recomputing the 0 would need p's valuation
+    assert satisfies(zero, None, None, {}, None, {zero: 0}, full) == 0
+    for key, mask in table.items():
         g, items = key if isinstance(key, tuple) else (key, ())
-        assert tarski_eval(g, model(world), dict(items), valuation) is truth
+        for k, (world, values) in enumerate(block):
+            assert tarski_eval(g, model(world), dict(items), values) is bool(mask >> k & 1)
 
 
 # ---------------------------------------------------------------------------

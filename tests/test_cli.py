@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pmsem.cli as cli
+import pmsem.propsem as propsem
 from pmsem.cli import build_parser, main
 from pmsem.oracle import enumerate_formulas
+from pmsem.propsem import compile_program
 from pmsem.syntax import MAX_DEPTH, MAX_NODES, PropVar, parse, print_formula
 
 PROOFS = Path(__file__).resolve().parent.parent / "proofs"
@@ -121,6 +124,22 @@ def test_eval_json_schema(capsys):
     assert data["formula"] == "p"
     assert len(data["assignments"]) == 2
     assert data["assignments"][0]["true"] is True
+
+
+def test_eval_compiles_once(capsys, monkeypatch):
+    """`pm eval` compiles its formula once and runs it at each of its
+    assignments."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return compile_program(*args, **kwargs)
+
+    monkeypatch.setattr(propsem, "compile_program", counting)
+    monkeypatch.setattr(cli, "compile_program", counting, raising=False)
+    code, out, _ = run(capsys, "eval", "(p v q) .=>. r")
+    assert code == 0 and len(out.splitlines()) == 3 + 8
+    assert len(calls) == 1
 
 
 def test_taut_accepts_tautology(capsys):

@@ -8,9 +8,11 @@ import pytest
 import pmsem.meanings as meanings
 import pmsem.oracle as oracle
 import pmsem.propsem as propsem
+from pmsem.classical import satisfies, truth_table_eval
 from pmsem.fosem import eval_fo
 from pmsem.meanings import negate
 from pmsem.oracle import (
+    Disagreement,
     SweepConfig,
     check_equivalence,
     enumerate_formulas,
@@ -19,6 +21,7 @@ from pmsem.oracle import (
 )
 from pmsem.propsem import eval_prop
 from pmsem.syntax import (
+    PROP_LETTERS,
     Exists,
     ForAll,
     Not,
@@ -29,6 +32,7 @@ from pmsem.syntax import (
     print_formula,
     prop_variables,
     subformulas,
+    variable_names,
 )
 
 p = PropVar("p")
@@ -438,6 +442,55 @@ def test_fo_eval_is_called_once_per_check():
     assert len(calls) == report.fo_checks == 2 * 6 * sum(
         2 ** len(prop_variables(f)) for f in formulas
     )
+
+
+def test_sweep_referees_once_per_formula_and_domain(monkeypatch):
+    """The referee decides every point of a domain in one call per
+    formula: the one-predicate sweep's 972 formulas over 3 domains, and
+    the depth-2 propositional sweep's 243 over its one block.  Only the
+    sweep's calls are counted; the recursion inside `classical` calls
+    its own name."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return satisfies(*args)
+
+    monkeypatch.setattr(oracle, "satisfies", counting)
+    report = check_equivalence(SweepConfig(include_prop=False, include_fo=True))
+    assert report.ok and report.fo_formulas == 972
+    assert len(calls) == 972 * 3
+    calls.clear()
+    report = check_equivalence(SweepConfig(prop_vars=("p", "q", "r"), max_depth=2))
+    assert report.ok and report.prop_formulas == 243
+    assert len(calls) == 243
+
+
+def test_fault_at_the_highest_bit_is_reported():
+    """A fault only at the last of 128 canonical assignments, the bit
+    past the first two machine words of the block's masks, is reported
+    there for every formula under both policies."""
+    names = variable_names(PROP_LETTERS, 7)
+
+    def wrong_at_the_last(f, h, policy="minimal"):
+        m = eval_prop(f, h, policy)
+        return negate(m, policy) if not any(h.truths().values()) else m
+
+    config = SweepConfig(prop_vars=names, max_depth=1)
+    report = check_equivalence(config, prop_eval=wrong_at_the_last)
+    formulas = enumerate_formulas(names, max_depth=1)
+    assert report.prop_checks == len(formulas) * 128 * 2
+    assert report.disagreement_count == len(formulas) * 2
+    last = ", ".join(f"{v}=false" for v in sorted(names))
+    falsity = dict.fromkeys(names, False)
+    expected = [
+        Disagreement("prop", print_formula(f), f"assignment 127: {last}",
+                     str(truth_table_eval(f, falsity)).lower(),
+                     f"{policy}: {str(not truth_table_eval(f, falsity)).lower()}")
+        for f in formulas for policy in config.policies
+    ]
+    assert report.disagreements == expected[:len(report.disagreements)]
+    assert len(report.disagreements) == 25
 
 
 def test_sweep_drops_its_tables():
