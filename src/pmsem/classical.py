@@ -57,7 +57,10 @@ def satisfies(f: Formula, domain, facts, env, valuation, table, full) -> int:
     fact missing from facts holds at none), and full is the mask of all
     the points.  table records each (subformula, environment) mask,
     under the formula alone at the empty environment; a ValueError
-    records none."""
+    records none.  A point reaches a disjunct or an instance only where
+    the ones before it leave its truth open, so one that raises is
+    decided again at those points alone (`_reached`): it raises if one
+    of them reaches the error, as `tarski_eval` at that point would."""
     key = (f, tuple(env.items())) if env else f
     truth = table.get(key)
     if truth is not None:  # a recorded 0 is a hit too
@@ -72,11 +75,17 @@ def satisfies(f: Formula, domain, facts, env, valuation, table, full) -> int:
     elif isinstance(f, Or):
         truth = satisfies(f.left, domain, facts, env, valuation, table, full)
         if truth != full:
-            truth |= satisfies(f.right, domain, facts, env, valuation, table, full)
+            try:
+                truth |= satisfies(f.right, domain, facts, env, valuation, table, full)
+            except ValueError:
+                truth |= _reached(f.right, domain, facts, env, valuation, full & ~truth)
     elif isinstance(f, PredApp):
         if f.argument not in env:
             raise ValueError(f"unbound individual variable {f.argument}")
-        truth = facts.get((f.predicate, (env[f.argument],)), 0)
+        try:
+            truth = facts.get((f.predicate, (env[f.argument],)), 0)
+        except AttributeError:  # no facts: no model at all
+            raise ValueError("predicate applications need a model") from None
     elif domain is None:
         raise ValueError("quantified formulas need a model")
     # Loops, not generators: a closure would give every call, the
@@ -84,18 +93,35 @@ def satisfies(f: Formula, domain, facts, env, valuation, table, full) -> int:
     elif isinstance(f, ForAll):
         truth = full
         for d in domain:
-            truth &= satisfies(f.body, domain, facts, {**env, f.variable: d}, valuation, table,
-                               full)
+            instance = {**env, f.variable: d}
+            try:
+                truth &= satisfies(f.body, domain, facts, instance, valuation, table, full)
+            except ValueError:
+                truth &= _reached(f.body, domain, facts, instance, valuation, truth)
             if not truth:
                 break
     elif isinstance(f, Exists):
         truth = 0
         for d in domain:
-            truth |= satisfies(f.body, domain, facts, {**env, f.variable: d}, valuation, table,
-                               full)
+            instance = {**env, f.variable: d}
+            try:
+                truth |= satisfies(f.body, domain, facts, instance, valuation, table, full)
+            except ValueError:
+                truth |= _reached(f.body, domain, facts, instance, valuation, full & ~truth)
             if truth == full:
                 break
     else:
         raise TypeError(f"not a formula: {f!r}")
     table[key] = truth
     return truth
+
+
+def _reached(f, domain, facts, env, valuation, points) -> int:
+    """The mask of the points (a mask) where f holds, deciding f at those
+    points only: facts and valuation cut down to them, and a table of
+    its own, as its masks hold no other point."""
+    if facts is not None:
+        facts = {fact: mask & points for fact, mask in facts.items()}
+    if valuation is not None:
+        valuation = {name: mask & points for name, mask in valuation.items()}
+    return satisfies(f, domain, facts, env, valuation, {}, points)

@@ -31,7 +31,7 @@ from .propsem import (
     eval_fo,
     run,
 )
-from .syntax import Formula, free_variables, predicates, prop_variables
+from .syntax import Formula, PredApp, PropVar, free_variables, subformulas
 
 __all__ = [
     "FoVerdict",
@@ -49,7 +49,13 @@ __all__ = [
 def world_vocabulary(f: Formula) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The predicates (S when f has none) and propositional variables,
     each sorted, of the worlds f is checked in."""
-    return tuple(sorted(predicates(f))) or ("S",), tuple(sorted(prop_variables(f)))
+    preds, pvars = set(), set()
+    for g in subformulas(f):  # one walk for both
+        if isinstance(g, PredApp):
+            preds.add(g.predicate)
+        elif isinstance(g, PropVar):
+            pvars.add(g.name)
+    return tuple(sorted(preds)) or ("S",), tuple(sorted(pvars))
 
 
 @dataclass

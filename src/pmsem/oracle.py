@@ -7,10 +7,16 @@ every formula of a given depth is only feasible for small depths (the
 count grows doubly exponentially), so deeper sweeps set `max_size` to
 bound the node count instead; the default budget is the full-tree size
 2^(depth+1) - 1, which is exact for depth <= 2 and must be lowered for
-more.  Two budgets turn a sweep too large to finish into a ValueError
-before it runs: `enumerate_formulas` lists at most MAX_FORMULAS
-formulas, open intermediates included, and `check_equivalence` refuses
-more than MAX_WORK units of work over both sections.  One policy's
+more.  It builds each formula from its parts' recorded depth,
+quantifier count and free variables, which it checks before building.
+Listing closed formulas only, it builds only those that some closed
+formula within the bounds can contain; the others it counts, by depth
+and quantifier count, as it counts what is made from them (Flajolet and
+Sedgewick, Analytic Combinatorics, ch. I).  Two budgets turn a sweep
+too large to finish into a ValueError before it runs:
+`enumerate_formulas` admits at most MAX_FORMULAS formulas, open
+intermediates and counted formulas included, and `check_equivalence`
+refuses more than MAX_WORK units of work over both sections.  One policy's
 check of f at a point of n individuals (1 without quantifiers) costs
 S_n(f) units: 1 for each node, where (x)g and (Ex)g cost 1 + n * S_n(g);
 a sampled point that assigns a variable costs size_bound times that.
@@ -63,7 +69,6 @@ from .syntax import (
     PredApp,
     PropVar,
     children,
-    free_variables,
     print_formula,
     subformulas,
 )
@@ -94,9 +99,9 @@ def quantifier_count(f: Formula) -> int:
     return sum(isinstance(g, (ForAll, Exists)) for g in subformulas(f))
 
 
-# Most formulas enumerate_formulas admits, atoms and open intermediates
-# included.  The acceptance sweeps admit at most 26,925 (two predicates)
-# and 6,789 (three variables, size 8).
+# Most formulas enumerate_formulas admits, atoms, open intermediates and
+# formulas only counted included.  The acceptance sweeps admit at most
+# 26,925 (two predicates) and 6,789 (three variables, size 8).
 MAX_FORMULAS = 2**16
 
 
@@ -113,52 +118,113 @@ def enumerate_formulas(
 
     Stable order: node count ascending; within one size, atoms, then
     negations, then disjunctions by split point, then quantified forms.
-    Admitting more than MAX_FORMULAS raises ValueError.  A size with no
-    formula ends the listing: within the same bounds, any larger formula
-    can be cut down a node at a time to one of that size.
+    Admitting more than MAX_FORMULAS raises ValueError; every formula
+    within the bounds is admitted, built or only counted.  A size with
+    no formula ends the listing: within the same bounds, any larger
+    formula can be cut down a node at a time to one of that size.
+
+    A candidate's depth, quantifier count and free variables come from
+    its parts, and are checked before it is built.  Under closed_only, a
+    formula of n nodes, depth d and q quantifiers with k free variables
+    takes k more quantifiers to close, so if n + k > max_size,
+    d + k > max_depth or q + k > max_quantifiers no closed formula
+    within the bounds contains it, nor anything made from it: it is
+    counted, by depth and quantifier count, and not built.
     """
     if max_size is None:
         max_size = 2 ** (max_depth + 1) - 1
-    atoms = [PropVar(v) for v in prop_vars]
-    atoms += [PredApp(p, v) for p in predicate_names for v in ind_vars]
-    atoms = list(dict.fromkeys(atoms))  # a repeated name gives one atom
-    depths: dict[Formula, int] = {a: 0 for a in atoms}
-    quants: dict[Formula, int] = {a: 0 for a in atoms}
-    by_size: dict[int, list[Formula]] = {1: list(atoms)} if max_size >= 1 else {}
-
-    def admit(bucket, f, depth, quant):
-        if depth > max_depth or quant > max_quantifiers or f in depths:
-            return
-        depths[f] = depth
-        quants[f] = quant
-        bucket.append(f)
-        if len(depths) > MAX_FORMULAS:
-            raise ValueError(f"sweep bounds admit more than {MAX_FORMULAS} formulas")
-
+    binders = list(dict.fromkeys(ind_vars))  # a repeated name binds once
+    bits = {v: 1 << i for i, v in enumerate(binders)}  # free variables as a bit set
+    atoms = {PropVar(v): 0 for v in prop_vars}  # a repeated name gives one atom
+    atoms.update((PredApp(p, v), bits[v]) for p in predicate_names for v in ind_vars)
+    # rows[n]: columns (formulas, depths, quantifiers, free bits, counts)
+    # of the formulas of n nodes: each one built, with count 1, then
+    # None for each (depth, quantifiers) only counted, with its count.
+    # Columns, not a tuple per formula, leave the garbage collector
+    # nothing more to track than the formulas.
+    rows = {1: (list(atoms), [0] * len(atoms), [0] * len(atoms), list(atoms.values()),
+                [1] * len(atoms))} if max_size >= 1 else {}
+    admitted = len(atoms)
     for n in range(2, max_size + 1):
-        bucket: list[Formula] = []
-        for g in by_size.get(n - 1, []):
-            admit(bucket, Not(g), depths[g] + 1, quants[g])
+        formulas, depths, quants, frees, counts = row = [], [], [], [], []
+        counted = Counter()  # (depth, quantifiers) -> formulas only counted
+        # Under closed_only, a formula is only counted if closing it, which
+        # takes as many nodes, depth and quantifiers as it has free
+        # variables, would pass a bound.
+        for g, d, q, free, count in zip(*rows[n - 1]):
+            d += 1
+            if d > max_depth:
+                continue
+            admitted += count
+            if admitted > MAX_FORMULAS:
+                raise _over_budget()
+            if g is None or closed_only and free and free.bit_count() > min(
+                    max_size - n, max_depth - d, max_quantifiers - q):
+                counted[d, q] += count
+            else:
+                formulas.append(Not(g))
+                depths.append(d)
+                quants.append(q)
+                frees.append(free)
+                counts.append(1)
         for left_size in range(1, n - 1):
-            for left in by_size.get(left_size, []):
-                for right in by_size.get(n - 1 - left_size, []):
-                    admit(
-                        bucket,
-                        Or(left, right),
-                        max(depths[left], depths[right]) + 1,
-                        quants[left] + quants[right],
-                    )
-        if max_quantifiers > 0:
-            for g in by_size.get(n - 1, []):
-                for v in ind_vars:
-                    admit(bucket, ForAll(v, g), depths[g] + 1, quants[g] + 1)
-                    admit(bucket, Exists(v, g), depths[g] + 1, quants[g] + 1)
-        if not bucket:
+            right_row = rows[n - 1 - left_size]
+            for left, dl, ql, fl, cl in zip(*rows[left_size]):
+                if dl >= max_depth:
+                    continue
+                for right, dr, qr, fr, cr in zip(*right_row):
+                    q = ql + qr
+                    if dr >= max_depth or q > max_quantifiers:
+                        continue
+                    d, free, count = (dl if dl > dr else dr) + 1, fl | fr, cl * cr
+                    admitted += count
+                    if admitted > MAX_FORMULAS:
+                        raise _over_budget()
+                    if left is None or right is None or closed_only and free and (
+                            free.bit_count() > min(max_size - n, max_depth - d,
+                                                   max_quantifiers - q)):
+                        counted[d, q] += count
+                    else:
+                        formulas.append(Or(left, right))
+                        depths.append(d)
+                        quants.append(q)
+                        frees.append(free)
+                        counts.append(1)
+        for g, d, q, free, count in zip(*rows[n - 1]):
+            d, q = d + 1, q + 1
+            if d > max_depth or q > max_quantifiers:
+                continue
+            for v in binders:
+                free_v = free & ~bits[v]
+                for quantifier in (ForAll, Exists):
+                    admitted += count
+                    if admitted > MAX_FORMULAS:
+                        raise _over_budget()
+                    if g is None or closed_only and free_v and free_v.bit_count() > min(
+                            max_size - n, max_depth - d, max_quantifiers - q):
+                        counted[d, q] += count
+                    else:
+                        formulas.append(quantifier(v, g))
+                        depths.append(d)
+                        quants.append(q)
+                        frees.append(free_v)
+                        counts.append(1)
+        for (d, q), count in counted.items():
+            formulas.append(None)
+            depths.append(d)
+            quants.append(q)
+            frees.append(0)
+            counts.append(count)
+        if not formulas:
             break
-        by_size[n] = bucket
+        rows[n] = row
 
-    formulas = [f for bucket in by_size.values() for f in bucket]
-    return [f for f in formulas if not free_variables(f)] if closed_only else formulas
+    return [f for formulas, _, _, frees, _ in rows.values() for f, free in zip(formulas, frees)
+            if f is not None and not (closed_only and free)]
+
+
+def _over_budget() -> ValueError:
+    return ValueError(f"sweep bounds admit more than {MAX_FORMULAS} formulas")
 
 
 # ---------------------------------------------------------------------------

@@ -499,8 +499,9 @@ def subformulas(f: Formula) -> list[Formula]:
 
 def free_variables(f: Formula) -> frozenset[str]:
     """Free individual variables of f."""
-    # Direct recursion: enumerate_formulas(closed_only=True) calls this on
-    # every formula it builds, where a walk over `children` is slower.
+    # Direct recursion, faster than a walk over `children`.  Its callers:
+    # `propsem`'s refusal of an unbound variable, `fosem.logical_truth`
+    # and `pm parse --json`.
     if isinstance(f, PropVar):
         return frozenset()
     if isinstance(f, PredApp):

@@ -97,6 +97,11 @@ def test_tarski_needs_a_model_for_quantifiers():
         tarski_eval(parse("(x).p"), None, None, {"p": True})
 
 
+def test_tarski_needs_a_model_for_bound_predicate_applications():
+    with pytest.raises(ValueError, match="predicate applications need a model"):
+        tarski_eval(parse("S(x)"), None, {"x": "a"})
+
+
 def test_tarski_rejects_unbound_individual():
     with pytest.raises(ValueError):
         tarski_eval(parse("S(x)"), _model(("a",)))
@@ -198,6 +203,30 @@ def test_classical_table_matches_tarski_eval(calls, block):
         g, items = key if isinstance(key, tuple) else (key, ())
         for k, (world, values) in enumerate(block):
             assert tarski_eval(g, model(world), dict(items), values) is bool(mask >> k & 1)
+
+
+def _world(*facts):
+    return World(individuals=("a", "b"), predicates=("R", "S"),
+                 facts=frozenset((name, (i,)) for name, i in facts))
+
+
+@pytest.mark.parametrize("text, block", [
+    # ~p holds at the first point and p at the second: none reaches q
+    ("~p v (p v q)", [(_world(), {"p": False}), (_world(), {"p": True})]),
+    # the b instance is reached only where the a instance holds, the
+    # first point, where R(b) holds: none reaches q
+    ("(x).(S(x) . (R(x) v q))", [
+        (_world(("S", "a"), ("S", "b"), ("R", "a"), ("R", "b")), {}),
+        (_world(("S", "b")), {}),
+    ]),
+])
+def test_block_needs_only_what_its_points_reach(text, block):
+    """A disjunct or instance no point of the block reaches may lack a
+    truth value, as it may at each point for `tarski_eval`."""
+    f = parse(text)
+    facts, valuation, full = block_masks(block)
+    mask = satisfies(f, ("a", "b"), facts, {}, valuation, {}, full)
+    assert [bool(mask >> k & 1) for k in range(len(block))] == pointwise(f, block, {})
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,33 @@ def test_formula_budget_counts_open_formulas(monkeypatch):
         enumerate_formulas(**bounds, closed_only=True)
 
 
+@pytest.mark.parametrize("bounds", [
+    dict(prop_vars=("p", "q"), max_depth=2),
+    dict(prop_vars=("p",), predicate_names=("S",), ind_vars=("x",), max_depth=3,
+         max_quantifiers=1, max_size=5),
+    dict(predicate_names=("S",), ind_vars=("x", "y"), max_depth=4, max_quantifiers=2,
+         max_size=6),
+    dict(predicate_names=("S", "R"), ind_vars=("x", "y"), max_depth=2, max_quantifiers=2,
+         max_size=5),
+    dict(predicate_names=("S",), ind_vars=("x", "x"), max_depth=3, max_quantifiers=2,
+         max_size=5),
+    dict(prop_vars=("p",), predicate_names=("S",), ind_vars=("x", "y"), max_depth=1,
+         max_quantifiers=1, max_size=3),
+])
+def test_closed_only_lists_the_closed_formulas_and_counts_the_rest(monkeypatch, bounds):
+    # Formulas no closed formula can contain are only counted, never
+    # listed, but the budget still counts every formula admitted.
+    from pmsem.syntax import free_variables
+
+    admitted = enumerate_formulas(**bounds)
+    closed = [f for f in admitted if not free_variables(f)]
+    monkeypatch.setattr(oracle, "MAX_FORMULAS", len(admitted))
+    assert enumerate_formulas(**bounds, closed_only=True) == closed
+    monkeypatch.setattr(oracle, "MAX_FORMULAS", len(admitted) - 1)
+    with pytest.raises(ValueError, match=f"^sweep bounds admit more than {len(admitted) - 1} "):
+        enumerate_formulas(**bounds, closed_only=True)
+
+
 def test_size_bound_beyond_the_depth_bound_ends_the_listing():
     assert enumerate_formulas(prop_vars=("p",), max_depth=1, max_size=10**9) == [
         p, Not(p), Or(p, p)
