@@ -28,6 +28,7 @@ from pmsem.syntax import (
     Or,
     PredApp,
     PropVar,
+    free_variables,
     parse,
     print_formula,
     prop_variables,
@@ -158,8 +159,6 @@ def test_formula_budget_counts_open_formulas(monkeypatch):
 def test_closed_only_lists_the_closed_formulas_and_counts_the_rest(monkeypatch, bounds):
     # Formulas no closed formula can contain are only counted, never
     # listed, but the budget still counts every formula admitted.
-    from pmsem.syntax import free_variables
-
     admitted = enumerate_formulas(**bounds)
     closed = [f for f in admitted if not free_variables(f)]
     monkeypatch.setattr(oracle, "MAX_FORMULAS", len(admitted))
