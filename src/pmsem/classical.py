@@ -3,8 +3,8 @@
 `tarski_eval` decides a formula by boolean recursion and, over a finite
 model, quantification; `truth_table_eval` is its model-free case.  This
 module imports nothing from the package but `syntax`, so it shares only
-the AST with the meaning evaluators it referees.  Its one recursion,
-`satisfies`, decides a block of points at once (Knuth, TAOCP 4A,
+the AST with the meaning evaluators it referees.  `satisfies` decides
+a block of points at once by one mask recursion (Knuth, TAOCP 4A,
 7.1.3): a truth is a mask, an int whose bit k is the truth at the k-th
 point of the block, so ~, v, (x) and (Ex) are ^ with the all-points
 mask, |, & and |.  A block shares one domain; the points differ in
@@ -12,7 +12,8 @@ their facts and their valuation, which map each fact and each variable
 to the mask of the points where it holds.  `tarski_eval` is the block
 of one point.  `satisfies` records each (subformula, environment) mask
 it decides in a table: one per `tarski_eval` call, and one per domain
-in a sweep, dropped with the domain.
+in a sweep, dropped with the domain.  Where a block raises, its points
+are decided one at a time (see `satisfies`).
 """
 from __future__ import annotations
 
@@ -56,11 +57,32 @@ def satisfies(f: Formula, domain, facts, env, valuation, table, full) -> int:
     propositional variable to the mask of the points where it holds (a
     fact missing from facts holds at none), and full is the mask of all
     the points.  table records each (subformula, environment) mask,
-    under the formula alone at the empty environment; a ValueError
-    records none.  A point reaches a disjunct or an instance only where
-    the ones before it leave its truth open, so one that raises is
-    decided again at those points alone (`_reached`): it raises if one
-    of them reaches the error, as `tarski_eval` at that point would."""
+    under the formula alone at the empty environment.
+
+    A point reaches a disjunct or a quantifier instance only where the
+    ones before it leave its truth open, while a block decides each at
+    all its points.  So a block that raises is decided again a point at
+    a time, each with a table of its own: the first point that raises
+    gives the error, as `tarski_eval` there would, and f records
+    nothing; else f records the assembled mask."""
+    try:
+        return _decide(f, domain, facts, env, valuation, table, full)
+    except ValueError:
+        if full & (full - 1) == 0:  # a block of one point (or none)
+            raise
+    truth = 0
+    for k in range(full.bit_length()):
+        if point := full & 1 << k:
+            point_facts = facts and {fact: mask & point for fact, mask in facts.items()}
+            point_values = valuation and {name: mask & point for name, mask in valuation.items()}
+            truth |= _decide(f, domain, point_facts, env, point_values, {}, point)
+    table[(f, tuple(env.items())) if env else f] = truth
+    return truth
+
+
+def _decide(f: Formula, domain, facts, env, valuation, table, full) -> int:
+    """The mask recursion of `satisfies`, which decides every disjunct
+    and instance at every point of the block."""
     key = (f, tuple(env.items())) if env else f
     truth = table.get(key)
     if truth is not None:  # a recorded 0 is a hit too
@@ -71,14 +93,11 @@ def satisfies(f: Formula, domain, facts, env, valuation, table, full) -> int:
         except (KeyError, TypeError):  # TypeError: no valuation at all
             raise ValueError(f"no truth value for propositional variable {f.name}") from None
     elif isinstance(f, Not):
-        truth = full ^ satisfies(f.operand, domain, facts, env, valuation, table, full)
+        truth = full ^ _decide(f.operand, domain, facts, env, valuation, table, full)
     elif isinstance(f, Or):
-        truth = satisfies(f.left, domain, facts, env, valuation, table, full)
+        truth = _decide(f.left, domain, facts, env, valuation, table, full)
         if truth != full:
-            try:
-                truth |= satisfies(f.right, domain, facts, env, valuation, table, full)
-            except ValueError:
-                truth |= _reached(f.right, domain, facts, env, valuation, full & ~truth)
+            truth |= _decide(f.right, domain, facts, env, valuation, table, full)
     elif isinstance(f, PredApp):
         if f.argument not in env:
             raise ValueError(f"unbound individual variable {f.argument}")
@@ -93,35 +112,16 @@ def satisfies(f: Formula, domain, facts, env, valuation, table, full) -> int:
     elif isinstance(f, ForAll):
         truth = full
         for d in domain:
-            instance = {**env, f.variable: d}
-            try:
-                truth &= satisfies(f.body, domain, facts, instance, valuation, table, full)
-            except ValueError:
-                truth &= _reached(f.body, domain, facts, instance, valuation, truth)
+            truth &= _decide(f.body, domain, facts, {**env, f.variable: d}, valuation, table, full)
             if not truth:
                 break
     elif isinstance(f, Exists):
         truth = 0
         for d in domain:
-            instance = {**env, f.variable: d}
-            try:
-                truth |= satisfies(f.body, domain, facts, instance, valuation, table, full)
-            except ValueError:
-                truth |= _reached(f.body, domain, facts, instance, valuation, full & ~truth)
+            truth |= _decide(f.body, domain, facts, {**env, f.variable: d}, valuation, table, full)
             if truth == full:
                 break
     else:
         raise TypeError(f"not a formula: {f!r}")
     table[key] = truth
     return truth
-
-
-def _reached(f, domain, facts, env, valuation, points) -> int:
-    """The mask of the points (a mask) where f holds, deciding f at those
-    points only: facts and valuation cut down to them, and a table of
-    its own, as its masks hold no other point."""
-    if facts is not None:
-        facts = {fact: mask & points for fact, mask in facts.items()}
-    if valuation is not None:
-        valuation = {name: mask & points for name, mask in valuation.items()}
-    return satisfies(f, domain, facts, env, valuation, {}, points)

@@ -14,7 +14,11 @@ found, proof invalid), 2 usage or input error.
 
 Reports are plain text on stdout; --json switches to a stable JSON
 schema and --out redirects to a file.  Sampled modes require --seed and
-report it, so identical invocations give byte-identical output.
+report it, so identical invocations give byte-identical output.  Each
+`cmd_*` function returns its exit code and its report, built only for
+the mode asked for: the JSON object under --json, else the text.
+`main` alone writes: it serializes, ends the report with a newline and
+sends it to stdout or --out.
 
 `main(argv)` may be called repeatedly in one process.  The parser is
 built on the first call and reused by every later one: `parse_args`
@@ -88,19 +92,6 @@ def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the report to a file instead of stdout")
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    data = text if text.endswith("\n") else text + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data)
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
 def _parse_base_mode(text: str) -> str | None:
     """The designated variable of 'any:<var>', or None for 'all'."""
     if text == "all":
@@ -120,22 +111,20 @@ def _load_model(args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_parse(args: argparse.Namespace) -> int:
+def cmd_parse(args: argparse.Namespace) -> tuple[int, dict | str]:
     f = parse(args.formula)
     if args.json:
-        _emit(args, _dumps({
+        return 0, {
             "input": args.formula,
             "canonical": print_formula(f),
             "prop_variables": sorted(prop_variables(f)),
             "predicates": sorted(predicates(f)),
             "free_variables": sorted(free_variables(f)),
-        }))
-    else:
-        _emit(args, print_formula(f))
-    return 0
+        }
+    return 0, print_formula(f)
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> tuple[int, dict | str]:
     f = parse(args.formula)
     world = load_world(args.world) if args.world else None
     names = prop_variables(f)
@@ -154,7 +143,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         m = run(program, h.values, None, args.policy, {})[root]
         rows.append((h.describe() or "empty", is_true(m), render_meaning(m)))
     if args.json:
-        _emit(args, _dumps({
+        return 0, {
             "formula": print_formula(f),
             "policy": args.policy,
             "mode": args.mode,
@@ -163,20 +152,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "assignments": [
                 {"assignment": d, "true": t, "meaning": r} for d, t, r in rows
             ],
-        }))
-    else:
-        lines = [f"formula {print_formula(f)}", f"policy {args.policy}"]
-        mode = f"mode {args.mode}"
-        if args.mode == "sampled":
-            mode += f" (seed={args.seed}, count={args.count})"
-        lines.append(mode)
-        for d, t, r in rows:
-            lines.append(f"{d} | {'true' if t else 'false'} | {r}")
-        _emit(args, "\n".join(lines))
-    return 0
+        }
+    lines = [f"formula {print_formula(f)}", f"policy {args.policy}"]
+    mode = f"mode {args.mode}"
+    if args.mode == "sampled":
+        mode += f" (seed={args.seed}, count={args.count})"
+    lines.append(mode)
+    for d, t, r in rows:
+        lines.append(f"{d} | {'true' if t else 'false'} | {r}")
+    return 0, "\n".join(lines)
 
 
-def cmd_taut(args: argparse.Namespace) -> int:
+def cmd_taut(args: argparse.Namespace) -> tuple[int, dict | str]:
     f = parse(args.formula)
     world = load_world(args.world) if args.world else None
     verdict = classify(
@@ -188,8 +175,9 @@ def cmd_taut(args: argparse.Namespace) -> int:
         count=args.count,
         size_bound=args.size_bound,
     )
+    code = 0 if verdict.kind == "tautology" else 1
     if args.json:
-        _emit(args, _dumps({
+        return code, {
             "formula": print_formula(f),
             "verdict": verdict.kind,
             "policy": args.policy,
@@ -198,42 +186,39 @@ def cmd_taut(args: argparse.Namespace) -> int:
             "assignments_checked": verdict.assignments_checked,
             "witness_true": verdict.witness_true.describe() if verdict.witness_true else None,
             "witness_false": verdict.witness_false.describe() if verdict.witness_false else None,
-        }))
-    else:
-        lines = [verdict.kind]
-        if verdict.kind == "contingent":
-            lines.append(f"  true under {verdict.witness_true.describe() or 'empty'}")
-            lines.append(f"  false under {verdict.witness_false.describe() or 'empty'}")
-        _emit(args, "\n".join(lines))
-    return 0 if verdict.kind == "tautology" else 1
+        }
+    lines = [verdict.kind]
+    if verdict.kind == "contingent":
+        lines.append(f"  true under {verdict.witness_true.describe() or 'empty'}")
+        lines.append(f"  false under {verdict.witness_false.describe() or 'empty'}")
+    return code, "\n".join(lines)
 
 
-def cmd_fo_eval(args: argparse.Namespace) -> int:
+def cmd_fo_eval(args: argparse.Namespace) -> tuple[int, dict | str]:
     f = parse(args.formula)
     world = _load_model(args)
     any_variable = _parse_base_mode(args.base_mode)
     assignment = declared_assignment(prop_variables(f), world)
     m = eval_fo(f, world, assignment, args.policy, any_variable)
     truth = is_true(m)
+    code = 0 if truth else 1
     if args.json:
-        _emit(args, _dumps({
+        return code, {
             "formula": print_formula(f),
             "world": describe_world(world),
             "base_mode": args.base_mode,
             "policy": args.policy,
             "true": truth,
             "meaning": render_meaning(m),
-        }))
-    else:
-        _emit(args, "\n".join([
-            f"formula {print_formula(f)}",
-            f"world {describe_world(world)}",
-            f"{'true' if truth else 'false'} | {render_meaning(m)}",
-        ]))
-    return 0 if truth else 1
+        }
+    return code, "\n".join([
+        f"formula {print_formula(f)}",
+        f"world {describe_world(world)}",
+        f"{'true' if truth else 'false'} | {render_meaning(m)}",
+    ])
 
 
-def cmd_fo_valid(args: argparse.Namespace) -> int:
+def cmd_fo_valid(args: argparse.Namespace) -> tuple[int, dict | str]:
     f = parse(args.formula)
     verdict = logical_truth(
         f,
@@ -244,7 +229,7 @@ def cmd_fo_valid(args: argparse.Namespace) -> int:
         count=args.count,
         size_bound=args.size_bound,
     )
-    valid = verdict.kind == "logical_truth"
+    code = 0 if verdict.kind == "logical_truth" else 1
     witness = None
     h = verdict.witness_assignment
     if h is not None:
@@ -252,23 +237,21 @@ def cmd_fo_valid(args: argparse.Namespace) -> int:
         if h.values:
             witness += f"; {h.describe()}"
     if args.json:
-        _emit(args, _dumps({
+        return code, {
             "formula": print_formula(f),
             "verdict": verdict.kind,
             "worlds_checked": verdict.worlds_checked,
             "max_individuals": args.max_individuals,
             "policy": args.policy,
             "witness": witness,
-        }))
-    else:
-        lines = [f"{verdict.kind} ({verdict.worlds_checked} worlds checked)"]
-        if witness:
-            lines.append(f"  false in {witness}")
-        _emit(args, "\n".join(lines))
-    return 0 if valid else 1
+        }
+    lines = [f"{verdict.kind} ({verdict.worlds_checked} worlds checked)"]
+    if witness:
+        lines.append(f"  false in {witness}")
+    return code, "\n".join(lines)
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> tuple[int, dict | str]:
     if args.vars < 0 or args.vars > len(_PROP_NAMES):
         raise ValueError(f"--vars must be between 0 and {len(_PROP_NAMES)}")
     prop_size = args.prop_size
@@ -295,15 +278,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         fo_max_individuals=args.fo_individuals,
     )
     report = check_equivalence(config)
-    _emit(args, _dumps(report.to_dict()) if args.json else report.to_text())
-    return 0 if report.ok else 1
+    return 0 if report.ok else 1, report.to_dict() if args.json else report.to_text()
 
 
-def cmd_check_proof(args: argparse.Namespace) -> int:
+def cmd_check_proof(args: argparse.Namespace) -> tuple[int, dict | str]:
     script = load_script(args.path)
     report = check_proof(script, policy=args.policy, semantic=not args.no_semantic)
-    _emit(args, _dumps(report.to_dict()) if args.json else report.to_text())
-    return 0 if report.valid else 1
+    return 0 if report.valid else 1, report.to_dict() if args.json else report.to_text()
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +406,17 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        code, report = args.func(args)
+        text = json.dumps(report, indent=2, sort_keys=True) if args.json else report
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            sys.stdout.write(text + "\n")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

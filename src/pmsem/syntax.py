@@ -254,13 +254,7 @@ class _Parser:
     # soup stops (without consuming) at any operator of force >= cutoff.
     def parse_expr(self, cutoff: tuple[int, int] | None) -> Formula:
         items: list[object] = [self.parse_operand()]
-        while True:
-            op = self.peek_operator()
-            if op is None:
-                break
-            if cutoff is not None and op.force >= cutoff:
-                break
-            self.consume_operator(op)
+        while (op := self.operator(cutoff)) is not None:
             items.append(op)
             items.append(self.parse_operand())
             if len(items) > 2 * MAX_NODES:
@@ -295,38 +289,33 @@ class _Parser:
             return equivalent(left, right)
         return conjoin(left, right)
 
-    def peek_operator(self) -> _Op | None:
+    def operator(self, cutoff: tuple[int, int] | None) -> _Op | None:
+        """The next operator, consumed: a connective with its dot groups,
+        or conjunction dots.  None, consuming nothing, at the end of a
+        group or at an operator of force >= cutoff."""
         tok = self.peek()
         if tok.kind in ("END", "RPAREN"):
             return None
-        if tok.kind in ("OR", "IMPLIES", "IFF"):
-            right = self.peek(1)
-            rdots = right.count if right.kind == "DOTS" else 0
-            return _Op(tok.kind, (rdots, 1), tok.pos)
-        if tok.kind == "DOTS":
-            nxt = self.peek(1)
-            if nxt.kind in ("OR", "IMPLIES", "IFF"):
-                after = self.peek(2)
-                rdots = after.count if after.kind == "DOTS" else 0
-                return _Op(nxt.kind, (max(tok.count, rdots), 1), tok.pos)
-            if nxt.kind in _OPERAND_START:
-                return _Op("CONJ", (tok.count, 0), tok.pos)
-            raise FormulaSyntaxError("dangling dots", tok.pos)
-        if tok.kind == "COMMA":
+        dotted = tok.kind == "DOTS"
+        conn = self.peek(1) if dotted else tok
+        width = 2 if dotted else 1  # tokens taken: left dots, connective
+        if conn.kind in ("OR", "IMPLIES", "IFF"):
+            right = self.peek(width)
+            if right.kind == "DOTS":
+                width += 1
+            op = _Op(conn.kind, (max(tok.count, right.count), 1), tok.pos)
+        elif dotted:
+            if conn.kind not in _OPERAND_START:
+                raise FormulaSyntaxError("dangling dots", tok.pos)
+            op, width = _Op("CONJ", (tok.count, 0), tok.pos), 1
+        elif tok.kind == "COMMA":
             raise FormulaSyntaxError("non-monadic predicate application", tok.pos)
-        raise FormulaSyntaxError(f"unexpected {tok.value!r}", tok.pos)
-
-    def consume_operator(self, op: _Op) -> None:
-        tok = self.take()
-        if tok.kind == "DOTS":
-            if op.kind == "CONJ":
-                return
-            self.take()  # the connective
-            if self.peek().kind == "DOTS":
-                self.take()
-            return
-        if self.peek().kind == "DOTS":
-            self.take()
+        else:
+            raise FormulaSyntaxError(f"unexpected {tok.value!r}", tok.pos)
+        if cutoff is not None and op.force >= cutoff:
+            return None
+        self.i += width
+        return op
 
     def parse_operand(self) -> Formula:
         self.depth += 1
