@@ -57,14 +57,12 @@ def satisfies(f: Formula, domain, facts, env, valuation, table, full) -> int:
     propositional variable to the mask of the points where it holds (a
     fact missing from facts holds at none), and full is the mask of all
     the points.  table records each (subformula, environment) mask,
-    under the formula alone at the empty environment.
-
-    A point reaches a disjunct or a quantifier instance only where the
-    ones before it leave its truth open, while a block decides each at
-    all its points.  So a block that raises is decided again a point at
-    a time, each with a table of its own: the first point that raises
-    gives the error, as `tarski_eval` there would, and f records
-    nothing; else f records the assembled mask."""
+    under the formula alone at the empty environment.  A point reaches
+    a disjunct or a quantifier instance only where the ones before it
+    leave its truth open, but a block decides each at all its points:
+    so a block that raises is decided again a point at a time, each with
+    a table of its own, and raises the first error a point raises, as
+    `tarski_eval` there would, recording nothing for f."""
     try:
         return _decide(f, domain, facts, env, valuation, table, full)
     except ValueError:

@@ -407,12 +407,12 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         code, report = args.func(args)
-        text = json.dumps(report, indent=2, sort_keys=True) if args.json else report
+        text = (json.dumps(report, indent=2, sort_keys=True) if args.json else report) + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.write(text)
         else:
-            sys.stdout.write(text + "\n")
+            sys.stdout.write(text)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

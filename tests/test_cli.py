@@ -347,9 +347,12 @@ def test_fo_valid_rejects_open_formula(capsys):
 
 
 def assert_usage_error(capsys, *argv):
+    """Run pm; it must exit 2 with one error line and no report, which
+    is returned."""
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.mark.parametrize("bound", ["0", "-2"])
@@ -627,6 +630,25 @@ def test_out_flag_writes_file(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert target.read_text().strip() == "tautology"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["parse", "p v q .=>. q v p"],
+    ["eval", "~(p v q)", "--policy", "full"],
+    ["taut", "p v ~q"],
+    ["fo-eval", "S(y)", "--base-mode", "any:y", "--model"],
+    ["fo-valid", "(x).S(x)"],
+    ["compare", "--vars", "2", "--fo", "--fo-size", "3"],
+    ["check-proof", str(PROOFS / "invalid" / "unknown_axiom.proof")],
+], ids=lambda argv: argv[0])
+def test_out_file_holds_the_bytes_stdout_gets(tmp_path, capsys, world_file, argv, json_flag):
+    if argv[-1] == "--model":
+        argv = argv + [world_file]
+    code, out, _ = run(capsys, *argv, *json_flag)
+    target = tmp_path / "report"
+    assert run(capsys, *argv, *json_flag, "--out", str(target)) == (code, "", "")
+    assert target.read_bytes() == out.encode()
 
 
 # ---------------------------------------------------------------------------

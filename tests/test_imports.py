@@ -109,3 +109,51 @@ def test_classical_referee_imports_only_syntax():
     """The classical referee shares the AST with the meaning side and
     nothing else, so it can referee it."""
     assert package_imports((ROOT / "src" / "pmsem" / "classical.py").read_text()) == {"syntax"}
+
+
+def writes(source: str, exempt: str | None = None) -> list[str]:
+    """What source writes outside its top-level function exempt: calls of
+    print, uses of sys.stdout and sys.stderr, and open in a write,
+    append, exclusive or update mode (or a mode not written out)."""
+    tree = ast.parse(source)
+    skipped = {id(node) for top in tree.body
+               if isinstance(top, ast.FunctionDef) and top.name == exempt
+               for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+                and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            found.append((node.lineno, f"sys.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found += [(node.lineno, f"sys.{alias.name}") for alias in node.names
+                      if alias.name in ("stdout", "stderr")]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "print":
+                found.append((node.lineno, "print"))
+            elif node.func.id == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                if modes and not (isinstance(modes[0], ast.Constant)
+                                  and set(modes[0].value).isdisjoint("wax+")):
+                    found.append((node.lineno, "open for writing"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_cli_main_writes(path):
+    """Commands return their reports and `cli.main` alone writes them."""
+    exempt = "main" if path.name == "cli.py" else None
+    assert writes(path.read_text(), exempt) == []
+
+
+def test_the_check_sees_writes():
+    source = ("import sys\nfrom sys import stderr\n"
+              "def main():\n    print(1)\n    sys.stdout.write('')\n"
+              "def emit(path, mode):\n    print('x', file=sys.stderr)\n"
+              "    open(path, 'a')\n    open(path, mode=mode)\n    open(path, 'rb')\n"
+              "    open(path)\n    open(path, 'r+')\n")
+    assert writes(source, "main") == [
+        "line 2: sys.stderr", "line 7: print", "line 7: sys.stderr",
+        "line 8: open for writing", "line 9: open for writing", "line 12: open for writing",
+    ]

@@ -124,6 +124,19 @@ def test_transversal_rejects_unknown_policy():
         transversals(frozenset({frozenset({A})}), "median")
 
 
+NINETEEN = frozenset(Pair(Complex("S", (f"a{i}",), True), True) for i in range(19))
+
+
+@pytest.mark.parametrize("family, policy, message", [
+    ([], "minimal", "transversal of an empty family"),
+    ([frozenset()], "minimal", "transversal family has an empty member"),
+    ([NINETEEN], "full", "full transversal family over 19 pairs is too large"),
+], ids=["empty-family", "empty-member", "full-over-19-pairs"])
+def test_transversal_refusals(family, policy, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        transversals(family, policy)
+
+
 def test_minimal_transversals_are_inclusion_minimal():
     fam = frozenset({frozenset({A, B}), frozenset({A, C})})
     out = transversals(fam, "minimal")

@@ -19,6 +19,7 @@ from pmsem.ontology import (
     parse_world,
     swap,
 )
+from test_cli import assert_usage_error
 
 
 def w_one():
@@ -228,3 +229,28 @@ def test_parse_world_rejects_bad_fact():
 def test_with_constants_overrides_values():
     w = World(constants=(("P", True),))
     assert w.with_constants({"P": False}).constant_values == {"P": False}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("individual a\nindividual a", ": duplicate individual a"),
+    ("relation S/1\nrelation S/1", ": duplicate relation declaration"),
+    ("prop P true\nprop P false", ": duplicate propositional constant"),
+    ("relation P/1\nprop P true", ": name used as both relation and constant: ['P']"),
+    ("individual a b", ":1: individual takes one name"),
+    ("prop P maybe", ":1: expected 'prop NAME true|false'"),
+])
+def test_world_file_refusals(tmp_path, capsys, text, message):
+    path = tmp_path / "w.txt"
+    path.write_text(text + "\n")
+    err = assert_usage_error(capsys, "fo-eval", "(x).S(x)", "--model", str(path))
+    assert err == f"error: {path}{message}\n"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda w: w.holds("Q", ()), "unknown propositional constant Q"),
+    (lambda w: w.holds("S", ("c",)), "unknown individual c"),
+    (lambda w: w.with_constants({"Q": True}), "unknown propositional constant Q"),
+], ids=["holds-constant", "holds-individual", "with-constants"])
+def test_world_refuses_unknown_names(call, message):
+    with pytest.raises(WorldError, match=f"^{message}$"):
+        call(w_two())

@@ -143,6 +143,19 @@ def test_formula_budget_counts_open_formulas(monkeypatch):
         enumerate_formulas(**bounds, closed_only=True)
 
 
+@pytest.mark.parametrize("bounds, budget", [
+    (dict(prop_vars=("p",), max_depth=1), 1),
+    (dict(prop_vars=("p",), max_depth=1), 2),
+    (dict(predicate_names=("S",), ind_vars=("x",), max_depth=1, max_quantifiers=1), 2),
+], ids=["negation", "disjunction", "quantifier"])
+def test_formula_budget_is_checked_in_every_pass(monkeypatch, bounds, budget):
+    """The first formula past the budget is ~p, p v p and (x).S(x): one
+    in each pass over a size."""
+    monkeypatch.setattr(oracle, "MAX_FORMULAS", budget)
+    with pytest.raises(ValueError, match=f"^sweep bounds admit more than {budget} formulas$"):
+        enumerate_formulas(**bounds)
+
+
 @pytest.mark.parametrize("bounds", [
     dict(prop_vars=("p", "q"), max_depth=2),
     dict(prop_vars=("p",), predicate_names=("S",), ind_vars=("x",), max_depth=3,

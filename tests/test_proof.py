@@ -17,6 +17,7 @@ from pmsem.proof import (
 )
 from pmsem.propsem import classify
 from pmsem.syntax import Not, Or, PropVar, parse, print_formula, prop_variables
+from test_cli import assert_usage_error
 
 PROOFS = Path(__file__).resolve().parent.parent / "proofs"
 
@@ -138,6 +139,22 @@ def test_script_rejects_unknown_keyword():
         parse_script("1 p ; ASSUME")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("1 p ; AX Taut p=p,", "empty substitution entry"),
+    ("1 p ; AX Taut p", "expected var=formula, got 'p'"),
+    ("1 p ; AX Taut p=(", "expected a formula, found '' (at position 1)"),
+    ("1 ; AX Taut p=p", "expected 'LABEL formula'"),
+    ("1 p ;", "empty justification"),
+    ("1 p ; AX", "AX needs an axiom name"),
+    ("1 p ; MP 1", "MP takes two labels"),
+    ("1 p ; SUB 1", "SUB takes a label and a substitution"),
+])
+def test_script_line_refusals(tmp_path, capsys, line, message):
+    path = tmp_path / "s.proof"
+    path.write_text(line + "\n")
+    assert assert_usage_error(capsys, "check-proof", str(path)) == f"error: {path}:1: {message}\n"
+
+
 def test_script_rejects_empty():
     with pytest.raises(ProofError, match="empty"):
         parse_script("# nothing here\n")
@@ -225,6 +242,7 @@ def test_corpus_is_large_enough():
 def test_valid_corpus_checks(path):
     report = check_proof(load_script(str(path)))
     assert report.valid
+    assert report.first_invalid() is None
     assert all(lv.status == "valid" for lv in report.lines)
     assert all(lv.tautology for lv in report.lines)
 

@@ -46,6 +46,7 @@ from pmsem.syntax import (
     print_formula,
     prop_variables,
 )
+from test_cli import assert_usage_error
 from test_fosem import table_free
 
 P_TRUE = meaning({Pair(Complex("P", (), True), True)})
@@ -245,6 +246,19 @@ def test_no_variables_give_one_empty_assignment(world, kwargs):
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         enumerate_assignments(["p"], None, "exhaustive")
+
+
+@pytest.mark.parametrize("world, argv, message", [
+    ("relation S/1\n", ["fo-eval", "(x).S(x)", "--model"], "world has no individuals"),
+    ("individual a\n", ["fo-eval", "p", "--model"],
+     "world lacks propositional constants for ['p']"),
+    ("", ["eval", "p", "--mode", "sampled", "--seed", "1", "--count", "2", "--world"],
+     "world has no complexes to sample from"),
+], ids=["no-individuals", "no-constants", "no-complexes"])
+def test_worlds_with_nothing_to_assign_are_refused(tmp_path, capsys, world, argv, message):
+    path = tmp_path / "w.txt"
+    path.write_text(world)
+    assert assert_usage_error(capsys, *argv, str(path)) == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

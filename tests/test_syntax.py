@@ -26,6 +26,7 @@ from pmsem.syntax import (
     print_formula,
     prop_variables,
 )
+from test_cli import assert_usage_error
 from test_propsem import FO_TREES, PROP_TREES
 
 p, q, r = PropVar("p"), PropVar("q"), PropVar("r")
@@ -106,6 +107,11 @@ def test_dotless_quantifier_takes_single_operand():
     assert f == Or(ForAll("x", PredApp("S", "x")), p)
 
 
+def test_right_dots_widen_an_undotted_connective():
+    # "v." has force (1, 1), looser than the conjunction dot's (1, 0)
+    assert parse("p . q v. r") == Or(conjoin(p, q), r)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -129,6 +135,17 @@ def test_parse_rejects_malformed(text):
 def test_syntax_error_reports_position():
     with pytest.raises(FormulaSyntaxError, match="position"):
         parse("p v")
+
+
+@pytest.mark.parametrize("text, message", [
+    (" v ".join(["p"] * 10001), "formula has more than 10000 nodes (at position 39998)"),
+    (" <=> ".join(["p"] * 13), "formula has more than 10000 nodes (at position 0)"),
+], ids=["operator-soup", "desugared-tree"])
+def test_parse_refuses_past_the_node_bound(capsys, text, message):
+    """The soup of a group is bounded while it is read, at the operator
+    that passes the bound; the desugared tree once it is built, at 0.
+    Twelve chained <=> pass the bound within the depth bound."""
+    assert assert_usage_error(capsys, "parse", text) == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
