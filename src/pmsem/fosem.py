@@ -9,12 +9,15 @@ valuation names takes, under base mode "all", every individual, as in
 its universal closure, and under base mode "any:<u>" the value of u.
 `propsem` states the induction and the program it compiles.
 
-`enumerate_worlds` lists every small world over a vocabulary, and
-`logical_truth` checks a closed formula in each of them: it compiles
-the formula once per domain, as the worlds come in domain order, and
-runs the program at each world and assignment with a computed table of
-its own (see `propsem`).  The falsifying assignment, if any, carries
-the world it is grounded in.
+`enumerate_worlds` counts every small world over a vocabulary, refusing
+too many, and then streams them: each world is built as an iteration
+reaches it.  `logical_truth` checks a closed formula in each of them:
+it compiles the formula once per domain, as the worlds come in domain
+order, and runs the program at each world and assignment with a
+computed table of its own (see `propsem`).  It stops at the first
+falsifying world, building none after it, and otherwise reports the
+counted total.  The falsifying assignment, if any, carries the world it
+is grounded in.
 """
 from __future__ import annotations
 
@@ -65,27 +68,57 @@ class FoVerdict:
     witness_assignment: PropAssignment | None = None
 
 
-# Most worlds enumerate_worlds builds.  The acceptance sweeps need at
+# Most worlds enumerate_worlds admits.  The acceptance sweeps need at
 # most 20 per vocabulary, and `pm fo-valid` by default 2^k + 4^k + 8^k
 # for a formula with k predicates: 584 for three.
 MAX_WORLDS = 2**16
+
+
+class Worlds:
+    """The worlds `enumerate_worlds` counted: len gives their number, and
+    each iteration builds them afresh, one at a time, in order."""
+
+    __slots__ = ("predicates", "constants", "max_individuals", "count")
+
+    def __init__(self, predicates: tuple[str, ...], constants: tuple[tuple[str, bool], ...],
+                 max_individuals: int, count: int):
+        self.predicates, self.constants = predicates, constants
+        self.max_individuals, self.count = max_individuals, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        letters = [chr(ord("a") + i) for i in range(self.max_individuals)]
+        for n in range(1, self.max_individuals + 1):
+            individuals = tuple(letters[:n])
+            atoms = sorted((p, (ind,)) for p in self.predicates for ind in individuals)
+            for size in range(len(atoms) + 1):
+                for chosen in itertools.combinations(atoms, size):
+                    yield World(
+                        individuals=individuals,
+                        predicates=self.predicates,
+                        facts=frozenset(chosen),
+                        constants=self.constants,
+                    )
 
 
 def enumerate_worlds(
     predicate_names,
     prop_vars,
     max_individuals: int = 3,
-) -> list[World]:
+) -> Worlds:
     """Every world over the given predicates, up to max_individuals.
 
     Domains {a}, {a, b}, ... and every subset of facts, smaller and
     lexicographically earlier subsets first.  Constants carrying the
     propositional variables are declared true; assignment sweeps vary
     their values, so world enumeration does not.  There are
-    sum(2^(k*n) for n in 1..max_individuals) worlds over k predicates;
-    more than MAX_WORLDS raises ValueError before any is built.
+    sum(2^(k*n) for n in 1..max_individuals) worlds over k predicates,
+    counted first: more than MAX_WORLDS raises ValueError before any is
+    built.  Then they are streamed, each built as it is reached.
     """
-    preds = sorted(set(predicate_names))
+    preds = tuple(sorted(set(predicate_names)))
     if max_individuals < 1:
         raise ValueError(f"worlds need at least 1 individual, got {max_individuals}")
     total = 0
@@ -97,22 +130,7 @@ def enumerate_worlds(
                 f"with up to {max_individuals} individuals"
             )
     constants = tuple((constant_name(v), True) for v in sorted(set(prop_vars)))
-    letters = [chr(ord("a") + i) for i in range(max_individuals)]
-    out = []
-    for n in range(1, max_individuals + 1):
-        individuals = tuple(letters[:n])
-        atoms = sorted((p, (ind,)) for p in preds for ind in individuals)
-        for size in range(len(atoms) + 1):
-            for chosen in itertools.combinations(atoms, size):
-                out.append(
-                    World(
-                        individuals=individuals,
-                        predicates=tuple(preds),
-                        facts=frozenset(chosen),
-                        constants=constants,
-                    )
-                )
-    return out
+    return Worlds(preds, constants, max_individuals, total)
 
 
 def logical_truth(

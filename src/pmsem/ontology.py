@@ -142,16 +142,22 @@ class World:
         return Complex(relation, args, self.holds(relation, args))
 
     def with_constants(self, values: dict[str, bool]) -> "World":
+        """This world with the named constants set to values, their
+        declarations sorted by name: the world itself if that changes
+        nothing."""
         known = self.constant_values
         for name in values:
             if name not in known:
                 raise WorldError(f"unknown propositional constant {name}")
         known.update(values)
+        constants = tuple(sorted(known.items()))
+        if constants == self.constants:
+            return self
         return World(
             individuals=self.individuals,
             predicates=self.predicates,
             facts=self.facts,
-            constants=tuple(sorted(known.items())),
+            constants=constants,
         )
 
 

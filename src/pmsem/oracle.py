@@ -56,7 +56,7 @@ from .classical import TarskiModel, satisfies, tarski_eval, truth_table_eval
 from .fosem import enumerate_worlds, world_vocabulary
 from .meanings import POLICIES, is_true
 from .ontology import describe_world
-from .propsem import compile_program, enumerate_assignments, run
+from .propsem import compile_program, count_assignments, enumerate_assignments, run
 from .syntax import (
     IND_VAR,
     PRED_NAME,
@@ -322,9 +322,10 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
     report = EquivalenceReport(config=config)
     _check_config(config)
 
+    options = dict(seed=config.seed, count=config.count, size_bound=config.size_bound)
+
     def points(variables, world):
-        return enumerate_assignments(variables, world, config.mode, seed=config.seed,
-                                     count=config.count, size_bound=config.size_bound)
+        return enumerate_assignments(variables, world, config.mode, **options)
 
     sections = []  # (name, formulas, groups of (worlds, variables, ids), evaluator or None)
     if config.include_prop:
@@ -341,7 +342,7 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
         vocabularies: dict[tuple, list[int]] = {}
         for i, f in enumerate(formulas):
             vocabularies.setdefault(world_vocabulary(f), []).append(i)
-        groups = [(enumerate_worlds(preds, pvars, config.fo_max_individuals), pvars, ids)
+        groups = [(list(enumerate_worlds(preds, pvars, config.fo_max_individuals)), pvars, ids)
                   for (preds, pvars), ids in vocabularies.items()]
         sections.append(("fo", formulas, groups, fo_eval))
 
@@ -351,7 +352,7 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
         checks = 0
         for worlds, variables, ids in groups:
             # Every world of one vocabulary has as many assignments.
-            per_world = len(points(variables, None)) * len(config.policies)
+            per_world = count_assignments(variables, config.mode, **options) * len(config.policies)
             checks += per_world * len(ids) * len(worlds)
             if config.mode == "sampled" and variables:
                 per_world *= config.size_bound  # a sampled Meaning's size grows with it
@@ -446,7 +447,7 @@ def _check_config(config: SweepConfig) -> None:
     policy, bounds under which an included section would check nothing,
     names outside their syntax class, which would not parse back from
     the formulas printed, and assignment parameters that
-    `enumerate_assignments` refuses (an unknown mode, or a sampled seed,
+    `count_assignments` refuses (an unknown mode, or a sampled seed,
     count or size bound)."""
     if not (config.include_prop or config.include_fo):
         raise ValueError("sweep includes neither the propositional nor the quantified section")
@@ -478,8 +479,8 @@ def _check_config(config: SweepConfig) -> None:
     for kind, name, pattern in names:
         if not pattern.fullmatch(name):
             raise ValueError(f"cannot sweep {name!r} as {kind}")
-    enumerate_assignments((), None, config.mode, seed=config.seed, count=config.count,
-                          size_bound=config.size_bound)
+    count_assignments((), config.mode, seed=config.seed, count=config.count,
+                      size_bound=config.size_bound)
 
 
 def _check_point(report, text, expected, got, world, adx, h) -> None:

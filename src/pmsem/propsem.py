@@ -44,9 +44,9 @@ A step looks there before it calls a core and records a result only
 once the core has returned it, so a refusal (ValueError) leaves no
 entry.  A sweep shares one computed table across its points and drops
 it when done (see `oracle`); `eval_prop` and `eval_fo` compile and run
-their one formula with a table of their own, `classify` compiles once
-per call and `fosem.logical_truth` once per domain, each run with a
-table of its own.
+their one formula with a table of their own, and `classify` compiles
+once per call and `fosem.logical_truth` once per domain, each run with
+a table of its own.
 
 Assignments.  `canonical_assignments` enumerates the 2^n classical
 corners: each variable is carried by its own propositional constant (p
@@ -56,13 +56,29 @@ assignment carries the world adjusted so those complexes exist,
 keeping every base complex grounded.  `sampled_assignments` draws
 arbitrary Meanings over the world's existing complexes from a seeded
 generator.  Over no variables both give the one empty assignment.
-Either raises ValueError rather than build more than MAX_ASSIGNMENTS.
+`count_assignments` works out how many an enumeration gives without
+building one, and refuses, as enumeration does, more than
+MAX_ASSIGNMENTS and bad sampled parameters.
 
-`classify` reports tautology / contradiction / contingent with witness
-assignments.  It runs the first assignment and then the later ones up
-to the first whose truth differs, which settles the verdict; its
-`assignments_checked` counts the assignments enumerated, not those
-run.
+`classify` reports tautology / contradiction / contingent, with the
+first true and the first false assignment as witnesses.  In canonical
+mode it runs the program once, at the all-true assignment.  That is
+enough by symmetry (symmetry reduction: Clarke, Emerson, Jha and
+Sistla 1996): let sigma_p exchange <P+,d> with <P-,not d>.  It commutes
+with swap, union and hitting sets, so f's Meaning under an assignment h
+is the all-true Meaning renamed by sigma_p for each p that h makes
+false.  So a pair <P+,d> of the all-true Meaning is diagonal under h
+iff h(p) = d, and that Meaning is read as a truth mask over all 2^n
+assignments, bit k for the k-th of `canonical_assignments` (Knuth,
+TAOCP 4A, 7.1.3): a member's mask is the AND of its pairs' masks, and
+the Meaning's the OR of its members'.  A full mask is a tautology and
+an empty one a contradiction; the witnesses are the lowest set bit and
+the lowest zero bit, and only they are built as assignments.  Sampled
+Meanings break the symmetry, so sampled mode runs the assignments in
+order up to the first whose truth differs from the first one's, which
+settles the verdict.  `assignments_checked` counts the assignments
+the verdict covers: 2^n canonical ones, or every sampled one, run or
+not.
 """
 from __future__ import annotations
 
@@ -103,6 +119,7 @@ __all__ = [
     "canonical_assignments",
     "classify",
     "compile_program",
+    "count_assignments",
     "declared_assignment",
     "default_binding",
     "default_world",
@@ -313,6 +330,65 @@ def _canonical_pair(variable: str, value: bool) -> Meaning:
 # sampled count of 4,096.  Each assignment carries its own World.
 MAX_ASSIGNMENTS = 2**12
 
+# Largest size bound: at most that many members of at most that many
+# pairs per sampled Meaning.  Callers use 2 or 3.
+MAX_SIZE_BOUND = 16
+
+
+def count_assignments(
+    variables,
+    mode: str = "canonical",
+    *,
+    seed: int | None = None,
+    count: int | None = None,
+    size_bound: int = 3,
+) -> int:
+    """How many assignments `enumerate_assignments` gives over variables,
+    worked out without building one: 2^n canonical ones, count sampled
+    ones, and 1 over no variables.  Raises the ValueError enumeration
+    would raise for an unknown mode, a missing or out-of-range sampled
+    parameter, or more than MAX_ASSIGNMENTS assignments."""
+    n = len(set(variables))
+    if mode == "canonical":
+        if 2**n > MAX_ASSIGNMENTS:
+            raise ValueError(f"{n} variables give more than {MAX_ASSIGNMENTS} canonical assignments")
+        return 2**n
+    if mode != "sampled":
+        raise ValueError(f"unknown assignment mode {mode!r}")
+    if seed is None:
+        raise ValueError("sampled mode needs a seed")
+    if count is None or count < 1:
+        raise ValueError("sampled mode needs a positive count")
+    if count > MAX_ASSIGNMENTS:
+        raise ValueError(f"sampled count must be at most {MAX_ASSIGNMENTS}")
+    if size_bound < 1:
+        raise ValueError("size bound must be at least 1")
+    if size_bound > MAX_SIZE_BOUND:
+        raise ValueError(f"size bound must be at most {MAX_SIZE_BOUND}")
+    return count if n else 1
+
+
+def _carrying_world(names: list[str], world: World | None) -> World:
+    """world, or the default world of names, once it declares the
+    constant carrying each variable of names."""
+    if world is None:
+        return default_world(names)
+    declared = world.constant_values
+    missing = [v for v in names if constant_name(v) not in declared]
+    if missing:
+        raise ValueError(
+            f"world lacks propositional constants for {missing} (canonical mode)"
+        )
+    return world
+
+
+def _corner(names: list[str], world: World, bits) -> PropAssignment:
+    """The canonical assignment giving names[i] the value bits[i],
+    grounded in world with the carrying constants set to match."""
+    values = {v: _canonical_pair(v, bit) for v, bit in zip(names, bits)}
+    grounded = world.with_constants({constant_name(v): bit for v, bit in zip(names, bits)})
+    return PropAssignment(values=values, world=grounded)
+
 
 def canonical_assignments(variables, world: World | None = None) -> list[PropAssignment]:
     """The 2^n corner assignments, true combinations first.
@@ -322,26 +398,10 @@ def canonical_assignments(variables, world: World | None = None) -> list[PropAss
     assigned complexes are the existing ones.
     """
     names = sorted(set(variables))
-    if 2 ** len(names) > MAX_ASSIGNMENTS:
-        raise ValueError(
-            f"{len(names)} variables give more than {MAX_ASSIGNMENTS} canonical assignments"
-        )
-    if world is None:
-        world = default_world(names)
-    declared = world.constant_values
-    missing = [v for v in names if constant_name(v) not in declared]
-    if missing:
-        raise ValueError(
-            f"world lacks propositional constants for {missing} (canonical mode)"
-        )
-    out = []
-    for bits in itertools.product((True, False), repeat=len(names)):
-        values = {v: _canonical_pair(v, bit) for v, bit in zip(names, bits)}
-        grounded = world.with_constants(
-            {constant_name(v): bit for v, bit in zip(names, bits)}
-        )
-        out.append(PropAssignment(values=values, world=grounded))
-    return out
+    count_assignments(names)
+    world = _carrying_world(names, world)
+    return [_corner(names, world, bits)
+            for bits in itertools.product((True, False), repeat=len(names))]
 
 
 def declared_assignment(variables, world: World) -> PropAssignment:
@@ -355,11 +415,6 @@ def declared_assignment(variables, world: World) -> PropAssignment:
     return PropAssignment(values=values, world=world)
 
 
-# Largest size bound: at most that many members of at most that many
-# pairs per sampled Meaning.  Callers use 2 or 3.
-MAX_SIZE_BOUND = 16
-
-
 def sampled_assignments(
     variables,
     world: World,
@@ -368,16 +423,7 @@ def sampled_assignments(
     size_bound: int = 3,
 ) -> list[PropAssignment]:
     """Pseudo-random assignments over the world's pairs; reproducible by seed."""
-    if seed is None:
-        raise ValueError("sampled mode needs a seed")
-    if count is None or count < 1:
-        raise ValueError("sampled mode needs a positive count")
-    if count > MAX_ASSIGNMENTS:
-        raise ValueError(f"sampled count must be at most {MAX_ASSIGNMENTS}")
-    if size_bound < 1:
-        raise ValueError("size bound must be at least 1")
-    if size_bound > MAX_SIZE_BOUND:
-        raise ValueError(f"size bound must be at most {MAX_SIZE_BOUND}")
+    count_assignments(variables, "sampled", seed=seed, count=count, size_bound=size_bound)
     names = sorted(set(variables))
     if not names:
         return [PropAssignment(values={}, world=world)]
@@ -408,13 +454,15 @@ def enumerate_assignments(
     count: int | None = None,
     size_bound: int = 3,
 ) -> list[PropAssignment]:
+    """The assignments of mode over variables, each grounded in world (by
+    default, the world declaring each variable's carrying constant
+    true); `count_assignments` refuses first what it refuses."""
+    count_assignments(variables, mode, seed=seed, count=count, size_bound=size_bound)
     if mode == "canonical":
         return canonical_assignments(variables, world)
-    if mode == "sampled":
-        if world is None:
-            world = default_world(variables)
-        return sampled_assignments(variables, world, seed, count, size_bound)
-    raise ValueError(f"unknown assignment mode {mode!r}")
+    if world is None:
+        world = default_world(variables)
+    return sampled_assignments(variables, world, seed, count, size_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +473,9 @@ class Verdict:
     kind: str  # tautology | contradiction | contingent
     witness_true: PropAssignment | None = None
     witness_false: PropAssignment | None = None
-    assignments_checked: int = 0  # enumerated, not only those run
+    # the assignments the verdict covers, run or not: 2^n canonical ones,
+    # which one run decides, or every sampled one
+    assignments_checked: int = 0
 
 
 def classify(
@@ -438,21 +488,76 @@ def classify(
     count: int | None = None,
     size_bound: int = 3,
 ) -> Verdict:
-    """Classify f as tautology/contradiction/contingent, running f's
-    program at no assignment after the first whose truth differs from
-    the first one's."""
-    names = prop_variables(f)
-    points = enumerate_assignments(names, world, mode, seed=seed, count=count,
-                                   size_bound=size_bound)
+    """Classify f as tautology/contradiction/contingent, with the first
+    true and the first false assignment, in enumeration order, as
+    witnesses.  Canonical mode runs f's program once, at the all-true
+    assignment, and reads its truth at every assignment from that
+    Meaning's truth mask; sampled mode runs it at no assignment after
+    the first whose truth differs from the first one's."""
+    names = sorted(prop_variables(f))
+    if mode != "canonical":
+        points = enumerate_assignments(names, world, mode, seed=seed, count=count,
+                                       size_bound=size_bound)
+        program = compile_program([f], names)
+        (root,) = program.roots
+
+        def truth(h: PropAssignment) -> bool:
+            return is_true(run(program, h.values, None, policy, {})[root])
+
+        first, *rest = points
+        first_truth = truth(first)
+        other = next((h for h in rest if truth(h) != first_truth), None)
+        kind = "contingent" if other else "tautology" if first_truth else "contradiction"
+        witnesses = (first, other) if first_truth else (other, first)
+        return Verdict(kind, *witnesses, assignments_checked=len(points))
+
+    total = count_assignments(names)
+    world = _carrying_world(names, world)
     program = compile_program([f], names)
-    (root,) = program.roots
+    values = {v: _canonical_pair(v, True) for v in names}
+    truths = _truth_mask(run(program, values, None, policy, {})[program.roots[0]], names)
+    full = (1 << total) - 1
 
-    def truth(h: PropAssignment) -> bool:
-        return is_true(run(program, h.values, None, policy, {})[root])
+    def corner(k: int) -> PropAssignment:
+        """The k-th assignment of `canonical_assignments`."""
+        n = len(names)
+        return _corner(names, world, [not k >> (n - 1 - i) & 1 for i in range(n)])
 
-    first, *rest = points
-    first_truth = truth(first)
-    other = next((h for h in rest if truth(h) != first_truth), None)
-    kind = "contingent" if other else "tautology" if first_truth else "contradiction"
-    witnesses = (first, other) if first_truth else (other, first)
-    return Verdict(kind, *witnesses, assignments_checked=len(points))
+    def lowest(mask: int) -> int:
+        return (mask & -mask).bit_length() - 1
+
+    kind = "tautology" if truths == full else "contingent" if truths else "contradiction"
+    return Verdict(kind,
+                   corner(lowest(truths)) if truths else None,
+                   corner(lowest(full ^ truths)) if truths != full else None,
+                   assignments_checked=total)
+
+
+def _truth_mask(m: Meaning, names: list[str]) -> int:
+    """The truth of m, the Meaning at the all-true assignment to names,
+    at every canonical assignment: bit k is set iff m, renamed to the
+    k-th assignment of `canonical_assignments`, is true.
+
+    Renaming to h exchanges <P+,d> with <P-,not d> for each variable p
+    that h makes false (see the module docstring), so a pair <P+,d> is
+    diagonal under h iff h(p) = d.  A member is all-diagonal at the AND
+    of its pairs' masks, and m is true at the OR of its members'.
+    """
+    n = len(names)
+    full = (1 << (1 << n)) - 1
+    masks = {}  # every pair of m is over a positive carrying constant
+    for i, v in enumerate(names):
+        # v is true at the first `block` assignments, false at the next
+        # `block`, and so on (Knuth, TAOCP 4A, 7.1.3: magic masks)
+        block = 1 << (n - 1 - i)
+        true_at = full // ((1 << 2 * block) - 1) * ((1 << block) - 1)
+        positive = Complex(constant_name(v), (), True)
+        masks[Pair(positive, True)] = true_at
+        masks[Pair(positive, False)] = full ^ true_at
+    truths = 0
+    for member in m.members:
+        bits = full
+        for p in member:
+            bits &= masks[p]
+        truths |= bits
+    return truths

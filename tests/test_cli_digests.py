@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from pmsem import cli
+from pmsem.meanings import POLICIES
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI_DIGESTS = ROOT / "tests" / "data" / "cli_digests.json"
@@ -43,9 +44,12 @@ COMPARE_CONFIGS = (
     # past the sweep work budget: refused with exit 2
     ("--no-prop", "--fo", "--fo-individuals", "6"),
 )
-# Cyclic implication chains of 4 and 6 clauses.
+# Cyclic implication chains of 4 and 6 clauses, and the 6-clause
+# tautology ~~C v ~C, whose 64 assignments one run decides.
 CHAIN_4 = "~~((p v ~q) . (q v ~r) . (r v ~p1) . (p1 v ~p))"
-CHAIN_6 = "~~((p v ~q) . (q v ~r) . (r v ~p1) . (p1 v ~q1) . (q1 v ~r1) . (r1 v ~p))"
+CYCLE_6 = "((p v ~q) . (q v ~r) . (r v ~p1) . (p1 v ~q1) . (q1 v ~r1) . (r1 v ~p))"
+CHAIN_6 = f"~~{CYCLE_6}"
+TAUT_6 = f"{CHAIN_6} v ~{CYCLE_6}"
 EVAL_CONFIGS = (
     ("~(p v q)",),
     ("~(p v q)", "--policy", "full"),
@@ -77,6 +81,7 @@ INVOCATIONS = (
     + [("compare", *c, "--json") for c in COMPARE_CONFIGS]
     + [("taut", CHAIN_4, "--policy", "full"), ("taut", CHAIN_6)]
     + [("taut", CHAIN_6, "--policy", "full", *fmt) for fmt in TEXT_AND_JSON]
+    + [("taut", TAUT_6, "--policy", policy, *fmt) for policy in POLICIES for fmt in TEXT_AND_JSON]
     + [("eval", *c, *fmt) for fmt in TEXT_AND_JSON for c in EVAL_CONFIGS]
     + [("fo-eval", f, "--model", FO_WORLD, "--base-mode", base, *fmt)
        for fmt in TEXT_AND_JSON for base in ("all", "any:x") for f in FO_EVAL_FORMULAS]

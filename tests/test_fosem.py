@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmsem import propsem
+from pmsem import fosem, propsem
 from pmsem.fosem import default_binding, enumerate_worlds, eval_fo, logical_truth
 from pmsem.meanings import (
     POLICIES,
@@ -314,6 +314,23 @@ def test_logical_truth_counts_worlds():
     assert v.worlds_checked == 6
     v = logical_truth(parse("(x).S(x) v p v ~p"))
     assert (v.kind, v.worlds_checked) == ("logical_truth", 14)
+
+
+def test_worlds_are_counted_then_built_as_reached(monkeypatch):
+    """logical_truth builds no world past the falsifying one, and a
+    listing builds its worlds again at each iteration."""
+    built = []
+
+    def counting(**fields):
+        built.append(fields["facts"])
+        return World(**fields)
+
+    monkeypatch.setattr(fosem, "World", counting)
+    worlds = enumerate_worlds(["S", "R"], ["p"], max_individuals=3)
+    assert (len(worlds), built) == (4 + 16 + 64, [])
+    v = logical_truth(parse("(x).S(x) v (x).R(x)"))
+    assert (v.kind, v.worlds_checked, built) == ("falsifiable", 1, [frozenset()])
+    assert list(worlds) == list(worlds) and len(built) == 1 + 2 * 84
 
 
 def test_falsifying_world_is_the_assignments_grounded_world():

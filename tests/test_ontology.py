@@ -231,6 +231,15 @@ def test_with_constants_overrides_values():
     assert w.with_constants({"P": False}).constant_values == {"P": False}
 
 
+def test_with_constants_changing_nothing_is_the_world_itself():
+    w = World(constants=(("P", True), ("Q", False)))
+    assert w.with_constants({}) is w
+    assert w.with_constants({"Q": False}) is w
+    # declarations out of name order are sorted, so that is a change
+    unsorted = World(constants=(("Q", False), ("P", True)))
+    assert unsorted.with_constants({}) == w
+
+
 @pytest.mark.parametrize("text, message", [
     ("individual a\nindividual a", ": duplicate individual a"),
     ("relation S/1\nrelation S/1", ": duplicate relation declaration"),

@@ -1,6 +1,7 @@
 """Propositional evaluation, assignments and the tautology decision."""
 import re
 from dataclasses import replace
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from pmsem import propsem
 from pmsem.fosem import enumerate_worlds
 from pmsem.meanings import (
     POLICIES,
+    Meaning,
     atom_meaning,
     is_true,
     meaning,
@@ -26,6 +28,7 @@ from pmsem.propsem import (
     canonical_assignments,
     classify,
     compile_program,
+    count_assignments,
     declared_assignment,
     default_world,
     enumerate_assignments,
@@ -37,10 +40,12 @@ from pmsem.propsem import (
 from pmsem.syntax import (
     Exists,
     ForAll,
+    Formula,
     Not,
     Or,
     PredApp,
     PropVar,
+    conjoin,
     equivalent,
     parse,
     print_formula,
@@ -229,6 +234,30 @@ def test_assignment_budget():
     assert len(canonical_assignments(names[:4])) == 16
 
 
+@pytest.mark.parametrize("variables", [[], ["p"], ["q", "p", "q"]])
+@pytest.mark.parametrize("mode, kwargs", [("canonical", {}), ("sampled", dict(seed=1, count=5))])
+def test_count_assignments_counts_what_enumeration_builds(variables, mode, kwargs):
+    built = enumerate_assignments(variables, None, mode, **kwargs)
+    assert count_assignments(variables, mode, **kwargs) == len(built)
+
+
+@pytest.mark.parametrize("variables, mode, kwargs", [
+    ([f"p{i}" for i in range(13)], "canonical", {}),
+    (["p"], "exhaustive", {}),
+    (["p"], "sampled", dict(seed=None, count=5)),
+    (["p"], "sampled", dict(seed=1, count=0)),
+    ([], "sampled", dict(seed=1, count=MAX_ASSIGNMENTS + 1)),
+    (["p"], "sampled", dict(seed=1, count=5, size_bound=0)),
+    (["p"], "sampled", dict(seed=1, count=5, size_bound=MAX_SIZE_BOUND + 1)),
+])
+def test_count_assignments_refuses_what_enumeration_refuses(variables, mode, kwargs):
+    with pytest.raises(ValueError) as built:
+        enumerate_assignments(variables, None, mode, **kwargs)
+    with pytest.raises(ValueError) as counted:
+        count_assignments(variables, mode, **kwargs)
+    assert str(counted.value) == str(built.value)
+
+
 def test_sampled_assignments_at_the_size_bound():
     (h,) = sampled_assignments(["p"], default_world(["p"]), seed=1, count=1,
                                size_bound=MAX_SIZE_BOUND)
@@ -300,19 +329,8 @@ def test_classify_sampled_mode():
     assert v.assignments_checked == 16
 
 
-@pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize(
-    "text, evaluated",
-    [
-        # true at TT, false at TF: settled at the second assignment
-        ("p . q", 2),
-        # false only at FF, the last assignment
-        ("p v q", 4),
-        # a tautology is settled only by its last assignment
-        ("(p v ~p) . (q v ~q)", 4),
-    ],
-)
-def test_classify_stops_once_the_verdict_is_settled(monkeypatch, policy, text, evaluated):
+def counting_runs(monkeypatch) -> list:
+    """The values of every `propsem.run` call made from here on."""
     calls = []
 
     def counting(program, values, *args):
@@ -320,7 +338,34 @@ def test_classify_stops_once_the_verdict_is_settled(monkeypatch, policy, text, e
         return run(program, values, *args)
 
     monkeypatch.setattr(propsem, "run", counting)
+    return calls
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("text", ["p . q", "p v q", "(p v ~p) . (q v ~q)", "q . ~q . p"])
+def test_canonical_classify_runs_its_program_once(monkeypatch, policy, text):
+    """Contingent, tautology or contradiction: one run, at the all-true
+    assignment, decides all four assignments."""
+    calls = counting_runs(monkeypatch)
     assert classify(parse(text), policy=policy).assignments_checked == 4
+    assert calls == [{"p": P_TRUE, "q": Q_TRUE}]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize(
+    "text, evaluated",
+    [
+        # at seed 3 the first true assignment is the 7th, the first false one the 1st
+        ("p . q", 7),
+        ("p v q", 3),
+        # a sampled tautology runs every assignment
+        ("(p v ~p) . (q v ~q)", 8),
+    ],
+)
+def test_sampled_classify_stops_at_its_second_witness(monkeypatch, policy, text, evaluated):
+    calls = counting_runs(monkeypatch)
+    v = classify(parse(text), mode="sampled", policy=policy, seed=3, count=8)
+    assert v.assignments_checked == 8
     assert len(calls) == evaluated
 
 
@@ -345,6 +390,27 @@ def reference_classify(f, mode, policy, **kwargs):
     return Verdict(kind, witness_true, witness_false, len(assignments))
 
 
+def cyclic_chain(clauses: int) -> Formula:
+    """The cyclic implication chain (p v ~q) . (q v ~r) ... (x v ~p) of
+    up to 5 clauses over p, q, r, p1 and q1."""
+    names = ["p", "q", "r", "p1", "q1"][:clauses]
+    return reduce(conjoin, [Or(PropVar(a), Not(PropVar(b)))
+                            for a, b in zip(names, names[1:] + names[:1])])
+
+
+# Formulas of 3 to 6 variables whose truth masks span 8 to 64
+# assignments: the cyclic chains, as ~~C (contingent) and ~~C v ~C (a
+# tautology whose negations face the chain's transversals), and a
+# contingent formula, a tautology and a contradiction over more variables.
+WIDE_FORMULAS = [g for k in (3, 4, 5) for g in (Not(Not(cyclic_chain(k))),
+                                                Or(Not(Not(cyclic_chain(k))), Not(cyclic_chain(k))))]
+WIDE_FORMULAS += [parse(text) for text in (
+    "p v q v r v p1 v ~q1",
+    "p . q . r . p1 . q1 . r1 .=>. p v ~r1",
+    "p . q . r . p1 . q1 . ~(r1 v q1)",
+)]
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("mode, kwargs", [("canonical", {}), ("sampled", {"seed": 5, "count": 8})])
 def test_classify_matches_the_evaluate_every_point_loop(policy, mode, kwargs):
@@ -359,13 +425,48 @@ def test_classify_matches_the_evaluate_every_point_loop(policy, mode, kwargs):
             v.assignments_checked,
         )
 
-    kinds = set()  # depth 2 holds no contradiction
-    for f in formulas:
+    def kind(f) -> str:
         points = enumerate_assignments(prop_variables(f), None, mode, **kwargs)
         got = classify(f, mode=mode, policy=policy, **kwargs)
         assert summary(got, points) == summary(reference_classify(f, mode, policy, **kwargs), points)
-        kinds.add(got.kind)
-    assert kinds == {"tautology", "contingent"}
+        return got.kind
+
+    # depth 2 holds no contradiction
+    assert {kind(f) for f in formulas} == {"tautology", "contingent"}
+    if mode == "canonical":  # only canonical verdicts are read from a mask
+        assert [kind(f) for f in WIDE_FORMULAS] == ["contingent", "tautology"] * 3 + [
+            "contingent", "tautology", "contradiction"]
+
+
+FOUR_VARIABLE_TREES = st.recursive(
+    st.sampled_from([PropVar(v) for v in ("p", "q", "r", "p1")]),
+    lambda sub: st.one_of(st.builds(Not, sub), st.builds(Or, sub, sub), st.builds(conjoin, sub, sub)),
+    max_leaves=6,
+)
+
+
+def renamed(m: Meaning, h: PropAssignment) -> Meaning:
+    """sigma_h(m): each pair <P+,d> of a variable p that h makes false
+    becomes <P-,not d>."""
+    false = {constant_name(v) for v, truth in h.truths().items() if not truth}
+
+    def rename(pair):
+        if pair.base.relation not in false:
+            return pair
+        return Pair(Complex(pair.base.relation, (), not pair.base.positive), not pair.diagonal)
+
+    return Meaning(frozenset(frozenset(map(rename, member)) for member in m.members))
+
+
+@given(FOUR_VARIABLE_TREES, st.sampled_from(POLICIES))
+@settings(max_examples=60, deadline=None)
+def test_every_canonical_meaning_renames_the_all_true_one(f, policy):
+    """The symmetry canonical `classify` rests on: at every canonical h,
+    f's Meaning is the all-true one renamed by sigma_h."""
+    assignments = canonical_assignments(prop_variables(f))
+    everywhere = eval_prop(f, assignments[0], policy)
+    for h in assignments:
+        assert renamed(everywhere, h) is eval_prop(f, h, policy)
 
 
 # ---------------------------------------------------------------------------
