@@ -15,9 +15,9 @@ reaches it.  `logical_truth` checks a closed formula in each of them:
 it compiles the formula once per domain, as the worlds come in domain
 order, and runs the program at each world and assignment with a
 computed table of its own (see `propsem`).  It stops at the first
-falsifying world, building none after it, and otherwise reports the
-counted total.  The falsifying assignment, if any, carries the world it
-is grounded in.
+falsifying world and assignment, building no world and drawing no
+assignment after them, and otherwise reports the counted total.  The
+falsifying assignment, if any, carries the world it is grounded in.
 """
 from __future__ import annotations
 

@@ -15,10 +15,12 @@ Berge's sequential dualization one member at a time; `full` keeps them
 all, the upward closure of the minimal ones within the union.  Both
 refuse work past one budget, _TRANSVERSAL_LIMIT: a `minimal` step
 counts the tests and candidates it would make, and `full` counts the
-subsets of the union.  `swap_family` pushes the tag swap through a family
-pointwise.  Pairs are hash-consed in `ontology` and each holds its
-swap, so negation builds no Pair, and a set of pairs hashes its pairs
-by identity, in C.
+subsets of the union.  A Meaning's members are already frozen and
+distinct, so `transversals` takes a frozenset family as it is and
+freezes and deduplicates only other iterables.  `swap_family` pushes
+the tag swap through a family pointwise.  Pairs are hash-consed in
+`ontology` and each holds its swap, so negation builds no Pair, and a
+set of pairs hashes its pairs by identity, in C.
 
 Meanings are hash-consed through `hashcons`, keyed by the member
 family.  The tables that cache the cores belong to an evaluation (see
@@ -109,8 +111,14 @@ def transversals(family, policy: str = "minimal") -> frozenset[frozenset[Pair]]:
     Either policy raises ValueError rather than do more than
     _TRANSVERSAL_LIMIT units of work: a `minimal` step counts the tests
     and candidates it would make, `full` counts the subsets of the union.
+
+    A frozenset family, such as a Meaning's members, must hold
+    frozensets and is taken as it is; any other iterable is frozen
+    member by member and deduplicated, keeping its order.
     """
-    members = sorted({frozenset(m) for m in family}, key=len)
+    if not isinstance(family, frozenset):
+        family = dict.fromkeys(frozenset(m) for m in family)
+    members = sorted(family, key=len)
     if not members:
         raise ValueError("transversal of an empty family")
     if not members[0]:

@@ -70,7 +70,6 @@ from .syntax import (
     PropVar,
     children,
     print_formula,
-    subformulas,
 )
 
 __all__ = [
@@ -80,7 +79,6 @@ __all__ = [
     "check_equivalence",
     "enumerate_formulas",
     "formula_depth",
-    "quantifier_count",
     # `classical`'s, re-exported for `perfbench` until ROADMAP item 1
     "TarskiModel",
     "tarski_eval",
@@ -93,10 +91,6 @@ __all__ = [
 
 def formula_depth(f: Formula) -> int:
     return max((1 + formula_depth(g) for g in children(f)), default=0)
-
-
-def quantifier_count(f: Formula) -> int:
-    return sum(isinstance(g, (ForAll, Exists)) for g in subformulas(f))
 
 
 # Most formulas enumerate_formulas admits, atoms, open intermediates and

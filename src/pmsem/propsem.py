@@ -43,10 +43,11 @@ hash-consed (see `meanings`), so the operands themselves are the key:
 A step looks there before it calls a core and records a result only
 once the core has returned it, so a refusal (ValueError) leaves no
 entry.  A sweep shares one computed table across its points and drops
-it when done (see `oracle`); `eval_prop` and `eval_fo` compile and run
-their one formula with a table of their own, and `classify` compiles
-once per call and `fosem.logical_truth` once per domain, each run with
-a table of its own.
+it when done (see `oracle`), and so does a sampled `classify` across
+its assignments; `eval_prop` and `eval_fo` compile and run their one
+formula with a table of their own, `classify` compiles once per call,
+and `fosem.logical_truth` compiles once per domain and runs each
+assignment with a table of its own.
 
 Assignments.  `canonical_assignments` enumerates the 2^n classical
 corners: each variable is carried by its own propositional constant (p
@@ -58,7 +59,11 @@ arbitrary Meanings over the world's existing complexes from a seeded
 generator.  Over no variables both give the one empty assignment.
 `count_assignments` works out how many an enumeration gives without
 building one, and refuses, as enumeration does, more than
-MAX_ASSIGNMENTS and bad sampled parameters.
+MAX_ASSIGNMENTS and bad sampled parameters.  An enumeration
+(`Assignments`) is counted and refuses all it refuses when it is made;
+then each iteration builds its assignments as it reaches them, a
+sampled one drawing them from a generator seeded afresh, so every
+iteration gives equal assignments in the same order.
 
 `classify` reports tautology / contradiction / contingent, with the
 first true and the first false assignment as witnesses.  In canonical
@@ -76,15 +81,16 @@ an empty one a contradiction; the witnesses are the lowest set bit and
 the lowest zero bit, and only they are built as assignments.  Sampled
 Meanings break the symmetry, so sampled mode runs the assignments in
 order up to the first whose truth differs from the first one's, which
-settles the verdict.  `assignments_checked` counts the assignments
-the verdict covers: 2^n canonical ones, or every sampled one, run or
-not.
+settles the verdict, and draws none after it.  `assignments_checked`
+counts the assignments the verdict covers: 2^n canonical ones, or
+every sampled one, drawn or not.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .meanings import (
@@ -390,18 +396,51 @@ def _corner(names: list[str], world: World, bits) -> PropAssignment:
     return PropAssignment(values=values, world=grounded)
 
 
-def canonical_assignments(variables, world: World | None = None) -> list[PropAssignment]:
+class Assignments:
+    """The assignments `enumerate_assignments` counted: len gives their
+    number, and each iteration builds them afresh, one at a time, in
+    order."""
+
+    __slots__ = ("count", "build")
+
+    def __init__(self, count: int, build):
+        self.count, self.build = count, build  # build() yields them
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return self.build()
+
+
+def _corners(names: list[str], world: World):
+    for bits in itertools.product((True, False), repeat=len(names)):
+        yield _corner(names, world, bits)
+
+
+def _draws(names: list[str], world: World, pool: list[Pair], seed: int, count: int,
+           size_bound: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        values = {}
+        for v in names:
+            n_members = rng.randint(1, size_bound)
+            members = []
+            for _ in range(n_members):
+                size = rng.randint(1, min(size_bound, len(pool)))
+                members.append(frozenset(rng.sample(pool, size)))
+            values[v] = Meaning(frozenset(members))
+        yield PropAssignment(values=values, world=world)
+
+
+def canonical_assignments(variables, world: World | None = None) -> Assignments:
     """The 2^n corner assignments, true combinations first.
 
     Every variable needs its carrying constant declared in the world;
-    each emitted assignment is grounded in the world adjusted so the
-    assigned complexes are the existing ones.
+    each assignment is grounded in the world adjusted so the assigned
+    complexes are the existing ones.
     """
-    names = sorted(set(variables))
-    count_assignments(names)
-    world = _carrying_world(names, world)
-    return [_corner(names, world, bits)
-            for bits in itertools.product((True, False), repeat=len(names))]
+    return enumerate_assignments(variables, world)
 
 
 def declared_assignment(variables, world: World) -> PropAssignment:
@@ -421,28 +460,10 @@ def sampled_assignments(
     seed: int,
     count: int,
     size_bound: int = 3,
-) -> list[PropAssignment]:
+) -> Assignments:
     """Pseudo-random assignments over the world's pairs; reproducible by seed."""
-    count_assignments(variables, "sampled", seed=seed, count=count, size_bound=size_bound)
-    names = sorted(set(variables))
-    if not names:
-        return [PropAssignment(values={}, world=world)]
-    pool = list(all_pairs(world))  # random.sample is slower on a tuple
-    if not pool:
-        raise ValueError("world has no complexes to sample from")
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        values = {}
-        for v in names:
-            n_members = rng.randint(1, size_bound)
-            members = []
-            for _ in range(n_members):
-                size = rng.randint(1, min(size_bound, len(pool)))
-                members.append(frozenset(rng.sample(pool, size)))
-            values[v] = Meaning(frozenset(members))
-        out.append(PropAssignment(values=values, world=world))
-    return out
+    return enumerate_assignments(variables, world, "sampled", seed=seed, count=count,
+                                 size_bound=size_bound)
 
 
 def enumerate_assignments(
@@ -453,16 +474,23 @@ def enumerate_assignments(
     seed: int | None = None,
     count: int | None = None,
     size_bound: int = 3,
-) -> list[PropAssignment]:
+) -> Assignments:
     """The assignments of mode over variables, each grounded in world (by
     default, the world declaring each variable's carrying constant
-    true); `count_assignments` refuses first what it refuses."""
-    count_assignments(variables, mode, seed=seed, count=count, size_bound=size_bound)
+    true).  Every refusal comes first, `count_assignments`' and then
+    the world's, before any assignment is built; each iteration then
+    builds them, a sampled one reseeding its generator, so every
+    iteration gives the same assignments in the same order."""
+    total = count_assignments(variables, mode, seed=seed, count=count, size_bound=size_bound)
+    names = sorted(set(variables))
     if mode == "canonical":
-        return canonical_assignments(variables, world)
+        return Assignments(total, partial(_corners, names, _carrying_world(names, world)))
     if world is None:
-        world = default_world(variables)
-    return sampled_assignments(variables, world, seed, count, size_bound)
+        world = default_world(names)
+    pool = list(all_pairs(world)) if names else []  # random.sample is slower on a tuple
+    if names and not pool:
+        raise ValueError("world has no complexes to sample from")
+    return Assignments(total, partial(_draws, names, world, pool, seed, total, size_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +528,15 @@ def classify(
                                        size_bound=size_bound)
         program = compile_program([f], names)
         (root,) = program.roots
+        computed = {}  # the computed table every run shares, dropped on return
 
         def truth(h: PropAssignment) -> bool:
-            return is_true(run(program, h.values, None, policy, {})[root])
+            return is_true(run(program, h.values, None, policy, computed)[root])
 
-        first, *rest = points
+        drawn = iter(points)
+        first = next(drawn)
         first_truth = truth(first)
-        other = next((h for h in rest if truth(h) != first_truth), None)
+        other = next((h for h in drawn if truth(h) != first_truth), None)
         kind = "contingent" if other else "tautology" if first_truth else "contradiction"
         witnesses = (first, other) if first_truth else (other, first)
         return Verdict(kind, *witnesses, assignments_checked=len(points))

@@ -289,10 +289,10 @@ def test_meaning_truth_agrees_with_tarski_eval(f, world, pick):
     each free atom is its own universal closure; under "any:x" every
     valuation variable names x's individual."""
     if pick < 4:
-        h = enumerate_assignments(("p", "q"), world)[pick]
+        h = list(enumerate_assignments(("p", "q"), world))[pick]
     else:
-        h = enumerate_assignments(("p", "q"), world, "sampled", seed=pick, count=1,
-                                  size_bound=2)[0]
+        h = list(enumerate_assignments(("p", "q"), world, "sampled", seed=pick, count=1,
+                                       size_bound=2))[0]
     xi = default_binding(h.world)
     classical = {
         None: tarski_eval(universal_atoms(f), model(h.world), None, h.truths()),

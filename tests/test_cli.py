@@ -719,17 +719,31 @@ def value(strategy):
     return strategy.map(lambda v: [v])
 
 
-ENUMERATION = {
-    # A sampled mode mostly with its seed and count, sometimes without.
-    "--mode": st.one_of(
-        st.just(["canonical"]),
-        st.tuples(SMALL, SMALL).map(lambda sc: ["sampled", "--seed", sc[0], "--count", sc[1]]),
-        st.just(["sampled"]),
-    ),
-    "--seed": value(SMALL),
-    "--count": value(SMALL),
-    "--size-bound": value(SMALL),
-}
+
+
+def enumeration(counts=SMALL, size_bounds=SMALL):
+    """The assignment flags, drawing --count and --size-bound from the
+    strategies given."""
+    return {
+        # A sampled mode mostly with its seed and count, sometimes without.
+        "--mode": st.one_of(
+            st.just(["canonical"]),
+            st.tuples(SMALL, counts).map(lambda sc: ["sampled", "--seed", sc[0], "--count", sc[1]]),
+            st.just(["sampled"]),
+        ),
+        "--seed": value(SMALL),
+        "--count": value(counts),
+        "--size-bound": value(size_bounds),
+    }
+
+
+# The refusal edges: MAX_ASSIGNMENTS and MAX_SIZE_BOUND, then one past
+# each.  A count of 4,096 can run for minutes under fo-valid and
+# compare, so only taut draws it; eval runs every assignment, so it
+# draws the size bound's edge alone.
+EDGE_COUNTS = st.one_of(SMALL, st.sampled_from(["4096", "4097"]))
+EDGE_SIZE_BOUNDS = st.one_of(SMALL, st.sampled_from(["16", "17"]))
+ENUMERATION = enumeration()
 POLICY = {"--policy": value(st.sampled_from(["minimal", "full"]))}
 SWITCH = st.just([])
 OUTPUT = {"--json": SWITCH, "--out": SWITCH}  # --out takes the fixture's path
@@ -740,8 +754,10 @@ def command_options(files):
     worlds = value(st.sampled_from([files["world"], files["proof"], files["missing"]]))
     return {
         "parse": {**OUTPUT},
-        "eval": {"--world": worlds, **POLICY, **ENUMERATION, **OUTPUT},
-        "taut": {"--world": worlds, **POLICY, **ENUMERATION, **OUTPUT},
+        "eval": {"--world": worlds, **POLICY, **enumeration(size_bounds=EDGE_SIZE_BOUNDS),
+                 **OUTPUT},
+        "taut": {"--world": worlds, **POLICY, **enumeration(EDGE_COUNTS, EDGE_SIZE_BOUNDS),
+                 **OUTPUT},
         "fo-eval": {
             "--model": worlds,
             "--base-mode": value(st.sampled_from(["all", "any:x", "any:z9", "any", "bogus"])),

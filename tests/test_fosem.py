@@ -21,7 +21,13 @@ from pmsem.meanings import (
 )
 from pmsem.ontology import Complex, Pair, World, describe_world
 from pmsem.oracle import SweepConfig, check_equivalence, enumerate_formulas
-from pmsem.propsem import canonical_assignments, compile_program, declared_assignment, run
+from pmsem.propsem import (
+    PropAssignment,
+    canonical_assignments,
+    compile_program,
+    declared_assignment,
+    run,
+)
 from pmsem.syntax import (
     Exists,
     ForAll,
@@ -245,7 +251,7 @@ def test_memo_binding_matches_fresh_evaluation(calls, individuals, facts, p_true
         facts=frozenset(f for f in facts if f[1][0] in individuals),
         constants=(("P", True),),
     )
-    h = canonical_assignments(["p"], world)[0 if p_true else 1]
+    h = list(canonical_assignments(["p"], world))[0 if p_true else 1]
     formulas = [f for f, _, _ in calls]
     programs = {u: compile_program(formulas, h.values, world, u) for u in (None, "x", "y")}
     computed = {}
@@ -331,6 +337,26 @@ def test_worlds_are_counted_then_built_as_reached(monkeypatch):
     v = logical_truth(parse("(x).S(x) v (x).R(x)"))
     assert (v.kind, v.worlds_checked, built) == ("falsifiable", 1, [frozenset()])
     assert list(worlds) == list(worlds) and len(built) == 1 + 2 * 84
+
+
+def test_sampled_assignments_are_drawn_as_reached(monkeypatch):
+    """Sampled logical_truth draws no assignment past the falsifying one,
+    here the first of 4,096 at the first world."""
+    built, runs = [], []
+
+    def building(**fields):
+        built.append(PropAssignment(**fields))
+        return built[-1]
+
+    def running(program, values, *args):
+        runs.append(values)
+        return run(program, values, *args)
+
+    monkeypatch.setattr(propsem, "PropAssignment", building)
+    monkeypatch.setattr(fosem, "run", running)
+    v = logical_truth(parse("(x).S(x) v p"), mode="sampled", seed=3, count=4096)
+    assert (v.kind, v.worlds_checked) == ("falsifiable", 1)
+    assert [h.values for h in built] == runs == [v.witness_assignment.values]
 
 
 def test_falsifying_world_is_the_assignments_grounded_world():

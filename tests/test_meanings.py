@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +218,40 @@ _EIGHT_PAIRS = [
 def test_transversals_match_the_brute_force(family):
     for policy in ("minimal", "full"):
         assert transversals(family, policy) == brute_force_transversals(family, policy)
+
+
+@given(
+    st.sets(
+        st.sets(st.sampled_from(_EIGHT_PAIRS[:6]), min_size=1).map(frozenset),
+        min_size=1,
+        max_size=4,
+    ).map(frozenset),
+    st.sampled_from(("minimal", "full")),
+    st.sampled_from((meanings._TRANSVERSAL_LIMIT, 24, 8)),
+    st.data(),
+)
+@settings(max_examples=300)
+def test_a_frozenset_family_is_taken_as_it_is(family, policy, limit, data):
+    """A frozenset family of frozensets, taken as it is, gives what its
+    members as a list of sets, repeats included, give: the same
+    transversals or, past a lowered budget, the same refusal.  The
+    budget of a `minimal` step depends on the order of members of one
+    size, so the list keeps the family's order, each repeat after its
+    first copy."""
+    members = list(family)
+    listed = []
+    for k, m in enumerate(members):
+        repeats = data.draw(st.lists(st.integers(0, k), max_size=2), label=f"repeats after {k}")
+        listed += [set(m)] + [set(members[j]) for j in repeats]
+
+    def outcome(fam):
+        try:
+            return transversals(fam, policy)
+        except ValueError as refusal:
+            return str(refusal)
+
+    with mock.patch.object(meanings, "_TRANSVERSAL_LIMIT", limit):
+        assert outcome(family) == outcome(listed)
 
 
 # ---------------------------------------------------------------------------

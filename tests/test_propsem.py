@@ -189,10 +189,36 @@ def test_declared_assignment_reads_constants():
 
 def test_sampled_assignments_are_reproducible():
     w = default_world(["p", "q"])
-    a = sampled_assignments(["p", "q"], w, seed=1, count=10)
-    b = sampled_assignments(["p", "q"], w, seed=1, count=10)
+    a = list(sampled_assignments(["p", "q"], w, seed=1, count=10))
+    b = list(sampled_assignments(["p", "q"], w, seed=1, count=10))
     assert len(a) == 10
     assert [h.values for h in a] == [h.values for h in b]
+
+
+def counting_builds(monkeypatch) -> list:
+    """Every PropAssignment propsem builds from here on."""
+    built = []
+
+    def building(**fields):
+        built.append(PropAssignment(**fields))
+        return built[-1]
+
+    monkeypatch.setattr(propsem, "PropAssignment", building)
+    return built
+
+
+@pytest.mark.parametrize("mode, kwargs", [("canonical", {}), ("sampled", dict(seed=1, count=5))])
+def test_assignments_are_counted_then_built_as_iterated(monkeypatch, mode, kwargs):
+    """An enumeration builds nothing until it is iterated, and each
+    iteration builds its assignments afresh: equal ones, in order."""
+    built = counting_builds(monkeypatch)
+    points = enumerate_assignments(["q", "p"], None, mode, **kwargs)
+    assert (len(points), built) == (count_assignments(["p", "q"], mode, **kwargs), [])
+    first = list(points)
+    assert first == built
+    again = list(points)
+    assert again == first and all(a is not b for a, b in zip(again, first))
+    assert len(built) == 2 * len(points)
 
 
 def test_sampled_assignments_respect_size_bound():
@@ -369,6 +395,17 @@ def test_sampled_classify_stops_at_its_second_witness(monkeypatch, policy, text,
     assert len(calls) == evaluated
 
 
+def test_sampled_classify_draws_only_the_assignments_it_runs(monkeypatch):
+    """p v q is settled at its third of 4,096 sampled assignments; no
+    later one is drawn, though all 4,096 are counted."""
+    built = counting_builds(monkeypatch)
+    calls = counting_runs(monkeypatch)
+    v = classify(parse("p v q"), mode="sampled", seed=3, count=4096)
+    assert (v.kind, v.assignments_checked) == ("contingent", 4096)
+    assert [h.values for h in built] == calls
+    assert len(calls) == 3
+
+
 def reference_classify(f, mode, policy, **kwargs):
     """The reference verdict: evaluate every assignment, then take the
     first true and the first false one as witnesses."""
@@ -426,7 +463,7 @@ def test_classify_matches_the_evaluate_every_point_loop(policy, mode, kwargs):
         )
 
     def kind(f) -> str:
-        points = enumerate_assignments(prop_variables(f), None, mode, **kwargs)
+        points = list(enumerate_assignments(prop_variables(f), None, mode, **kwargs))
         got = classify(f, mode=mode, policy=policy, **kwargs)
         assert summary(got, points) == summary(reference_classify(f, mode, policy, **kwargs), points)
         return got.kind
@@ -463,7 +500,7 @@ def renamed(m: Meaning, h: PropAssignment) -> Meaning:
 def test_every_canonical_meaning_renames_the_all_true_one(f, policy):
     """The symmetry canonical `classify` rests on: at every canonical h,
     f's Meaning is the all-true one renamed by sigma_h."""
-    assignments = canonical_assignments(prop_variables(f))
+    assignments = list(canonical_assignments(prop_variables(f)))
     everywhere = eval_prop(f, assignments[0], policy)
     for h in assignments:
         assert renamed(everywhere, h) is eval_prop(f, h, policy)
@@ -543,9 +580,9 @@ def test_memo_point_matches_fresh_evaluation(calls, index, seed):
     interleaved policies with one computed table, gives each the
     Meaning a fresh evaluation gives; so does a lone eval_prop."""
     if seed is None:
-        h = canonical_assignments(["p", "q"])[index]
+        h = list(canonical_assignments(["p", "q"]))[index]
     else:
-        h = sampled_assignments(["p", "q"], default_world(["p", "q"]), seed, 1, size_bound=2)[0]
+        h = list(sampled_assignments(["p", "q"], default_world(["p", "q"]), seed, 1, size_bound=2))[0]
     program = compile_program([g for f, _ in calls for g in (f, copied(f))], h.values)
     computed = {}
     for k, (f, policy) in enumerate(calls):
@@ -666,7 +703,7 @@ def test_lone_evaluation_negates_each_distinct_negation_once(monkeypatch, policy
         return negate(m, policy)
 
     monkeypatch.setattr(propsem, "negate", counting_negate)
-    h = canonical_assignments(["p", "q"])[0]
+    h = list(canonical_assignments(["p", "q"]))[0]
     f = parse("~(p v q) <=> ~(p v q)")
     assert eval_prop(f, h, policy) == table_free(f, h.world, h, policy)
     assert len(calls) == 4
