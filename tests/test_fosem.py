@@ -339,20 +339,27 @@ def test_worlds_are_counted_then_built_as_reached(monkeypatch):
     assert list(worlds) == list(worlds) and len(built) == 1 + 2 * 84
 
 
-def test_sampled_assignments_are_drawn_as_reached(monkeypatch):
-    """Sampled logical_truth draws no assignment past the falsifying one,
-    here the first of 4,096 at the first world."""
-    built, runs = [], []
+def counting_builds(monkeypatch) -> list:
+    """Every PropAssignment propsem builds from here on."""
+    built = []
 
     def building(**fields):
         built.append(PropAssignment(**fields))
         return built[-1]
 
+    monkeypatch.setattr(propsem, "PropAssignment", building)
+    return built
+
+
+def test_sampled_assignments_are_drawn_as_reached(monkeypatch):
+    """Sampled logical_truth draws no assignment past the falsifying one,
+    here the first of 4,096 at the first world."""
+    built, runs = counting_builds(monkeypatch), []
+
     def running(program, values, *args):
         runs.append(values)
         return run(program, values, *args)
 
-    monkeypatch.setattr(propsem, "PropAssignment", building)
     monkeypatch.setattr(fosem, "run", running)
     v = logical_truth(parse("(x).S(x) v p"), mode="sampled", seed=3, count=4096)
     assert (v.kind, v.worlds_checked) == ("falsifiable", 1)

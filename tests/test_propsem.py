@@ -52,7 +52,7 @@ from pmsem.syntax import (
     prop_variables,
 )
 from test_cli import assert_usage_error
-from test_fosem import table_free
+from test_fosem import counting_builds, table_free
 
 P_TRUE = meaning({Pair(Complex("P", (), True), True)})
 P_FALSE = meaning({Pair(Complex("P", (), False), False)})
@@ -193,18 +193,6 @@ def test_sampled_assignments_are_reproducible():
     b = list(sampled_assignments(["p", "q"], w, seed=1, count=10))
     assert len(a) == 10
     assert [h.values for h in a] == [h.values for h in b]
-
-
-def counting_builds(monkeypatch) -> list:
-    """Every PropAssignment propsem builds from here on."""
-    built = []
-
-    def building(**fields):
-        built.append(PropAssignment(**fields))
-        return built[-1]
-
-    monkeypatch.setattr(propsem, "PropAssignment", building)
-    return built
 
 
 @pytest.mark.parametrize("mode, kwargs", [("canonical", {}), ("sampled", dict(seed=1, count=5))])
