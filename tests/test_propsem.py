@@ -394,6 +394,24 @@ def test_sampled_classify_draws_only_the_assignments_it_runs(monkeypatch):
     assert len(calls) == 3
 
 
+def test_sampled_classify_runs_through_one_computed_table(monkeypatch):
+    """Every run of one sampled classify shares its table; the next call
+    starts a table of its own."""
+    tables = []
+
+    def recording(program, values, world, policy, computed):
+        tables.append(computed)
+        return run(program, values, world, policy, computed)
+
+    monkeypatch.setattr(propsem, "run", recording)
+    f = parse("(p v ~p) . (q v ~q)")  # a sampled tautology: every assignment runs
+    for _ in range(2):
+        classify(f, mode="sampled", seed=3, count=8)
+    first, second = tables[:8], tables[8:]
+    assert len(second) == 8 and first[0] is not second[0]
+    assert all(t is first[0] for t in first) and all(t is second[0] for t in second)
+
+
 def reference_classify(f, mode, policy, **kwargs):
     """The reference verdict: evaluate every assignment, then take the
     first true and the first false one as witnesses."""
