@@ -12,6 +12,11 @@ afresh, keeps every run's end-to-end metrics and, per workload and
 metric, the median and quartiles of each side and the number of pairs
 the change won.  It also records the host, the Python version, the run
 command and both checkouts' commits and source digests.
+
+    python3 scripts/bench_pairs.py
+
+prints the trajectory instead: one row per committed BENCH_*.json, in
+number order, with each workload's change medians of TRAJECTORY.
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # a claimed gain must win 9 of 10 pairs
+TRAJECTORY = ("checks_per_s", "latency_p50_ms", "peak_rss_mb")
 
 
 def declared() -> dict:
@@ -77,7 +83,32 @@ def checkout_info(env: dict, checkout: Path) -> dict:
     return {"git_commit": env["git_commit"], "src_sha256": env["src_sha256"], "dirty": bool(dirty)}
 
 
+def trajectory(paths) -> tuple[list[tuple[str, str]], list[tuple[str, list[float]]]]:
+    """The trajectory's columns, (workload, metric) for each declared
+    workload and each metric of TRAJECTORY, and one row per path: its
+    name and the change medians of its columns."""
+    columns = [(w["name"], metric) for w in declared()["workloads"] for metric in TRAJECTORY]
+    rows = []
+    for path in sorted(paths, key=lambda p: int(p.stem.partition("_")[2])):
+        workloads = json.loads(path.read_text())["workloads"]
+        rows.append((path.name, [workloads[w]["summary"][metric]["change"]["median"]
+                                 for w, metric in columns]))
+    return columns, rows
+
+
+def print_trajectory() -> None:
+    columns, rows = trajectory(ROOT.glob("BENCH_*.json"))
+    print(" | ".join(["file", *(f"{w} {metric}" for w, metric in columns)]))
+    for name, medians in rows:
+        cells = (f"{m:,.0f}" if metric == "checks_per_s" else f"{m:.4g}"
+                 for m, (_, metric) in zip(medians, columns))
+        print(" | ".join([name, *cells]))
+
+
 def main(argv=None) -> int:
+    if not (sys.argv[1:] if argv is None else argv):
+        print_trajectory()
+        return 0
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")

@@ -32,19 +32,25 @@ first seen first) over all its worlds.  A group's formulas are
 compiled into one `propsem` program per domain (the worlds of a
 vocabulary come in domain order), and the program is dropped before
 the next is compiled; `enumerate_formulas` lists every formula after
-its subformulas, so the program shares each subformula's steps.  At
-each point, a world and an assignment, the program runs once per
-policy, and all runs of one `_sweep` call share the computed table
-`propsem` describes, dropped when the call returns.  An evaluator
-given to `check_equivalence` replaces the program: it is called once
-per formula, point and policy.  The referee is called once per formula
-and domain: the points of a domain, its worlds by their assignments,
-form one block, and `classical.satisfies` gives each formula's truth
-at all of them as one mask, through one classical table per domain.
-A point's formulas are walked one by one only where its runs' truths
-differ from its bits of the masks.  Only disagreeing points are kept,
-and each section records them in (formula, world, assignment) order,
-as a formula-by-formula sweep would.
+its subformulas, so the program shares each subformula's steps.  The
+points of a domain, its worlds by their assignments, form one block.
+The program runs once per policy over the block (`propsem.run_columns`),
+so each formula gets a column of Meanings, one per point, and all runs
+of one `_sweep` call share the computed table `propsem` describes,
+dropped when the call returns.  A column's truth mask, bit k set iff
+its k-th Meaning is true, is worked out once per distinct column.  An
+evaluator given to `check_equivalence` replaces the program: it is
+called once per formula, point and policy, in (point, policy, formula)
+order, and its truths make the same masks.  The referee is called once
+per formula and domain: `classical.satisfies` gives each formula's
+truth at every point of the block as one mask, through one classical
+table per domain.  So each formula and policy costs one comparison of
+two masks, and a formula's points are walked one by one only where they
+differ.  Only disagreeing points are kept, and each section records
+them in (formula, world, assignment) order, as a formula-by-formula
+sweep would.  A refusal inside a block, such as a transversal budget's,
+is the one its first refusing policy meets at the earliest step,
+whatever the point: a block runs step by step, not point by point.
 """
 from __future__ import annotations
 
@@ -56,7 +62,7 @@ from .classical import TarskiModel, satisfies, tarski_eval, truth_table_eval
 from .fosem import enumerate_worlds, world_vocabulary
 from .meanings import POLICIES, is_true
 from .ontology import describe_world
-from .propsem import compile_program, count_assignments, enumerate_assignments, run
+from .propsem import compile_program, count_assignments, enumerate_assignments, run_columns
 from .syntax import (
     IND_VAR,
     PRED_NAME,
@@ -390,33 +396,62 @@ def _sweep(formulas, groups, policies, points, evaluate=None) -> list:
     computed = {}  # the computed table all runs share (see propsem), dropped on return
     for worlds, variables, ids in groups:
         group = [formulas[i] for i in ids]
-        roots = range(len(group))  # where evaluate's results sit
         # no world (the propositional section) has no domain
         for domain, members in groupby(enumerate(worlds),
                                        lambda item: getattr(item[1], "individuals", None)):
             members = list(members)
-            if not evaluate:
-                program = None  # the last domain's program goes before the next is built
-                program = compile_program(group, variables, members[0][1])
-                roots = program.roots
             block = [(wdx, w, adx, h) for wdx, w in members
                      for adx, h in enumerate(points(variables, w))]
-            masks = _referee(group, domain, block)
-            for k, (wdx, w, adx, h) in enumerate(block):
-                if evaluate:
-                    runs = [[evaluate(f, w, h, policy) for f in group] for policy in policies]
-                else:
-                    runs = [run(program, h.values, w, policy, computed) for policy in policies]
-                expected = [m >> k & 1 for m in masks]
-                got = [[is_true(out[slot]) for slot in roots] for out in runs]
-                if all(truths == expected for truths in got):
-                    continue
-                for j, (i, truth) in enumerate(zip(ids, expected)):
-                    column = [truths[j] for truths in got]
-                    if column.count(truth) != len(column):
-                        misses.append(((i, wdx, adx), bool(truth), column, w, h))
+            expected = _referee(group, domain, block)
+            if evaluate:
+                got = _evaluated_truths(group, block, policies, evaluate)
+            else:
+                program = None  # the last domain's program goes before the next is built
+                program = compile_program(group, variables, members[0][1])
+                got = _run_truths(program, block, policies, computed)
+            for j, (i, truth) in enumerate(zip(ids, expected)):
+                wrong = 0
+                for truths in got:
+                    wrong |= truths[j] ^ truth
+                while wrong:  # each point where some policy differs, lowest first
+                    k = (wrong & -wrong).bit_length() - 1
+                    wrong ^= 1 << k
+                    wdx, w, adx, h = block[k]
+                    misses.append(((i, wdx, adx), bool(truth >> k & 1),
+                                   [bool(truths[j] >> k & 1) for truths in got], w, h))
     misses.sort(key=lambda miss: miss[0])
     return misses
+
+
+def _run_truths(program, block, policies, computed) -> list[list[int]]:
+    """Per policy, the truth mask of each root of program over block:
+    one `run_columns` call, and each distinct root column read once."""
+    points = [(h.values, w) for _, w, _, h in block]
+    masks = {}  # column -> truth mask
+    got = []
+    for policy in policies:
+        out = run_columns(program, points, policy, computed)
+        truths = []
+        for slot in program.roots:
+            column = out[slot]
+            mask = masks.get(column)
+            if mask is None:
+                mask = masks[column] = sum(1 << k for k, m in enumerate(column) if is_true(m))
+            truths.append(mask)
+        got.append(truths)
+    return got
+
+
+def _evaluated_truths(group, block, policies, evaluate) -> list[list[int]]:
+    """Per policy, the truth mask of each formula of group over block,
+    from one evaluate call per point, policy and formula, in that order."""
+    got = [[0] * len(group) for _ in policies]
+    for k, (_, w, _, h) in enumerate(block):
+        for truths, policy in zip(got, policies):
+            for j, f in enumerate(group):
+                if is_true(evaluate(f, w, h, policy)):
+                    truths[j] |= 1 << k
+    return got
 
 
 def _referee(group, domain, block) -> list[int]:

@@ -42,12 +42,26 @@ hash-consed (see `meanings`), so the operands themselves are the key:
 (x)q, so m v n and an (Ex)q whose instances are m and n share an entry.
 A step looks there before it calls a core and records a result only
 once the core has returned it, so a refusal (ValueError) leaves no
-entry.  A sweep shares one computed table across its points and drops
-it when done (see `oracle`), and so does a sampled `classify` across
-its assignments; `eval_prop` and `eval_fo` compile and run their one
+entry.  A sampled `classify` shares one computed table across its
+assignments; `eval_prop` and `eval_fo` compile and run their one
 formula with a table of their own, `classify` compiles once per call,
 and `fosem.logical_truth` compiles once per domain and runs each
 assignment with a table of its own.
+
+Columns.  `run_columns` runs a program over a block of points, each a
+(values, world) of one domain, at once: it fills each slot with a
+column, the tuple of the slot's Meanings at every point of the block.
+The same computed table holds a column under the core and its operand
+columns, (disjoin, c, d), (negate, policy, c) and so on, so a step whose
+operand columns came up before costs one lookup for the whole block.
+On a miss the step fills each point through the entries above, and it
+records the column only once every point has its Meaning, so each core
+still runs once per distinct operands and a refusal records no column.
+A block runs step by step, not point by point, so of two refusals the
+one at the earlier step comes out, whatever their points.  A sweep runs
+each block once per policy, with one table for all its blocks (see
+`oracle`).  `run` stays the evaluator of a single point: a block of one
+point would pay for its column keys and gain nothing.
 
 Assignments.  `canonical_assignments` enumerates the 2^n classical
 corners: each variable is carried by its own propositional constant (p
@@ -133,6 +147,7 @@ __all__ = [
     "eval_fo",
     "eval_prop",
     "run",
+    "run_columns",
     "sampled_assignments",
 ]
 
@@ -322,6 +337,53 @@ def run(program: Program, values: dict, world: World | None, policy: str,
                 key = (memberwise_union, *instances)
                 put(computed.get(key) or computed.setdefault(key, memberwise_union(instances)))
     return out
+
+
+def run_columns(program: Program, points, policy: str, computed: dict) -> list[tuple]:
+    """The column of every slot of program over points, a sequence of
+    (values, world) of one domain: the tuple of the slot's Meanings at
+    each point, the Meanings `run` gives there, through the computed
+    table of the module docstring keyed by operand columns as well."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    out = []
+    put = out.append
+    get = computed.get
+    for code, a, b in program.steps:
+        # As in `run`, `get(key) or ...` fills a column exactly on a
+        # miss: a column of a non-empty block is never falsy.
+        if code == _OR:
+            key = (disjoin, out[a], out[b])
+            put(get(key) or _column(computed, key, 1, disjoin))
+        elif code == _NOT:
+            key = (negate, policy, out[a])
+            put(get(key) or _column(computed, key, 2, lambda m: negate(m, policy)))
+        elif code == _ATOM:
+            put(tuple(atom_meaning(world, a, (b,)) for _, world in points))
+        elif code == _VAR:
+            put(tuple(values[a] for values, _ in points))
+        elif code == _EX:
+            key = (disjoin, *[out[i] for i in a])
+            put(get(key) or _column(computed, key, 1, disjoin))
+        else:
+            key = (memberwise_union, *[out[i] for i in a])
+            put(get(key) or _column(computed, key, 1,
+                                    lambda *instances: memberwise_union(instances)))
+    return out
+
+
+def _column(computed: dict, key: tuple, heads: int, core) -> tuple:
+    """The column of key, a head of `heads` items and operand columns,
+    on a miss: each point's Meaning is the table's under the head and
+    the point's operands, or core(*operands), and the column is recorded
+    only once every point has its Meaning, so a refusal records none."""
+    head = key[:heads]
+    cells = []
+    for operands in zip(*key[heads:]):
+        cell = head + operands
+        cells.append(computed.get(cell) or computed.setdefault(cell, core(*operands)))
+    column = computed[key] = tuple(cells)
+    return column
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,41 @@ def test_corrupted_exists_is_caught(monkeypatch):
                for d in report.disagreements)
 
 
+def full_negation_keeps_its_operand(m, policy="minimal"):
+    return m if policy == "full" else negate(m, policy)
+
+
+def disjunction_keeps_its_first_operand(first, *rest):
+    return first
+
+
+REPLAYED = (
+    SweepConfig(prop_vars=("p", "q"), max_depth=2),
+    SweepConfig(prop_vars=("p", "q"), max_depth=2, mode="sampled", seed=5, count=3),
+    SweepConfig(include_prop=False, include_fo=True, fo_prop_vars=("p",), fo_max_size=4,
+                fo_max_individuals=2),
+)
+
+
+@pytest.mark.parametrize(("core", "fault", "config", "misses"), [
+    ("negate", full_negation_keeps_its_operand, REPLAYED[0], 152),
+    ("negate", full_negation_keeps_its_operand, REPLAYED[1], 204),
+    ("negate", full_negation_keeps_its_operand, REPLAYED[2], 2272),
+    ("disjoin", disjunction_keeps_its_first_operand, REPLAYED[0], 144),
+    ("disjoin", disjunction_keeps_its_first_operand, REPLAYED[1], 72),
+    ("disjoin", disjunction_keeps_its_first_operand, REPLAYED[2], 260),
+])
+def test_columns_report_the_misses_points_report(monkeypatch, core, fault, config, misses):
+    """With one core corrupted, a sweep run over columns of points
+    reports the misses, in the same order and with the same policy
+    splits, that the per-point runs of eval_prop and eval_fo report."""
+    monkeypatch.setattr(propsem, core, fault)
+    report = check_equivalence(config)
+    assert report.disagreement_count == misses
+    evaluators = {"fo_eval": eval_fo} if config.include_fo else {"prop_eval": eval_prop}
+    assert report.to_dict() == check_equivalence(config, **evaluators).to_dict()
+
+
 def test_no_core_runs_twice_on_the_same_operands(monkeypatch):
     """Within one sweep each core runs once per distinct operands: once
     per operand and policy for `negate`, once per operands for `disjoin`,

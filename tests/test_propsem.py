@@ -35,6 +35,7 @@ from pmsem.propsem import (
     eval_fo,
     eval_prop,
     run,
+    run_columns,
     sampled_assignments,
 )
 from pmsem.syntax import (
@@ -655,6 +656,52 @@ def test_sweep_tables_match_fresh_evaluation(prop_calls, fo_calls, seed, individ
                 for k, (f, policy) in enumerate(fo_calls):
                     got = meanings_of(program, h.values, world, policy, shared)[k]
                     assert got == table_free(f, world, h, policy)
+
+
+THREE_VARIABLE_TREES = st.recursive(
+    st.sampled_from([PropVar(v) for v in ("p", "q", "r")]),
+    lambda sub: st.one_of(st.builds(Not, sub), st.builds(Or, sub, sub)),
+    max_leaves=5,
+)
+
+
+@given(
+    st.lists(THREE_VARIABLE_TREES, min_size=1, max_size=5),
+    st.lists(FO_TREES, min_size=1, max_size=5),
+    st.integers(1, 3),
+    st.one_of(st.none(), st.integers(0, 2**16)),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_columns_hold_what_each_point_runs_to(prop_formulas, fo_formulas, individuals, seed,
+                                              data):
+    """`run_columns` over a block of points, canonical or sampled, and
+    over its first point alone, gives at every slot and point the very
+    Meaning `run` gives at that point alone, under either policy, with
+    one computed table for the whole program."""
+    mode = "canonical" if seed is None else "sampled"
+
+    def points(variables, world):
+        return [(h.values, world) for h in enumerate_assignments(
+            variables, world, mode, seed=seed, count=3, size_bound=2)]
+
+    worlds = [w for w in enumerate_worlds(["S"], ["p"], individuals)
+              if len(w.individuals) == individuals]
+    for program, pool in (
+        (compile_program(prop_formulas, ["p", "q", "r"]), points(["p", "q", "r"], None)),
+        (compile_program(fo_formulas, ["p"], worlds[0]),
+         [point for w in worlds for point in points(["p"], w)]),
+    ):
+        block = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool)))
+        computed = {}
+        for run_block in (block, block[:1]):
+            for policy in POLICIES:
+                columns = run_columns(program, run_block, policy, computed)
+                assert len(columns) == len(program.steps)
+                assert {len(column) for column in columns} == {len(run_block)}
+                for k, (values, world) in enumerate(run_block):
+                    alone = run(program, values, world, policy, {})
+                    assert all(column[k] is m for column, m in zip(columns, alone))
 
 
 def test_computed_negations_are_kept_per_policy():
