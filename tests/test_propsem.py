@@ -704,6 +704,32 @@ def test_columns_hold_what_each_point_runs_to(prop_formulas, fo_formulas, indivi
                     assert all(column[k] is m for column, m in zip(columns, alone))
 
 
+def test_a_refusal_in_a_block_records_no_column(monkeypatch):
+    """A ValueError at the second point of a block comes out of
+    `run_columns`: the table keeps the first point's negation, a result,
+    and no column, so the next run asks `negate` again at the second
+    point only."""
+    calls = []
+
+    def refuse_second(m, policy="minimal"):
+        calls.append(m)
+        if len(calls) == 2:
+            raise ValueError("refused")
+        return negate(m, policy)
+
+    monkeypatch.setattr(propsem, "negate", refuse_second)
+    points = [(h.values, None) for h in canonical_assignments(["p"])]
+    first, second = (values["p"] for values, _ in points)
+    program = compile_program([parse("~p")], ["p"])
+    computed = {}
+    with pytest.raises(ValueError, match="refused"):
+        run_columns(program, points, "minimal", computed)
+    assert list(computed) == [(refuse_second, "minimal", first)]
+    columns = run_columns(program, points, "minimal", computed)
+    assert columns[program.roots[0]] == (negate(first), negate(second))
+    assert calls == [first, second, second]
+
+
 def test_computed_negations_are_kept_per_policy():
     """~(p v q) with p = {{a, b}} and q = {{c}} has different `minimal`
     and `full` Meanings; one program and computed table give each as a
