@@ -427,6 +427,8 @@ def _run_truths(program, block, policies, computed) -> list[list[int]]:
     """Per policy, the truth mask of each root of program over block:
     one `run_columns` call, and each distinct root column read once."""
     points = [(h.values, w) for _, w, _, h in block]
+    # Hashing a column is work in C; reading its mask calls `is_true`
+    # at every point, so roots that share a column share its mask.
     masks = {}  # column -> truth mask
     got = []
     for policy in policies:

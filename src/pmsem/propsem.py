@@ -32,36 +32,33 @@ assignment does not cover, a predicate or quantifier without a world,
 and an unbound individual variable are refused as the program is
 compiled, in left-to-right order, before anything is evaluated.
 
-Running.  `run` refuses an unknown policy before any step and looks
-the cores up as module globals at every step.  Its caller's computed
-table is that of BDD packages (Bryant 1986; Brace, Rudell and Bryant
-1990): it maps a core and its operands to their result.  Meanings are
-hash-consed (see `meanings`), so the operands themselves are the key:
-(disjoin, m, n) for m v n, (negate, policy, m) for ~m, and
-(disjoin, *instances) and (memberwise_union, *instances) for (Ex)q and
-(x)q, so m v n and an (Ex)q whose instances are m and n share an entry.
-A step looks there before it calls a core and records a result only
-once the core has returned it, so a refusal (ValueError) leaves no
-entry.  A sampled `classify` shares one computed table across its
-assignments; `eval_prop` and `eval_fo` compile and run their one
-formula with a table of their own, `classify` compiles once per call,
-and `fosem.logical_truth` compiles once per domain and runs each
-assignment with a table of its own.
-
-Columns.  `run_columns` runs a program over a block of points, each a
+Running.  `run_columns` runs a program over a block of points, each a
 (values, world) of one domain, at once: it fills each slot with a
 column, the tuple of the slot's Meanings at every point of the block.
-The same computed table holds a column under the core and its operand
-columns, (disjoin, c, d), (negate, policy, c) and so on, so a step whose
-operand columns came up before costs one lookup for the whole block.
-On a miss the step fills each point through the entries above, and it
-records the column only once every point has its Meaning, so each core
-still runs once per distinct operands and a refusal records no column.
-A block runs step by step, not point by point, so of two refusals the
-one at the earlier step comes out, whatever their points.  A sweep runs
-each block once per policy, with one table for all its blocks (see
-`oracle`).  `run` stays the evaluator of a single point: a block of one
-point would pay for its column keys and gain nothing.
+`run` is the block of one point, and gives each slot its one Meaning.
+A run refuses an unknown policy before any step and looks the cores up
+as module globals at every step.  Its caller's computed table is that
+of BDD packages (Bryant 1986; Brace, Rudell and Bryant 1990): it maps a
+core and its operands to their result.  Meanings are hash-consed (see
+`meanings`), so the operands themselves are the key: (disjoin, m, n)
+for m v n, (negate, policy, m) for ~m, and (disjoin, *instances) and
+(memberwise_union, *instances) for (Ex)q and (x)q, so m v n and an
+(Ex)q whose instances are m and n share an entry.  The same table holds
+a column under the core and its operand columns, (disjoin, c, d),
+(negate, policy, c) and so on, so a step whose operand columns came up
+before costs one lookup for the whole block.  On a miss the step fills
+each point through the entries above, calling a core only where a
+point's entry is missing, and records the column only once every point
+has its Meaning: each core runs once per distinct operands, and a
+refusal (ValueError) leaves no column and no entry for the refused
+point.  A block runs step by step, not point by point, so of two
+refusals the one at the earlier step comes out, whatever their points.
+A sweep runs each block once per policy, with one table for all its
+blocks (see `oracle`).  A sampled `classify` shares one computed table
+across its assignments; `eval_prop` and `eval_fo` compile and run their
+one formula with a table of their own, `classify` compiles once per
+call, and `fosem.logical_truth` compiles once per domain and runs each
+assignment with a table of its own.
 
 Assignments.  `canonical_assignments` enumerates the 2^n classical
 corners: each variable is carried by its own propositional constant (p
@@ -307,69 +304,48 @@ class _Lowering:
 def run(program: Program, values: dict, world: World | None, policy: str,
         computed: dict) -> list[Meaning]:
     """The Meaning of every slot of program under the assignment values,
-    in world (one with the domain it was compiled for), through the
-    computed table of the module docstring."""
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    out = []
-    put = out.append
-    for code, a, b in program.steps:
-        # A miss is None and Meanings are never falsy, so
-        # `computed.get(key) or ...` calls the core exactly on a miss.
-        if code == _OR:
-            m, n = out[a], out[b]
-            key = (disjoin, m, n)
-            put(computed.get(key) or computed.setdefault(key, disjoin(m, n)))
-        elif code == _NOT:
-            m = out[a]
-            key = (negate, policy, m)
-            put(computed.get(key) or computed.setdefault(key, negate(m, policy)))
-        elif code == _ATOM:
-            put(atom_meaning(world, a, (b,)))
-        elif code == _VAR:
-            put(values[a])
-        else:
-            instances = [out[i] for i in a]
-            if code == _EX:
-                key = (disjoin, *instances)
-                put(computed.get(key) or computed.setdefault(key, disjoin(*instances)))
-            else:
-                key = (memberwise_union, *instances)
-                put(computed.get(key) or computed.setdefault(key, memberwise_union(instances)))
-    return out
+    in world (one with the domain it was compiled for): `run_columns`
+    over the one-point block."""
+    return [column[0] for column in run_columns(program, [(values, world)], policy, computed)]
 
 
 def run_columns(program: Program, points, policy: str, computed: dict) -> list[tuple]:
     """The column of every slot of program over points, a sequence of
     (values, world) of one domain: the tuple of the slot's Meanings at
-    each point, the Meanings `run` gives there, through the computed
-    table of the module docstring keyed by operand columns as well."""
+    each point, through the computed table of the module docstring."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     out = []
     put = out.append
     get = computed.get
+
+    def negation(m):
+        return negate(m, policy)
+
     for code, a, b in program.steps:
-        # As in `run`, `get(key) or ...` fills a column exactly on a
-        # miss: a column of a non-empty block is never falsy.
+        # A miss is None and a column of a non-empty block is never
+        # falsy, so `get(key) or ...` fills a column exactly on a miss.
         if code == _OR:
             key = (disjoin, out[a], out[b])
             put(get(key) or _column(computed, key, 1, disjoin))
         elif code == _NOT:
             key = (negate, policy, out[a])
-            put(get(key) or _column(computed, key, 2, lambda m: negate(m, policy)))
+            put(get(key) or _column(computed, key, 2, negation))
         elif code == _ATOM:
-            put(tuple(atom_meaning(world, a, (b,)) for _, world in points))
+            put(tuple([atom_meaning(world, a, (b,)) for _, world in points]))
         elif code == _VAR:
-            put(tuple(values[a] for values, _ in points))
+            put(tuple([values[a] for values, _ in points]))
         elif code == _EX:
             key = (disjoin, *[out[i] for i in a])
             put(get(key) or _column(computed, key, 1, disjoin))
         else:
             key = (memberwise_union, *[out[i] for i in a])
-            put(get(key) or _column(computed, key, 1,
-                                    lambda *instances: memberwise_union(instances)))
+            put(get(key) or _column(computed, key, 1, _union))
     return out
+
+
+def _union(*instances) -> Meaning:
+    return memberwise_union(instances)
 
 
 def _column(computed: dict, key: tuple, heads: int, core) -> tuple:
