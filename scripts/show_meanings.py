@@ -11,7 +11,7 @@ to see what the evaluator actually builds.
 import sys
 
 from pmsem.meanings import is_true, render_meaning
-from pmsem.propsem import canonical_assignments, eval_prop
+from pmsem.propsem import enumerate_assignments, eval_prop
 from pmsem.syntax import parse, print_formula, prop_variables
 
 DEFAULTS = ["p v ~p", "~(p v q)", "p . q", "p .=>. q", "~(~p v ~q) v r"]
@@ -21,7 +21,7 @@ def show(text: str) -> None:
     f = parse(text)
     print(f"{text}  =>  {print_formula(f)}")
     names = sorted(prop_variables(f))
-    for h in canonical_assignments(names):
+    for h in enumerate_assignments(names):
         minimal = eval_prop(f, h, "minimal")
         full = eval_prop(f, h, "full")
         truth = "true " if is_true(minimal) else "false"

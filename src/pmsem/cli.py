@@ -10,7 +10,7 @@
 
 Exit codes: 0 success or positive verdict, 1 negative semantic verdict
 (not a tautology, formula false, not logically valid, disagreements
-found, proof invalid), 2 usage or input error.
+found, proof invalid), 2 usage or input error, or out of memory.
 
 Reports are plain text on stdout; --json switches to a stable JSON
 schema and --out redirects to a file.  Sampled modes require --seed and
@@ -415,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # raised bare, with no message of its own
+        print("error: out of memory", file=sys.stderr)
         return 2
     return code
 

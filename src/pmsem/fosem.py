@@ -1,20 +1,16 @@
 """Small worlds and logical truth for monadic formulas.
 
-`eval_fo`, beside `eval_prop` in `propsem`, evaluates a formula in a
-world under a propositional assignment.  Quantifiers range over the
-world's individuals, and free individual variables are read through
-the world's valuation, `default_binding`: one variable per individual
-(x, y, z, x1, ...), and at least x, y and z.  A free variable the
-valuation names takes, under base mode "all", every individual, as in
-its universal closure, and under base mode "any:<u>" the value of u.
-`propsem` states the induction and the program it compiles.
+`eval_fo` and `default_binding` live in `propsem`, beside `eval_prop`,
+and are re-exported here; `propsem` states the induction, the
+valuation of free individual variables and the program it compiles.
 
 `enumerate_worlds` counts every small world over a vocabulary, refusing
 too many, and then streams them: each world is built as an iteration
-reaches it.  `logical_truth` checks a closed formula in each of them:
-it compiles the formula once per domain, as the worlds come in domain
-order, and runs the program at each world and assignment with a
-computed table of its own (see `propsem`).  It stops at the first
+reaches it.  It returns a `propsem.Enumeration`, as
+`enumerate_assignments` does.  `logical_truth` checks a closed formula
+in each of them: it compiles the formula once per domain, as the worlds
+come in domain order, and runs the program at each world and assignment
+with a computed table of its own (see `propsem`).  It stops at the first
 falsifying world and assignment, building no world and drawing no
 assignment after them, and otherwise reports the counted total.  The
 falsifying assignment, if any, carries the world it is grounded in.
@@ -23,10 +19,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 from .meanings import is_true
 from .ontology import World, constant_name
 from .propsem import (
+    Enumeration,
     PropAssignment,
     compile_program,
     default_binding,
@@ -74,40 +72,11 @@ class FoVerdict:
 MAX_WORLDS = 2**16
 
 
-class Worlds:
-    """The worlds `enumerate_worlds` counted: len gives their number, and
-    each iteration builds them afresh, one at a time, in order."""
-
-    __slots__ = ("predicates", "constants", "max_individuals", "count")
-
-    def __init__(self, predicates: tuple[str, ...], constants: tuple[tuple[str, bool], ...],
-                 max_individuals: int, count: int):
-        self.predicates, self.constants = predicates, constants
-        self.max_individuals, self.count = max_individuals, count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        letters = [chr(ord("a") + i) for i in range(self.max_individuals)]
-        for n in range(1, self.max_individuals + 1):
-            individuals = tuple(letters[:n])
-            atoms = sorted((p, (ind,)) for p in self.predicates for ind in individuals)
-            for size in range(len(atoms) + 1):
-                for chosen in itertools.combinations(atoms, size):
-                    yield World(
-                        individuals=individuals,
-                        predicates=self.predicates,
-                        facts=frozenset(chosen),
-                        constants=self.constants,
-                    )
-
-
 def enumerate_worlds(
     predicate_names,
     prop_vars,
     max_individuals: int = 3,
-) -> Worlds:
+) -> Enumeration:
     """Every world over the given predicates, up to max_individuals.
 
     Domains {a}, {a, b}, ... and every subset of facts, smaller and
@@ -130,7 +99,22 @@ def enumerate_worlds(
                 f"with up to {max_individuals} individuals"
             )
     constants = tuple((constant_name(v), True) for v in sorted(set(prop_vars)))
-    return Worlds(preds, constants, max_individuals, total)
+    return Enumeration(total, partial(_worlds, preds, constants, max_individuals))
+
+
+def _worlds(predicates, constants, max_individuals: int):
+    letters = [chr(ord("a") + i) for i in range(max_individuals)]
+    for n in range(1, max_individuals + 1):
+        individuals = tuple(letters[:n])
+        atoms = sorted((p, (ind,)) for p in predicates for ind in individuals)
+        for size in range(len(atoms) + 1):
+            for chosen in itertools.combinations(atoms, size):
+                yield World(
+                    individuals=individuals,
+                    predicates=predicates,
+                    facts=frozenset(chosen),
+                    constants=constants,
+                )
 
 
 def logical_truth(

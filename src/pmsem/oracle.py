@@ -62,7 +62,7 @@ from .classical import TarskiModel, satisfies, tarski_eval, truth_table_eval
 from .fosem import enumerate_worlds, world_vocabulary
 from .meanings import POLICIES, is_true
 from .ontology import describe_world
-from .propsem import compile_program, count_assignments, enumerate_assignments, run_columns
+from .propsem import compile_program, enumerate_assignments, run_columns
 from .syntax import (
     IND_VAR,
     PRED_NAME,
@@ -352,7 +352,7 @@ def check_equivalence(config: SweepConfig, prop_eval=None, fo_eval=None) -> Equi
         checks = 0
         for worlds, variables, ids in groups:
             # Every world of one vocabulary has as many assignments.
-            per_world = count_assignments(variables, config.mode, **options) * len(config.policies)
+            per_world = len(points(variables, None)) * len(config.policies)
             checks += per_world * len(ids) * len(worlds)
             if config.mode == "sampled" and variables:
                 per_world *= config.size_bound  # a sampled Meaning's size grows with it
@@ -478,7 +478,7 @@ def _check_config(config: SweepConfig) -> None:
     policy, bounds under which an included section would check nothing,
     names outside their syntax class, which would not parse back from
     the formulas printed, and assignment parameters that
-    `count_assignments` refuses (an unknown mode, or a sampled seed,
+    `enumerate_assignments` refuses (an unknown mode, or a sampled seed,
     count or size bound)."""
     if not (config.include_prop or config.include_fo):
         raise ValueError("sweep includes neither the propositional nor the quantified section")
@@ -510,8 +510,8 @@ def _check_config(config: SweepConfig) -> None:
     for kind, name, pattern in names:
         if not pattern.fullmatch(name):
             raise ValueError(f"cannot sweep {name!r} as {kind}")
-    count_assignments((), config.mode, seed=config.seed, count=config.count,
-                      size_bound=config.size_bound)
+    enumerate_assignments((), None, config.mode, seed=config.seed, count=config.count,
+                          size_bound=config.size_bound)
 
 
 def _check_point(report, text, expected, got, world, adx, h) -> None:

@@ -60,21 +60,22 @@ one formula with a table of their own, `classify` compiles once per
 call, and `fosem.logical_truth` compiles once per domain and runs each
 assignment with a table of its own.
 
-Assignments.  `canonical_assignments` enumerates the 2^n classical
-corners: each variable is carried by its own propositional constant (p
-by P, q1 by Q1, ...) and is mapped either to the diagonal positive
-singleton (true) or the flipped negative singleton (false).  Each
+Assignments.  `enumerate_assignments` is the one way to list them and
+to count them.  Canonical mode gives the 2^n classical corners: each
+variable is carried by its own propositional constant (p by P, q1 by
+Q1, ...) and is mapped either to the diagonal positive singleton (true)
+or the flipped negative singleton (false), true combinations first;
+`_corner` builds the k-th, and `classify` its witnesses with it.  Each
 assignment carries the world adjusted so those complexes exist,
-keeping every base complex grounded.  `sampled_assignments` draws
-arbitrary Meanings over the world's existing complexes from a seeded
-generator.  Over no variables both give the one empty assignment.
-`count_assignments` works out how many an enumeration gives without
-building one, and refuses, as enumeration does, more than
-MAX_ASSIGNMENTS and bad sampled parameters.  An enumeration
-(`Assignments`) is counted and refuses all it refuses when it is made;
-then each iteration builds its assignments as it reaches them, a
-sampled one drawing them from a generator seeded afresh, so every
-iteration gives equal assignments in the same order.
+keeping every base complex grounded.  Sampled mode draws arbitrary
+Meanings over the world's existing complexes from a seeded generator.
+Over no variables both give the one empty assignment.  An enumeration
+(`Enumeration`, which `fosem.enumerate_worlds` returns too) is counted,
+and refuses all it refuses, when it is made: len gives its number
+before any assignment is built.  Each iteration then builds its
+assignments as it reaches them, a sampled one drawing them from a
+generator seeded afresh, so every iteration gives equal assignments in
+the same order.
 
 `classify` reports tautology / contradiction / contingent, with the
 first true and the first false assignment as witnesses.  In canonical
@@ -85,7 +86,7 @@ with swap, union and hitting sets, so f's Meaning under an assignment h
 is the all-true Meaning renamed by sigma_p for each p that h makes
 false.  So a pair <P+,d> of the all-true Meaning is diagonal under h
 iff h(p) = d, and that Meaning is read as a truth mask over all 2^n
-assignments, bit k for the k-th of `canonical_assignments` (Knuth,
+assignments, bit k for the k-th canonical assignment (Knuth,
 TAOCP 4A, 7.1.3): a member's mask is the AND of its pairs' masks, and
 the Meaning's the OR of its members'.  A full mask is a tautology and
 an empty one a contradiction; the witnesses are the lowest set bit and
@@ -98,7 +99,6 @@ every sampled one, drawn or not.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -133,10 +133,8 @@ __all__ = [
     "Program",
     "PropAssignment",
     "Verdict",
-    "canonical_assignments",
     "classify",
     "compile_program",
-    "count_assignments",
     "declared_assignment",
     "default_binding",
     "default_world",
@@ -145,7 +143,6 @@ __all__ = [
     "eval_prop",
     "run",
     "run_columns",
-    "sampled_assignments",
 ]
 
 
@@ -379,24 +376,44 @@ MAX_ASSIGNMENTS = 2**12
 MAX_SIZE_BOUND = 16
 
 
-def count_assignments(
+class Enumeration:
+    """A counted listing: len gives its number before anything is built,
+    and each iteration builds its items afresh, one at a time, in order."""
+
+    __slots__ = ("count", "build")
+
+    def __init__(self, count: int, build):
+        self.count, self.build = count, build  # build() yields the items
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return self.build()
+
+
+def enumerate_assignments(
     variables,
+    world: World | None = None,
     mode: str = "canonical",
     *,
     seed: int | None = None,
     count: int | None = None,
     size_bound: int = 3,
-) -> int:
-    """How many assignments `enumerate_assignments` gives over variables,
-    worked out without building one: 2^n canonical ones, count sampled
-    ones, and 1 over no variables.  Raises the ValueError enumeration
-    would raise for an unknown mode, a missing or out-of-range sampled
-    parameter, or more than MAX_ASSIGNMENTS assignments."""
-    n = len(set(variables))
+) -> Enumeration:
+    """The assignments of mode over variables, each grounded in world (by
+    default, the world declaring each variable's carrying constant
+    true): 2^n canonical ones, count sampled ones, and 1 over no
+    variables.  Every refusal comes first, before any assignment is
+    built: more than MAX_ASSIGNMENTS canonical assignments, an unknown
+    mode or a missing or out-of-range sampled parameter, and then the
+    world's.  Each
+    iteration then builds them, a sampled one reseeding its generator,
+    so every iteration gives the same assignments in the same order."""
+    names = sorted(set(variables))
     if mode == "canonical":
-        if 2**n > MAX_ASSIGNMENTS:
-            raise ValueError(f"{n} variables give more than {MAX_ASSIGNMENTS} canonical assignments")
-        return 2**n
+        world = _canonical_world(names, world)
+        return Enumeration(1 << len(names), partial(_corners, names, world))
     if mode != "sampled":
         raise ValueError(f"unknown assignment mode {mode!r}")
     if seed is None:
@@ -409,51 +426,51 @@ def count_assignments(
         raise ValueError("size bound must be at least 1")
     if size_bound > MAX_SIZE_BOUND:
         raise ValueError(f"size bound must be at most {MAX_SIZE_BOUND}")
-    return count if n else 1
+    if world is None:
+        world = default_world(names)
+    pool = list(all_pairs(world)) if names else []  # random.sample is slower on a tuple
+    if names and not pool:
+        raise ValueError("world has no complexes to sample from")
+    total = count if names else 1
+    return Enumeration(total, partial(_draws, names, world, pool, seed, total, size_bound))
 
 
-def _carrying_world(names: list[str], world: World | None) -> World:
-    """world, or the default world of names, once it declares the
-    constant carrying each variable of names."""
+def _canonical_world(names: list[str], world: World | None) -> World:
+    """The world the canonical assignments to names are grounded in:
+    world, or by default the world of names.  Refuses more than
+    MAX_ASSIGNMENTS assignments, then a world lacking a carrying
+    constant."""
+    if 1 << len(names) > MAX_ASSIGNMENTS:
+        raise ValueError(
+            f"{len(names)} variables give more than {MAX_ASSIGNMENTS} canonical assignments"
+        )
     if world is None:
         return default_world(names)
-    declared = world.constant_values
-    missing = [v for v in names if constant_name(v) not in declared]
-    if missing:
-        raise ValueError(
-            f"world lacks propositional constants for {missing} (canonical mode)"
-        )
+    _check_declared(names, world, " (canonical mode)")
     return world
 
 
-def _corner(names: list[str], world: World, bits) -> PropAssignment:
-    """The canonical assignment giving names[i] the value bits[i],
-    grounded in world with the carrying constants set to match."""
+def _check_declared(names: list[str], world: World, where: str = "") -> None:
+    """Refuse a world that lacks the constant carrying a variable of names."""
+    missing = [v for v in names if constant_name(v) not in world.constant_values]
+    if missing:
+        raise ValueError(f"world lacks propositional constants for {missing}{where}")
+
+
+def _corner(names: list[str], world: World, k: int) -> PropAssignment:
+    """The k-th canonical assignment to names, grounded in world with
+    the carrying constants set to match: names[i] is true iff bit
+    n-1-i of k is clear, so true combinations come first."""
+    n = len(names)
+    bits = [not k >> (n - 1 - i) & 1 for i in range(n)]
     values = {v: _canonical_pair(v, bit) for v, bit in zip(names, bits)}
     grounded = world.with_constants({constant_name(v): bit for v, bit in zip(names, bits)})
     return PropAssignment(values=values, world=grounded)
 
 
-class Assignments:
-    """The assignments `enumerate_assignments` counted: len gives their
-    number, and each iteration builds them afresh, one at a time, in
-    order."""
-
-    __slots__ = ("count", "build")
-
-    def __init__(self, count: int, build):
-        self.count, self.build = count, build  # build() yields them
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        return self.build()
-
-
 def _corners(names: list[str], world: World):
-    for bits in itertools.product((True, False), repeat=len(names)):
-        yield _corner(names, world, bits)
+    for k in range(1 << len(names)):
+        yield _corner(names, world, k)
 
 
 def _draws(names: list[str], world: World, pool: list[Pair], seed: int, count: int,
@@ -471,64 +488,13 @@ def _draws(names: list[str], world: World, pool: list[Pair], seed: int, count: i
         yield PropAssignment(values=values, world=world)
 
 
-def canonical_assignments(variables, world: World | None = None) -> Assignments:
-    """The 2^n corner assignments, true combinations first.
-
-    Every variable needs its carrying constant declared in the world;
-    each assignment is grounded in the world adjusted so the assigned
-    complexes are the existing ones.
-    """
-    return enumerate_assignments(variables, world)
-
-
 def declared_assignment(variables, world: World) -> PropAssignment:
     """The single assignment given by the world's declared constant values."""
     names = sorted(set(variables))
+    _check_declared(names, world)
     declared = world.constant_values
-    missing = [v for v in names if constant_name(v) not in declared]
-    if missing:
-        raise ValueError(f"world lacks propositional constants for {missing}")
     values = {v: _canonical_pair(v, declared[constant_name(v)]) for v in names}
     return PropAssignment(values=values, world=world)
-
-
-def sampled_assignments(
-    variables,
-    world: World,
-    seed: int,
-    count: int,
-    size_bound: int = 3,
-) -> Assignments:
-    """Pseudo-random assignments over the world's pairs; reproducible by seed."""
-    return enumerate_assignments(variables, world, "sampled", seed=seed, count=count,
-                                 size_bound=size_bound)
-
-
-def enumerate_assignments(
-    variables,
-    world: World | None = None,
-    mode: str = "canonical",
-    *,
-    seed: int | None = None,
-    count: int | None = None,
-    size_bound: int = 3,
-) -> Assignments:
-    """The assignments of mode over variables, each grounded in world (by
-    default, the world declaring each variable's carrying constant
-    true).  Every refusal comes first, `count_assignments`' and then
-    the world's, before any assignment is built; each iteration then
-    builds them, a sampled one reseeding its generator, so every
-    iteration gives the same assignments in the same order."""
-    total = count_assignments(variables, mode, seed=seed, count=count, size_bound=size_bound)
-    names = sorted(set(variables))
-    if mode == "canonical":
-        return Assignments(total, partial(_corners, names, _carrying_world(names, world)))
-    if world is None:
-        world = default_world(names)
-    pool = list(all_pairs(world)) if names else []  # random.sample is slower on a tuple
-    if names and not pool:
-        raise ValueError("world has no complexes to sample from")
-    return Assignments(total, partial(_draws, names, world, pool, seed, total, size_bound))
 
 
 # ---------------------------------------------------------------------------
@@ -579,32 +545,27 @@ def classify(
         witnesses = (first, other) if first_truth else (other, first)
         return Verdict(kind, *witnesses, assignments_checked=len(points))
 
-    total = count_assignments(names)
-    world = _carrying_world(names, world)
+    world = _canonical_world(names, world)
     program = compile_program([f], names)
     values = {v: _canonical_pair(v, True) for v in names}
     truths = _truth_mask(run(program, values, None, policy, {})[program.roots[0]], names)
+    total = 1 << len(names)
     full = (1 << total) - 1
-
-    def corner(k: int) -> PropAssignment:
-        """The k-th assignment of `canonical_assignments`."""
-        n = len(names)
-        return _corner(names, world, [not k >> (n - 1 - i) & 1 for i in range(n)])
 
     def lowest(mask: int) -> int:
         return (mask & -mask).bit_length() - 1
 
     kind = "tautology" if truths == full else "contingent" if truths else "contradiction"
     return Verdict(kind,
-                   corner(lowest(truths)) if truths else None,
-                   corner(lowest(full ^ truths)) if truths != full else None,
+                   _corner(names, world, lowest(truths)) if truths else None,
+                   _corner(names, world, lowest(full ^ truths)) if truths != full else None,
                    assignments_checked=total)
 
 
 def _truth_mask(m: Meaning, names: list[str]) -> int:
     """The truth of m, the Meaning at the all-true assignment to names,
     at every canonical assignment: bit k is set iff m, renamed to the
-    k-th assignment of `canonical_assignments`, is true.
+    k-th canonical assignment (`_corner`), is true.
 
     Renaming to h exchanges <P+,d> with <P-,not d> for each variable p
     that h makes false (see the module docstring), so a pair <P+,d> is

@@ -22,7 +22,7 @@ from pmsem.cli import main
 from pmsem.meanings import meaning_in_world
 from pmsem.oracle import SweepConfig, check_equivalence, enumerate_formulas
 from pmsem.proof import check_proof, load_script
-from pmsem.propsem import canonical_assignments, classify, eval_prop
+from pmsem.propsem import classify, enumerate_assignments, eval_prop
 from pmsem.syntax import parse, prop_variables
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,7 +105,7 @@ def test_02_tautology_fidelity():
     for f in formulas:
         names = sorted(prop_variables(f))
         table_taut = all(
-            truth_table_eval(f, h.truths()) for h in canonical_assignments(names)
+            truth_table_eval(f, h.truths()) for h in enumerate_assignments(names)
         )
         if (classify(f).kind == "tautology") != table_taut:
             mismatches += 1
@@ -180,7 +180,7 @@ def test_05_meaning_closure():
     ungrounded = 0
     for f in formulas:
         names = sorted(prop_variables(f))
-        for h in canonical_assignments(names):
+        for h in enumerate_assignments(names):
             for policy in ("minimal", "full"):
                 m = eval_prop(f, h, policy)  # construction enforces non-emptiness
                 checked += 1

@@ -624,6 +624,18 @@ def test_no_arguments_exits_2(capsys):
     assert main([]) == 2
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    """A command that runs out of memory is refused with one error line,
+    not a traceback and not exit 1, which would mean disagreements."""
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_compare", exhausted)
+    # a parser of its own, which takes the patched command as its default
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert run(capsys, "compare", "--vars", "2") == (2, "", "error: out of memory\n")
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
     code = main(["taut", "p v ~p", "--out", str(target)])

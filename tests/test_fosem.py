@@ -22,10 +22,9 @@ from pmsem.meanings import (
 from pmsem.ontology import Complex, Pair, World, describe_world
 from pmsem.oracle import SweepConfig, check_equivalence, enumerate_formulas
 from pmsem.propsem import (
-    PropAssignment,
-    canonical_assignments,
     compile_program,
     declared_assignment,
+    enumerate_assignments,
     run,
 )
 from pmsem.syntax import (
@@ -251,7 +250,7 @@ def test_memo_binding_matches_fresh_evaluation(calls, individuals, facts, p_true
         facts=frozenset(f for f in facts if f[1][0] in individuals),
         constants=(("P", True),),
     )
-    h = list(canonical_assignments(["p"], world))[0 if p_true else 1]
+    h = list(enumerate_assignments(["p"], world))[0 if p_true else 1]
     formulas = [f for f, _, _ in calls]
     programs = {u: compile_program(formulas, h.values, world, u) for u in (None, "x", "y")}
     computed = {}
@@ -266,7 +265,7 @@ def test_memo_is_not_served_to_another_assignment():
     """One program and computed table serve both assignments: a run
     keeps no slot for the next."""
     world = World(individuals=("a",), predicates=("S",), constants=(("P", True),))
-    h_true, h_false = canonical_assignments(["p"], world)
+    h_true, h_false = enumerate_assignments(["p"], world)
     program = compile_program([parse("(x).p")], ["p"], world)
     computed = {}
     assert is_true(run(program, h_true.values, world, "minimal", computed)[program.roots[0]])
@@ -325,29 +324,26 @@ def test_logical_truth_counts_worlds():
 def test_worlds_are_counted_then_built_as_reached(monkeypatch):
     """logical_truth builds no world past the falsifying one, and a
     listing builds its worlds again at each iteration."""
-    built = []
-
-    def counting(**fields):
-        built.append(fields["facts"])
-        return World(**fields)
-
-    monkeypatch.setattr(fosem, "World", counting)
+    built = counting_builds(monkeypatch, fosem, "World")
     worlds = enumerate_worlds(["S", "R"], ["p"], max_individuals=3)
     assert (len(worlds), built) == (4 + 16 + 64, [])
     v = logical_truth(parse("(x).S(x) v (x).R(x)"))
-    assert (v.kind, v.worlds_checked, built) == ("falsifiable", 1, [frozenset()])
+    assert (v.kind, v.worlds_checked) == ("falsifiable", 1)
+    assert [w.facts for w in built] == [frozenset()]
     assert list(worlds) == list(worlds) and len(built) == 1 + 2 * 84
 
 
-def counting_builds(monkeypatch) -> list:
-    """Every PropAssignment propsem builds from here on."""
+def counting_builds(monkeypatch, module=propsem, name="PropAssignment") -> list:
+    """Every object module builds by name from here on: by default,
+    every PropAssignment propsem builds."""
     built = []
+    build = getattr(module, name)
 
     def building(**fields):
-        built.append(PropAssignment(**fields))
+        built.append(build(**fields))
         return built[-1]
 
-    monkeypatch.setattr(propsem, "PropAssignment", building)
+    monkeypatch.setattr(module, name, building)
     return built
 
 
@@ -423,7 +419,7 @@ def test_closed_meaning_ignores_the_valuation(f, policy, individuals, facts):
         facts=frozenset(fact for fact in facts if fact[1][0] in individuals),
         constants=(("P", True),),
     )
-    (h, _) = canonical_assignments(["p"], world)
+    (h, _) = enumerate_assignments(["p"], world)
     expected = eval_fo(f, world, h, policy)
     for v in default_binding(world):
         assert eval_fo(f, world, h, policy, v) == expected

@@ -627,7 +627,7 @@ def test_refused_negation_leaves_no_entry(monkeypatch):
         check_equivalence(SweepConfig(prop_vars=("p",), max_depth=1))
 
     calls.clear()
-    h = list(propsem.canonical_assignments(["p"]))[0]
+    h = list(propsem.enumerate_assignments(["p"]))[0]
     program = propsem.compile_program([Not(p)], ["p"])
     computed = {}
     with pytest.raises(ValueError, match="refused"):

@@ -6,7 +6,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pmsem import propsem
+from pmsem import fosem, propsem
 from pmsem.fosem import enumerate_worlds
 from pmsem.meanings import (
     POLICIES,
@@ -25,10 +25,8 @@ from pmsem.propsem import (
     MAX_SIZE_BOUND,
     PropAssignment,
     Verdict,
-    canonical_assignments,
     classify,
     compile_program,
-    count_assignments,
     declared_assignment,
     default_world,
     enumerate_assignments,
@@ -36,7 +34,6 @@ from pmsem.propsem import (
     eval_prop,
     run,
     run_columns,
-    sampled_assignments,
 )
 from pmsem.syntax import (
     Exists,
@@ -160,25 +157,26 @@ def test_unknown_policy_is_refused_without_a_negation():
 # canonical assignments
 
 def test_canonical_one_variable():
-    hs = canonical_assignments(["p"])
+    hs = enumerate_assignments(["p"])
     assert [h.values["p"] for h in hs] == [P_TRUE, P_FALSE]
 
 
 def test_canonical_counts_grow_as_powers_of_two():
-    assert len(canonical_assignments(["p", "q"])) == 4
-    assert len(canonical_assignments(["p", "q", "r"])) == 8
+    assert len(enumerate_assignments(["p", "q"])) == 4
+    assert len(enumerate_assignments(["p", "q", "r"])) == 8
 
 
 def test_canonical_assignments_are_grounded():
-    for h in canonical_assignments(["p", "q"]):
+    for h in enumerate_assignments(["p", "q"]):
         for m in h.values.values():
             assert meaning_in_world(m, h.world)
 
 
 def test_canonical_needs_declared_constants():
     w = World(constants=(("P", True),))
-    with pytest.raises(ValueError):
-        canonical_assignments(["p", "q"], w)
+    message = "world lacks propositional constants for ['q'] (canonical mode)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        enumerate_assignments(["p", "q"], w)
 
 
 def test_declared_assignment_reads_constants():
@@ -190,29 +188,38 @@ def test_declared_assignment_reads_constants():
 
 def test_sampled_assignments_are_reproducible():
     w = default_world(["p", "q"])
-    a = list(sampled_assignments(["p", "q"], w, seed=1, count=10))
-    b = list(sampled_assignments(["p", "q"], w, seed=1, count=10))
+    a = list(enumerate_assignments(["p", "q"], w, "sampled", seed=1, count=10))
+    b = list(enumerate_assignments(["p", "q"], w, "sampled", seed=1, count=10))
     assert len(a) == 10
     assert [h.values for h in a] == [h.values for h in b]
 
 
-@pytest.mark.parametrize("mode, kwargs", [("canonical", {}), ("sampled", dict(seed=1, count=5))])
+@pytest.mark.parametrize("mode, kwargs", [
+    ("canonical", {}),
+    ("sampled", dict(seed=1, count=5)),
+    ("worlds", dict(max_individuals=2)),
+])
 def test_assignments_are_counted_then_built_as_iterated(monkeypatch, mode, kwargs):
-    """An enumeration builds nothing until it is iterated, and each
-    iteration builds its assignments afresh: equal ones, in order."""
-    built = counting_builds(monkeypatch)
-    points = enumerate_assignments(["q", "p"], None, mode, **kwargs)
-    assert (len(points), built) == (count_assignments(["p", "q"], mode, **kwargs), [])
-    first = list(points)
+    """An enumeration, of assignments or of worlds, builds nothing until
+    it is iterated, and each iteration builds its items afresh: equal
+    ones, in order."""
+    if mode == "worlds":  # domains {a} and {a,b}: 2 + 4 fact subsets
+        built, total = counting_builds(monkeypatch, fosem, "World"), 6
+        items = enumerate_worlds(["S"], ["p"], **kwargs)
+    else:  # 2^2 corners, or 5 draws
+        built, total = counting_builds(monkeypatch), kwargs.get("count", 4)
+        items = enumerate_assignments(["q", "p", "q"], None, mode, **kwargs)
+    assert (len(items), built) == (total, [])
+    first = list(items)
     assert first == built
-    again = list(points)
+    again = list(items)
     assert again == first and all(a is not b for a, b in zip(again, first))
-    assert len(built) == 2 * len(points)
+    assert len(built) == 2 * total
 
 
 def test_sampled_assignments_respect_size_bound():
     w = default_world(["p"])
-    for h in sampled_assignments(["p"], w, seed=3, count=20, size_bound=2):
+    for h in enumerate_assignments(["p"], w, "sampled", seed=3, count=20, size_bound=2):
         m = h.values["p"]
         assert len(m.members) <= 2
         assert all(len(member) <= 2 for member in m.members)
@@ -241,47 +248,50 @@ def test_sampled_mode_rejects_bad_inputs(variables, kwargs):
 
 def test_assignment_budget():
     names = [f"p{i}" for i in range(13)]
+    for world in (None, World()):  # the budget comes before the world's constants
+        with pytest.raises(ValueError, match=str(MAX_ASSIGNMENTS)):
+            enumerate_assignments(names, world)
     with pytest.raises(ValueError, match=str(MAX_ASSIGNMENTS)):
-        canonical_assignments(names)
-    with pytest.raises(ValueError, match=str(MAX_ASSIGNMENTS)):
-        sampled_assignments(["p"], default_world(["p"]), seed=1, count=MAX_ASSIGNMENTS + 1)
-    assert len(sampled_assignments([], default_world([]), seed=1, count=MAX_ASSIGNMENTS)) == 1
-    assert len(canonical_assignments(names[:4])) == 16
+        enumerate_assignments(["p"], default_world(["p"]), "sampled", seed=1,
+                              count=MAX_ASSIGNMENTS + 1)
+    assert len(enumerate_assignments([], default_world([]), "sampled", seed=1,
+                                     count=MAX_ASSIGNMENTS)) == 1
+    assert len(enumerate_assignments(names[:4])) == 16
 
 
-@pytest.mark.parametrize("variables", [[], ["p"], ["q", "p", "q"]])
-@pytest.mark.parametrize("mode, kwargs", [("canonical", {}), ("sampled", dict(seed=1, count=5))])
-def test_count_assignments_counts_what_enumeration_builds(variables, mode, kwargs):
-    built = enumerate_assignments(variables, None, mode, **kwargs)
-    assert count_assignments(variables, mode, **kwargs) == len(built)
-
-
-@pytest.mark.parametrize("variables, mode, kwargs", [
-    ([f"p{i}" for i in range(13)], "canonical", {}),
-    (["p"], "exhaustive", {}),
-    (["p"], "sampled", dict(seed=None, count=5)),
-    (["p"], "sampled", dict(seed=1, count=0)),
-    ([], "sampled", dict(seed=1, count=MAX_ASSIGNMENTS + 1)),
-    (["p"], "sampled", dict(seed=1, count=5, size_bound=0)),
-    (["p"], "sampled", dict(seed=1, count=5, size_bound=MAX_SIZE_BOUND + 1)),
-])
-def test_count_assignments_refuses_what_enumeration_refuses(variables, mode, kwargs):
-    with pytest.raises(ValueError) as built:
+@pytest.mark.parametrize("variables, mode, kwargs, message", [
+    ([f"p{i}" for i in range(13)], "canonical", {},
+     f"13 variables give more than {MAX_ASSIGNMENTS} canonical assignments"),
+    (["p"], "exhaustive", {}, "unknown assignment mode 'exhaustive'"),
+    (["p"], "sampled", dict(seed=None, count=5), "sampled mode needs a seed"),
+    (["p"], "sampled", dict(seed=1, count=0), "sampled mode needs a positive count"),
+    ([], "sampled", dict(seed=1, count=MAX_ASSIGNMENTS + 1),
+     f"sampled count must be at most {MAX_ASSIGNMENTS}"),
+    (["p"], "sampled", dict(seed=1, count=5, size_bound=0), "size bound must be at least 1"),
+    (["p"], "sampled", dict(seed=1, count=5, size_bound=MAX_SIZE_BOUND + 1),
+     f"size bound must be at most {MAX_SIZE_BOUND}"),
+    # of several refusals, the first in this order comes out
+    (["p"], "sampled", dict(seed=None, count=0, size_bound=0), "sampled mode needs a seed"),
+    ([], "sampled", dict(seed=1, count=MAX_ASSIGNMENTS + 1, size_bound=0),
+     f"sampled count must be at most {MAX_ASSIGNMENTS}"),
+], ids=["budget", "mode", "seed", "count", "count-budget", "least-size", "most-size",
+        "seed-first", "count-first"])
+def test_enumeration_refuses_with_its_message(variables, mode, kwargs, message):
+    with pytest.raises(ValueError) as refused:
         enumerate_assignments(variables, None, mode, **kwargs)
-    with pytest.raises(ValueError) as counted:
-        count_assignments(variables, mode, **kwargs)
-    assert str(counted.value) == str(built.value)
+    assert str(refused.value) == message
 
 
 def test_sampled_assignments_at_the_size_bound():
-    (h,) = sampled_assignments(["p"], default_world(["p"]), seed=1, count=1,
-                               size_bound=MAX_SIZE_BOUND)
+    (h,) = enumerate_assignments(["p"], default_world(["p"]), "sampled", seed=1, count=1,
+                                 size_bound=MAX_SIZE_BOUND)
     assert len(h.values["p"].members) <= MAX_SIZE_BOUND
 
 
 @pytest.mark.parametrize("world", [default_world([]), default_world(["p"])], ids=["empty", "P"])
 @pytest.mark.parametrize("kwargs", [{}, dict(mode="sampled", seed=1, count=5)])
 def test_no_variables_give_one_empty_assignment(world, kwargs):
+    assert len(enumerate_assignments([], world, **kwargs)) == 1
     (h,) = enumerate_assignments([], world, **kwargs)
     assert h.values == {}
     assert h.world == world
@@ -507,7 +517,7 @@ def renamed(m: Meaning, h: PropAssignment) -> Meaning:
 def test_every_canonical_meaning_renames_the_all_true_one(f, policy):
     """The symmetry canonical `classify` rests on: at every canonical h,
     f's Meaning is the all-true one renamed by sigma_h."""
-    assignments = list(canonical_assignments(prop_variables(f)))
+    assignments = list(enumerate_assignments(prop_variables(f)))
     everywhere = eval_prop(f, assignments[0], policy)
     for h in assignments:
         assert renamed(everywhere, h) is eval_prop(f, h, policy)
@@ -587,9 +597,10 @@ def test_memo_point_matches_fresh_evaluation(calls, index, seed):
     interleaved policies with one computed table, gives each the
     Meaning a fresh evaluation gives; so does a lone eval_prop."""
     if seed is None:
-        h = list(canonical_assignments(["p", "q"]))[index]
+        h = list(enumerate_assignments(["p", "q"]))[index]
     else:
-        h = list(sampled_assignments(["p", "q"], default_world(["p", "q"]), seed, 1, size_bound=2))[0]
+        h = list(enumerate_assignments(["p", "q"], default_world(["p", "q"]), "sampled",
+                                       seed=seed, count=1, size_bound=2))[0]
     program = compile_program([g for f, _ in calls for g in (f, copied(f))], h.values)
     computed = {}
     for k, (f, policy) in enumerate(calls):
@@ -600,7 +611,7 @@ def test_memo_point_matches_fresh_evaluation(calls, index, seed):
 
 def test_memo_stays_with_its_point():
     """A run reads only the values it is given."""
-    h, other = canonical_assignments(["p"])
+    h, other = enumerate_assignments(["p"])
     program = compile_program([parse("p")], ["p"])
     computed = {}
     assert meanings_of(program, h.values, None, "minimal", computed) == [h.values["p"]]
@@ -718,7 +729,7 @@ def test_a_refusal_in_a_block_records_no_column(monkeypatch):
         return negate(m, policy)
 
     monkeypatch.setattr(propsem, "negate", refuse_second)
-    points = [(h.values, None) for h in canonical_assignments(["p"])]
+    points = [(h.values, None) for h in enumerate_assignments(["p"])]
     first, second = (values["p"] for values, _ in points)
     program = compile_program([parse("~p")], ["p"])
     computed = {}
@@ -782,7 +793,7 @@ def test_lone_evaluation_negates_each_distinct_negation_once(monkeypatch, policy
         return negate(m, policy)
 
     monkeypatch.setattr(propsem, "negate", counting_negate)
-    h = list(canonical_assignments(["p", "q"]))[0]
+    h = list(enumerate_assignments(["p", "q"]))[0]
     f = parse("~(p v q) <=> ~(p v q)")
     assert eval_prop(f, h, policy) == table_free(f, h.world, h, policy)
     assert len(calls) == 4
