@@ -28,27 +28,34 @@ deterministic and JSON-ready.  One loop runs both of its sections over
 groups of (worlds, propositional variables, formulas): the
 propositional section is one group whose one world is None, and the
 quantified section one group per vocabulary (`fosem.world_vocabulary`,
-first seen first) over all its worlds.  A group's formulas are
-compiled into one `propsem` program per domain (the worlds of a
-vocabulary come in domain order), and the program is dropped before
-the next is compiled; `enumerate_formulas` lists every formula after
-its subformulas, so the program shares each subformula's steps.  The
-points of a domain, its worlds by their assignments, form one block.
-The program runs once per policy over the block (`propsem.run_columns`),
-so each formula gets a column of Meanings, one per point, and all runs
-of one `_sweep` call share the computed table `propsem` describes,
-dropped when the call returns.  A column's truth mask, bit k set iff
-its k-th Meaning is true, is worked out once per distinct column.  An
-evaluator given to `check_equivalence` replaces the program: it is
-called once per formula, point and policy, in (point, policy, formula)
-order, and its truths make the same masks.  The referee is called once
-per formula and domain: `classical.satisfies` gives each formula's
-truth at every point of the block as one mask, through one classical
-table per domain.  So each formula and policy costs one comparison of
-two masks, and a formula's points are walked one by one only where they
-differ.  Only disagreeing points are kept, and each section records
-them in (formula, world, assignment) order, as a formula-by-formula
-sweep would.  A refusal inside a block, such as a transversal budget's,
+first seen first) over all its worlds.  The points of a group, its
+worlds by their assignments, are listed once, in (world, assignment)
+order.  A group's formulas are compiled into one `propsem` program for
+its largest domain (the worlds of a vocabulary come in domain order,
+each domain a prefix of the next), and each smaller domain's program is
+restricted from it (`propsem.restrict`), which gives the program
+compiling for that domain would; `enumerate_formulas` lists every
+formula after its subformulas, so the program shares each subformula's
+steps.  The points of one domain form a block, and a restricted
+program is dropped before the next is made.  The program runs once per
+policy over the block (`propsem.run_columns`), so each formula gets a
+column of Meanings, one per point, and all runs of one `_sweep` call
+share the computed table `propsem` describes, dropped when the call
+returns.  A column's truth mask, bit k set iff its k-th Meaning is
+true, is worked out once per distinct column of a block, and shifted to
+the block's place among the group's points.  An evaluator given to
+`check_equivalence` replaces the programs: it is called once per
+formula, point and policy, in (point, policy, formula) order, and its
+truths make the same masks.  The referee is called once per formula
+and group: `classical.satisfies` gives each formula's truth at every
+point of the group as one mask, its worlds of every domain together
+(each individual is present at the points of the worlds that have it),
+through one classical table per group.  So each formula and policy
+costs one comparison of two masks over all the group's points, and a
+formula's points are walked one by one only where they differ.  Only
+disagreeing points are kept, and each section records them in
+(formula, world, assignment) order, as a formula-by-formula sweep
+would.  A refusal inside a block, such as a transversal budget's,
 is the one its first refusing policy meets at the earliest step,
 whatever the point: a block runs step by step, not point by point.
 """
@@ -62,7 +69,7 @@ from .classical import TarskiModel, satisfies, tarski_eval, truth_table_eval
 from .fosem import enumerate_worlds, world_vocabulary
 from .meanings import POLICIES, is_true
 from .ontology import describe_world
-from .propsem import compile_program, enumerate_assignments, run_columns
+from .propsem import compile_program, enumerate_assignments, restrict, run_columns
 from .syntax import (
     IND_VAR,
     PRED_NAME,
@@ -391,56 +398,63 @@ def _cost(f: Formula, n: int, memo: dict) -> int:
 def _sweep(formulas, groups, policies, points, evaluate=None) -> list:
     """The misses of each group's formulas at each of its worlds and
     assignments, in (formula, world, assignment) order, from the group's
-    program or, if given, from evaluate(f, world, point, policy)."""
+    programs or, if given, from evaluate(f, world, point, policy)."""
     misses = []
     computed = {}  # the computed table all runs share (see propsem), dropped on return
     for worlds, variables, ids in groups:
         group = [formulas[i] for i in ids]
-        # no world (the propositional section) has no domain
-        for domain, members in groupby(enumerate(worlds),
-                                       lambda item: getattr(item[1], "individuals", None)):
-            members = list(members)
-            block = [(wdx, w, adx, h) for wdx, w in members
-                     for adx, h in enumerate(points(variables, w))]
-            expected = _referee(group, domain, block)
-            if evaluate:
-                got = _evaluated_truths(group, block, policies, evaluate)
-            else:
-                program = None  # the last domain's program goes before the next is built
-                program = compile_program(group, variables, members[0][1])
-                got = _run_truths(program, block, policies, computed)
-            for j, (i, truth) in enumerate(zip(ids, expected)):
-                wrong = 0
-                for truths in got:
-                    wrong |= truths[j] ^ truth
-                while wrong:  # each point where some policy differs, lowest first
-                    k = (wrong & -wrong).bit_length() - 1
-                    wrong ^= 1 << k
-                    wdx, w, adx, h = block[k]
-                    misses.append(((i, wdx, adx), bool(truth >> k & 1),
-                                   [bool(truths[j] >> k & 1) for truths in got], w, h))
+        block = [(wdx, w, adx, h) for wdx, w in enumerate(worlds)
+                 for adx, h in enumerate(points(variables, w))]
+        expected = _referee(group, block)
+        if evaluate:
+            got = _evaluated_truths(group, block, policies, evaluate)
+        else:
+            got = _run_truths(group, variables, block, policies, computed)
+        for j, (i, truth) in enumerate(zip(ids, expected)):
+            wrong = 0
+            for truths in got:
+                wrong |= truths[j] ^ truth
+            while wrong:  # each point where some policy differs, lowest first
+                k = (wrong & -wrong).bit_length() - 1
+                wrong ^= 1 << k
+                wdx, w, adx, h = block[k]
+                misses.append(((i, wdx, adx), bool(truth >> k & 1),
+                               [bool(truths[j] >> k & 1) for truths in got], w, h))
     misses.sort(key=lambda miss: miss[0])
     return misses
 
 
-def _run_truths(program, block, policies, computed) -> list[list[int]]:
-    """Per policy, the truth mask of each root of program over block:
-    one `run_columns` call, and each distinct root column read once."""
-    points = [(h.values, w) for _, w, _, h in block]
-    # Hashing a column is work in C; reading its mask calls `is_true`
-    # at every point, so roots that share a column share its mask.
-    masks = {}  # column -> truth mask
-    got = []
-    for policy in policies:
-        out = run_columns(program, points, policy, computed)
-        truths = []
-        for slot in program.roots:
-            column = out[slot]
-            mask = masks.get(column)
-            if mask is None:
-                mask = masks[column] = sum(1 << k for k, m in enumerate(column) if is_true(m))
-            truths.append(mask)
-        got.append(truths)
+def _domain(point):
+    """The individuals of a point's world (None: no world)."""
+    return getattr(point[1], "individuals", None)
+
+
+def _run_truths(group, variables, block, policies, computed) -> list[list[int]]:
+    """Per policy, the truth mask of each formula of group over block,
+    whose worlds come in domain order, each domain a prefix of the next:
+    the program of the last domain is compiled, and each smaller
+    domain's restricted from it.  Each domain's program runs once per
+    policy over its points (`run_columns`), and each distinct root
+    column is read once."""
+    largest = compile_program(group, variables, block[-1][1])
+    got = [[0] * len(group) for _ in policies]
+    start = 0  # the bit of the domain's first point
+    for domain, members in groupby(block, _domain):
+        points = [(h.values, w) for _, w, _, h in members]
+        program = None  # the last domain's program goes before the next is made
+        program = largest if domain == _domain(block[-1]) else restrict(largest, domain)
+        # Hashing a column is work in C; reading its mask calls `is_true`
+        # at every point, so roots that share a column share its mask.
+        masks = {}  # column -> truth mask
+        for truths, policy in zip(got, policies):
+            out = run_columns(program, points, policy, computed)
+            for j, slot in enumerate(program.roots):
+                column = out[slot]
+                mask = masks.get(column)
+                if mask is None:
+                    mask = masks[column] = sum(1 << k for k, m in enumerate(column) if is_true(m))
+                truths[j] |= mask << start
+        start += len(points)
     return got
 
 
@@ -456,21 +470,25 @@ def _evaluated_truths(group, block, policies, evaluate) -> list[list[int]]:
     return got
 
 
-def _referee(group, domain, block) -> list[int]:
+def _referee(group, block) -> list[int]:
     """The classical truth of each formula of group over a block of
-    points (wdx, world, adx, assignment) of one domain, as a mask whose
-    bit k is its truth at the k-th point, from one table dropped on
-    return."""
-    facts, valuation = {}, {}
+    points (wdx, world, adx, assignment), as a mask whose bit k is its
+    truth at the k-th point, from one table dropped on return.  The
+    worlds may differ in their individuals: each is present at the
+    points of the worlds that have it."""
+    domain, facts, valuation = {}, {}, {}
     for k, (_, w, _, h) in enumerate(block):
         bit = 1 << k
-        for fact in () if w is None else w.facts:
-            facts[fact] = facts.get(fact, 0) | bit
+        if w is not None:
+            for d in w.individuals:
+                domain[d] = domain.get(d, 0) | bit
+            for fact in w.facts:
+                facts[fact] = facts.get(fact, 0) | bit
         for name, truth in h.truths().items():
             valuation[name] = valuation.get(name, 0) | (bit if truth else 0)
     full = (1 << len(block)) - 1
     table = {}
-    return [satisfies(f, domain, facts, {}, valuation, table, full) for f in group]
+    return [satisfies(f, domain or None, facts, {}, valuation, table, full) for f in group]
 
 
 def _check_config(config: SweepConfig) -> None:

@@ -27,7 +27,13 @@ basic block (Aho, Sethi and Ullman 1986, section 9.8): a step equal to
 an earlier one, such as an atom two environments ground at the same
 individual, takes that step's slot, so each slot is one distinct
 computation.  A program depends on its world only through the domain,
-so it serves every world with the same individuals.  A variable the
+so it serves every world with the same individuals.  For closed
+formulas in base mode "all", `restrict` derives from it the program of
+a smaller domain, a prefix of its own: it drops the atoms of the absent
+individuals, cuts each quantifier to the instances of the first ones,
+drops what reads a dropped step and numbers the rest by value again.  A
+sweep compiles once per vocabulary, for the largest domain, and
+restricts (see `oracle`).  A variable the
 assignment does not cover, a predicate or quantifier without a world,
 and an unbound individual variable are refused as the program is
 compiled, in left-to-right order, before anything is evaluated.
@@ -141,6 +147,7 @@ __all__ = [
     "enumerate_assignments",
     "eval_fo",
     "eval_prop",
+    "restrict",
     "run",
     "run_columns",
 ]
@@ -296,6 +303,45 @@ class _Lowering:
                 instances.append(self.lower(g.body, tuple(sorted(bound.items()))))
             return (_EX if isinstance(g, Exists) else _ALL, tuple(instances), None)
         raise TypeError(f"not a formula: {g!r}")
+
+
+def restrict(program: Program, individuals) -> Program:
+    """The program compile_program gives for a domain of individuals, a
+    prefix of the domain program was compiled for, derived from program:
+    an ATOM step of an absent individual drops, a quantifier step keeps
+    the instances of the first len(individuals) individuals, a step with
+    a dropped operand drops, and the remaining steps are renumbered by
+    value, in order.  It equals that program, slot order included, only
+    for closed formulas in base mode "all": a free variable's valuation
+    `default_binding` depends on the domain's size."""
+    present = set(individuals)
+    kept = len(present)
+    numbers = {}  # as in `_Lowering`: each step to its new slot, in slot order
+    slots = []  # the new slot of each of program's slots, or None where it drops
+    for code, a, b in program.steps:
+        if code == _ATOM:
+            step = (code, a, b) if b in present else None
+        elif code == _VAR:
+            step = (code, a, b)
+        elif code == _OR:
+            i, j = slots[a], slots[b]
+            step = None if i is None or j is None else (code, i, j)
+        elif code == _NOT:
+            i = slots[a]
+            step = None if i is None else (code, i, None)
+        else:
+            instances = tuple([slots[i] for i in a[:kept]])
+            step = None if None in instances else (code, instances, None)
+        if step is not None:
+            slot = numbers.get(step)
+            if slot is None:
+                slot = numbers[step] = len(numbers)
+            step = slot
+        slots.append(step)
+    roots = tuple([slots[r] for r in program.roots])
+    if None in roots:
+        raise ValueError("a formula of the program reads an individual outside the restriction")
+    return Program(tuple(numbers), roots)
 
 
 def run(program: Program, values: dict, world: World | None, policy: str,

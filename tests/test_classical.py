@@ -9,7 +9,7 @@ from pmsem.fosem import default_binding, enumerate_worlds, eval_fo
 from pmsem.meanings import POLICIES, is_true
 from pmsem.ontology import World
 from pmsem.propsem import enumerate_assignments
-from pmsem.syntax import Exists, ForAll, Not, Or, PredApp, PropVar, parse
+from pmsem.syntax import Exists, ForAll, Not, Or, PredApp, PropVar, free_variables, parse
 from test_propsem import FO_TREES, PROP_TREES
 
 p = PropVar("p")
@@ -131,16 +131,18 @@ def blocks(draw):
 
 
 def block_masks(block):
-    """The facts and valuation of a block of (world, valuation) points,
-    each mapped to the mask of the points where it holds, and the mask
-    of all of them."""
-    facts, valuation = {}, {}
+    """The domain, facts and valuation of a block of (world, valuation)
+    points, each individual, fact and variable mapped to the mask of the
+    points where it is present or holds, and the mask of all of them."""
+    domain, facts, valuation = {}, {}, {}
     for k, (world, values) in enumerate(block):
+        for individual in world.individuals:
+            domain[individual] = domain.get(individual, 0) | 1 << k
         for fact in world.facts:
             facts[fact] = facts.get(fact, 0) | 1 << k
         for name, truth in values.items():
             valuation[name] = valuation.get(name, 0) | truth << k
-    return facts, valuation, (1 << len(block)) - 1
+    return domain, facts, valuation, (1 << len(block)) - 1
 
 
 def pointwise(g, block, env):
@@ -177,12 +179,12 @@ def test_classical_table_matches_tarski_eval(calls, block):
     all-points mask and a recorded 0 are both served.  An unbound
     variable or a missing valuation raises an error `tarski_eval` raises
     at some point of the block, and records nothing for the formula."""
-    domain = block[0][0].individuals
-    facts, valuation, full = block_masks(block)
+    individuals = block[0][0].individuals
+    domain, facts, valuation, full = block_masks(block)
     table = {}
     excluded_middle = Or(p, Not(p))
     for f, picks in [(excluded_middle, {})] + calls:
-        env = {v: domain[i % len(domain)] for v, i in picks.items()}
+        env = {v: individuals[i % len(individuals)] for v, i in picks.items()}
         for g in (f, Not(f)):
             expected = pointwise(g, block, env)
             errors = [e for e in expected if isinstance(e, str)]
@@ -224,9 +226,92 @@ def test_block_needs_only_what_its_points_reach(text, block):
     """A disjunct or instance no point of the block reaches may lack a
     truth value, as it may at each point for `tarski_eval`."""
     f = parse(text)
-    facts, valuation, full = block_masks(block)
-    mask = satisfies(f, ("a", "b"), facts, {}, valuation, {}, full)
+    domain, facts, valuation, full = block_masks(block)
+    mask = satisfies(f, domain, facts, {}, valuation, {}, full)
     assert [bool(mask >> k & 1) for k in range(len(block))] == pointwise(f, block, {})
+
+
+def closed(f, quantifier):
+    """f with each free variable bound, in name order, by quantifier."""
+    for v in sorted(free_variables(f)):
+        f = quantifier(v, f)
+    return f
+
+
+CLOSED_FO_TREES = st.builds(closed, FO_TREES, st.sampled_from((ForAll, Exists)))
+
+
+@st.composite
+def mixed_blocks(draw):
+    """A block of points of worlds over S of 1, 2 and 3 individuals, at
+    least one of each size, in any order, each with a valuation of p,
+    and of q at every point or at none."""
+    names = draw(st.sampled_from([("p",), ("p", "q")]))
+    values = st.fixed_dictionaries({v: st.booleans() for v in names})
+    sized = [draw(st.sampled_from([w for w in WORLDS if len(w.individuals) == n]))
+             for n in (1, 2, 3)]
+    more = draw(st.lists(st.sampled_from(list(WORLDS)), max_size=5))
+    return [(world, draw(values)) for world in draw(st.permutations(sized + more))]
+
+
+@given(
+    st.lists(st.one_of(PROP_TREES, CLOSED_FO_TREES, st.builds(Or, CLOSED_FO_TREES, PROP_TREES)),
+             min_size=1, max_size=6),
+    mixed_blocks(),
+)
+@settings(max_examples=60, deadline=None)
+def test_mixed_domains_match_tarski_eval(formulas, block):
+    """A block whose worlds have 1, 2 and 3 individuals gives each closed
+    formula, at each point, the truth `tarski_eval` gives in that point's
+    world: an instance counts only where its individual is present.  A
+    formula that reaches a missing q raises an error `tarski_eval` raises
+    at some point.  Each table entry is that point's truth wherever the
+    point's world has its environment's individuals."""
+    domain, facts, valuation, full = block_masks(block)
+    table = {}
+    for f in formulas:
+        expected = pointwise(f, block, {})
+        errors = [e for e in expected if isinstance(e, str)]
+        if errors:
+            with pytest.raises(ValueError) as raised:
+                satisfies(f, domain, facts, {}, valuation, table, full)
+            assert str(raised.value) in errors
+            continue
+        mask = satisfies(f, domain, facts, {}, valuation, table, full)
+        assert [bool(mask >> k & 1) for k in range(len(block))] == expected
+    for key, mask in table.items():
+        g, items = key if isinstance(key, tuple) else (key, ())
+        for k, (world, values) in enumerate(block):
+            if all(d in world.individuals for _, d in items):
+                assert tarski_eval(g, model(world), dict(items), values) is bool(mask >> k & 1)
+
+
+def _sized(n, *members):
+    return World(individuals=("a", "b", "c")[:n], predicates=("S",),
+                 facts=frozenset(("S", (i,)) for i in members))
+
+
+@pytest.mark.parametrize("block, expected", [
+    # b's instance reaches q at the first point, which lacks b: the
+    # block raises, and a point at a time none reaches q
+    ([(_sized(1, "a"), {}), (_sized(2, "a", "b"), {})], [True, True]),
+    # the second point, of three individuals, lacks S(b) and reaches q,
+    # and raises as `tarski_eval` does there
+    ([(_sized(1, "a"), {}), (_sized(3, "a", "c"), {}), (_sized(2, "a", "b"), {})],
+     [True, "no truth value for propositional variable q", True]),
+])
+def test_mixed_block_falls_back_to_present_individuals(block, expected):
+    """A block that raises is decided a point at a time, each point over
+    its own individuals only, as `tarski_eval` decides it."""
+    f = parse("(x).(S(x) v q)")
+    assert pointwise(f, block, {}) == expected
+    domain, facts, valuation, full = block_masks(block)
+    errors = [e for e in expected if isinstance(e, str)]
+    if errors:
+        with pytest.raises(ValueError, match=errors[0]):
+            satisfies(f, domain, facts, {}, valuation, {}, full)
+    else:
+        assert satisfies(f, domain, facts, {}, valuation, {}, full) == full
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,9 @@ def test_valuation_is_built_once_per_program(monkeypatch):
     report = check_equivalence(config)
     assert report.ok and report.fo_formulas > 1
     # One vocabulary, S, whose worlds have 1, 2 or 3 individuals: one
-    # program, and one valuation, per domain.
-    assert [len(world.individuals) for world in calls] == [1, 2, 3]
+    # lowering, and one valuation, for its largest domain; the smaller
+    # domains' programs are restricted from it.
+    assert [len(world.individuals) for world in calls] == [3]
 
 
 # ---------------------------------------------------------------------------

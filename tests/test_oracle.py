@@ -518,12 +518,13 @@ def test_fo_eval_is_called_once_per_check():
     )
 
 
-def test_sweep_referees_once_per_formula_and_domain(monkeypatch):
-    """The referee decides every point of a domain in one call per
-    formula: the one-predicate sweep's 972 formulas over 3 domains, and
-    the depth-2 propositional sweep's 243 over its one block.  Only the
-    sweep's calls are counted; the recursion inside `classical` calls
-    its own name."""
+def test_sweep_referees_once_per_formula_and_vocabulary(monkeypatch):
+    """The referee decides every point of a vocabulary in one call per
+    formula, its worlds of every domain in one block: the one-predicate
+    sweep's 972 formulas over their one vocabulary, S, and the depth-2
+    propositional sweep's 243 over its one block.  Only the sweep's
+    calls are counted; the recursion inside `classical` calls its own
+    name."""
     calls = []
 
     def counting(*args):
@@ -533,7 +534,7 @@ def test_sweep_referees_once_per_formula_and_domain(monkeypatch):
     monkeypatch.setattr(oracle, "satisfies", counting)
     report = check_equivalence(SweepConfig(include_prop=False, include_fo=True))
     assert report.ok and report.fo_formulas == 972
-    assert len(calls) == 972 * 3
+    assert len(calls) == 972
     calls.clear()
     report = check_equivalence(SweepConfig(prop_vars=("p", "q", "r"), max_depth=2))
     assert report.ok and report.prop_formulas == 243

@@ -32,6 +32,7 @@ from pmsem.propsem import (
     enumerate_assignments,
     eval_fo,
     eval_prop,
+    restrict,
     run,
     run_columns,
 )
@@ -45,6 +46,7 @@ from pmsem.syntax import (
     PropVar,
     conjoin,
     equivalent,
+    free_variables,
     parse,
     print_formula,
     prop_variables,
@@ -778,6 +780,65 @@ def test_reordered_quantifiers_ground_no_atom_again(monkeypatch):
     assert len(grounded) == ground_first
     assert sorted(grounded) == [("S", ("a",)), ("S", ("b",))]
     assert both == alone * 2 == [table_free(first, world, None, "minimal")] * 2
+
+
+CLOSED_SRP_TREES = st.builds(
+    lambda f, quantifiers: reduce(lambda g, v: quantifiers[v](v, g),
+                                  sorted(free_variables(f)), f),
+    st.recursive(
+        st.sampled_from([PropVar("p")] + [PredApp(s, v) for s in "RS" for v in "xy"]),
+        lambda sub: st.one_of(
+            st.builds(Not, sub),
+            st.builds(Or, sub, sub),
+            st.builds(ForAll, st.sampled_from("xy"), sub),
+            st.builds(Exists, st.sampled_from("xy"), sub),
+        ),
+        max_leaves=6,
+    ),
+    st.fixed_dictionaries({v: st.sampled_from((ForAll, Exists)) for v in "xy"}),
+)
+
+
+def prefix_world(n):
+    """A world over R and S of the first n of a, b, c, d, carrying p."""
+    return World(("a", "b", "c", "d")[:n], ("R", "S"), frozenset(), (("P", True),))
+
+
+def assert_restrictions_compile(formulas, largest=4):
+    """restrict gives, for every prefix of the largest domain, the very
+    Program `compile_program` gives there, slot order included."""
+    program = compile_program(formulas, ["p"], prefix_world(largest))
+    for n in range(1, largest + 1):
+        individuals = prefix_world(n).individuals
+        assert restrict(program, individuals) == compile_program(formulas, ["p"],
+                                                                  prefix_world(n))
+
+
+@given(st.lists(CLOSED_SRP_TREES, min_size=1, max_size=6), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_restriction_compiles_the_smaller_domain(formulas, largest):
+    """Closed formulas over S, R and p, compiled for a domain of 1 to 4
+    individuals and restricted to each of its prefixes."""
+    assert_restrictions_compile(formulas, largest)
+
+
+@pytest.mark.parametrize("prop_vars, predicates", [((), ("S",)), (("p",), ("S", "R"))],
+                         ids=["one_predicate", "two_predicate"])
+def test_restriction_compiles_the_acceptance_listings(prop_vars, predicates):
+    """The 972- and 7,625-formula quantified acceptance listings, each
+    compiled as one program."""
+    formulas = enumerate_formulas(prop_vars, predicates, ("x", "y"), 4, 2, 6, closed_only=True)
+    assert len(formulas) == {1: 972, 2: 7625}[len(predicates)]
+    assert_restrictions_compile(formulas)
+
+
+def test_restriction_refuses_a_root_outside_it():
+    """A formula that reads an individual only the larger domain has,
+    under base mode "any", has no program in the restriction."""
+    world = prefix_world(2)
+    program = compile_program([parse("S(y)")], (), world, any_variable="y")
+    with pytest.raises(ValueError, match="outside the restriction"):
+        restrict(program, ("a",))
 
 
 @pytest.mark.parametrize("policy", POLICIES)
