@@ -42,17 +42,18 @@ policy over the block (`propsem.run_columns`), so each formula gets a
 column of Meanings, one per point, and all runs of one `_sweep` call
 share the computed table `propsem` describes, dropped when the call
 returns.  A column's truth mask, bit k set iff its k-th Meaning is
-true, is worked out once per distinct column of a block, and shifted to
-the block's place among the group's points.  An evaluator given to
+true, is worked out once per distinct column of a block.  An evaluator
+given to
 `check_equivalence` replaces the programs: it is called once per
 formula, point and policy, in (point, policy, formula) order, and its
 truths make the same masks.  The referee is called once per formula
 and group: `classical.satisfies` gives each formula's truth at every
 point of the group as one mask, its worlds of every domain together
 (each individual is present at the points of the worlds that have it),
-through one classical table per group.  So each formula and policy
-costs one comparison of two masks over all the group's points, and a
-formula's points are walked one by one only where they differ.  Only
+through one classical table per group.  So each formula, block and
+policy costs one comparison of two masks, the referee's cut to the
+block's points, and a formula's points are walked one by one only where
+they differ.  Only
 disagreeing points are kept, and each section records them in
 (formula, world, assignment) order, as a formula-by-formula sweep
 would.  A refusal inside a block, such as a transversal budget's,
@@ -406,55 +407,59 @@ def _sweep(formulas, groups, policies, points, evaluate=None) -> list:
         block = [(wdx, w, adx, h) for wdx, w in enumerate(worlds)
                  for adx, h in enumerate(points(variables, w))]
         expected = _referee(group, block)
-        if evaluate:
-            got = _evaluated_truths(group, block, policies, evaluate)
-        else:
-            got = _run_truths(group, variables, block, policies, computed)
-        for j, (i, truth) in enumerate(zip(ids, expected)):
-            wrong = 0
-            for truths in got:
-                wrong |= truths[j] ^ truth
-            while wrong:  # each point where some policy differs, lowest first
-                k = (wrong & -wrong).bit_length() - 1
-                wrong ^= 1 << k
-                wdx, w, adx, h = block[k]
-                misses.append(((i, wdx, adx), bool(truth >> k & 1),
-                               [bool(truths[j] >> k & 1) for truths in got], w, h))
+        # The worlds come in domain order, each domain a prefix of the
+        # next: the last domain's program is compiled, and each smaller
+        # domain's restricted from it.
+        largest = None if evaluate else compile_program(group, variables, block[-1][1])
+        start = 0  # the bit of the domain's first point in the masks of expected
+        for domain, members in groupby(block, _domain):
+            members = list(members)
+            if evaluate:
+                got = _evaluated_truths(group, members, policies, evaluate)
+            else:
+                program = None  # the last domain's program goes before the next is made
+                program = largest if domain == _domain(block[-1]) else restrict(largest, domain)
+                got = _run_truths(program, members, policies, computed)
+            width = (1 << len(members)) - 1
+            for j, (i, truth) in enumerate(zip(ids, expected)):
+                truth = truth >> start & width
+                wrong = 0
+                for truths in got:
+                    wrong |= truths[j] ^ truth
+                while wrong:  # each point where some policy differs, lowest first
+                    k = (wrong & -wrong).bit_length() - 1
+                    wrong ^= 1 << k
+                    wdx, w, adx, h = members[k]
+                    misses.append(((i, wdx, adx), bool(truth >> k & 1),
+                                   [bool(truths[j] >> k & 1) for truths in got], w, h))
+            start += len(members)
     misses.sort(key=lambda miss: miss[0])
     return misses
 
 
-def _domain(point):
+def _domain(point) -> tuple | None:
     """The individuals of a point's world (None: no world)."""
     return getattr(point[1], "individuals", None)
 
 
-def _run_truths(group, variables, block, policies, computed) -> list[list[int]]:
-    """Per policy, the truth mask of each formula of group over block,
-    whose worlds come in domain order, each domain a prefix of the next:
-    the program of the last domain is compiled, and each smaller
-    domain's restricted from it.  Each domain's program runs once per
-    policy over its points (`run_columns`), and each distinct root
-    column is read once."""
-    largest = compile_program(group, variables, block[-1][1])
-    got = [[0] * len(group) for _ in policies]
-    start = 0  # the bit of the domain's first point
-    for domain, members in groupby(block, _domain):
-        points = [(h.values, w) for _, w, _, h in members]
-        program = None  # the last domain's program goes before the next is made
-        program = largest if domain == _domain(block[-1]) else restrict(largest, domain)
-        # Hashing a column is work in C; reading its mask calls `is_true`
-        # at every point, so roots that share a column share its mask.
-        masks = {}  # column -> truth mask
-        for truths, policy in zip(got, policies):
-            out = run_columns(program, points, policy, computed)
-            for j, slot in enumerate(program.roots):
-                column = out[slot]
-                mask = masks.get(column)
-                if mask is None:
-                    mask = masks[column] = sum(1 << k for k, m in enumerate(column) if is_true(m))
-                truths[j] |= mask << start
-        start += len(points)
+def _run_truths(program, block, policies, computed) -> list[list[int]]:
+    """Per policy, the truth mask of each root of program over block:
+    one `run_columns` call, and each distinct root column read once."""
+    points = [(h.values, w) for _, w, _, h in block]
+    # Hashing a column is work in C; reading its mask calls `is_true`
+    # at every point, so roots that share a column share its mask.
+    masks = {}  # column -> truth mask
+    got = []
+    for policy in policies:
+        out = run_columns(program, points, policy, computed)
+        truths = []
+        for slot in program.roots:
+            column = out[slot]
+            mask = masks.get(column)
+            if mask is None:
+                mask = masks[column] = sum(1 << k for k, m in enumerate(column) if is_true(m))
+            truths.append(mask)
+        got.append(truths)
     return got
 
 

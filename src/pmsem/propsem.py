@@ -31,12 +31,12 @@ so it serves every world with the same individuals.  For closed
 formulas in base mode "all", `restrict` derives from it the program of
 a smaller domain, a prefix of its own: it drops the atoms of the absent
 individuals, cuts each quantifier to the instances of the first ones,
-drops what reads a dropped step and numbers the rest by value again.  A
-sweep compiles once per vocabulary, for the largest domain, and
-restricts (see `oracle`).  A variable the
-assignment does not cover, a predicate or quantifier without a world,
-and an unbound individual variable are refused as the program is
-compiled, in left-to-right order, before anything is evaluated.
+drops what reads a dropped step and numbers the rest by value again.
+A sweep compiles once per vocabulary, for the largest domain, and
+restricts (see `oracle`).  A variable the assignment does not cover, a
+predicate or quantifier without a world, and an unbound individual
+variable are refused as the program is compiled, in left-to-right
+order, before anything is evaluated.
 
 Running.  `run_columns` runs a program over a block of points, each a
 (values, world) of one domain, at once: it fills each slot with a
@@ -332,12 +332,7 @@ def restrict(program: Program, individuals) -> Program:
         else:
             instances = tuple([slots[i] for i in a[:kept]])
             step = None if None in instances else (code, instances, None)
-        if step is not None:
-            slot = numbers.get(step)
-            if slot is None:
-                slot = numbers[step] = len(numbers)
-            step = slot
-        slots.append(step)
+        slots.append(None if step is None else numbers.setdefault(step, len(numbers)))
     roots = tuple([slots[r] for r in program.roots])
     if None in roots:
         raise ValueError("a formula of the program reads an individual outside the restriction")
