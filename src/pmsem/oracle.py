@@ -420,9 +420,12 @@ def _sweep(formulas, groups, policies, points, evaluate=None) -> list:
                 program = None  # the last domain's program goes before the next is made
                 program = largest if domain == _domain(block[-1]) else restrict(largest, domain)
                 got = _run_truths(program, members, policies, computed)
-            width = (1 << len(members)) - 1
-            for j, (i, truth) in enumerate(zip(ids, expected)):
-                truth = truth >> start & width
+            if len(members) < len(block):  # cut the referee's masks to the block's points
+                width = (1 << len(members)) - 1
+                expected_here = [truth >> start & width for truth in expected]
+            else:
+                expected_here = expected
+            for j, (i, truth) in enumerate(zip(ids, expected_here)):
                 wrong = 0
                 for truths in got:
                     wrong |= truths[j] ^ truth
