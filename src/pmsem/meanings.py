@@ -42,6 +42,8 @@ _live: dict = {}  # member family -> weak reference to its one live Meaning
 
 @dataclass(frozen=True, eq=False, init=False)
 class Meaning(HashConsed):
+    # No __len__ or __bool__: a Meaning is never falsy, which the
+    # computed table's `get(key) or ...` in `propsem` relies on.
     members: frozenset[frozenset[Pair]]
 
     _truth = None  # set by is_true; not a field, so repr ignores it

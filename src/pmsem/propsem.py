@@ -41,9 +41,10 @@ order, before anything is evaluated.
 Running.  `run_columns` runs a program over a block of points, each a
 (values, world) of one domain, at once: it fills each slot with a
 column, the tuple of the slot's Meanings at every point of the block.
-`run` is the block of one point, and gives each slot its one Meaning.
-A run refuses an unknown policy before any step and looks the cores up
-as module globals at every step.  Its caller's computed table is that
+`run` runs it at one point through the same step loop, and there a
+slot's column is its Meaning itself, not a tuple of one.  A run refuses
+an unknown policy before any step and looks the cores up as module
+globals at every step.  Its caller's computed table is that
 of BDD packages (Bryant 1986; Brace, Rudell and Bryant 1990): it maps a
 core and its operands to their result.  Meanings are hash-consed (see
 `meanings`), so the operands themselves are the key: (disjoin, m, n)
@@ -52,7 +53,10 @@ for m v n, (negate, policy, m) for ~m, and (disjoin, *instances) and
 (Ex)q whose instances are m and n share an entry.  The same table holds
 a column under the core and its operand columns, (disjoin, c, d),
 (negate, policy, c) and so on, so a step whose operand columns came up
-before costs one lookup for the whole block.  On a miss the step fills
+before costs one lookup for the whole block.  One result has one key:
+a one-point run's operands are Meanings, so its key is the entry
+above, and a step it misses records that entry alone, which a block
+over that point reads and writes too.  On a miss a block's step fills
 each point through the entries above, calling a core only where a
 point's entry is missing, and records the column only once every point
 has its Meaning: each core runs once per distinct operands, and a
@@ -342,43 +346,58 @@ def restrict(program: Program, individuals) -> Program:
 def run(program: Program, values: dict, world: World | None, policy: str,
         computed: dict) -> list[Meaning]:
     """The Meaning of every slot of program under the assignment values,
-    in world (one with the domain it was compiled for): `run_columns`
-    over the one-point block."""
-    return [column[0] for column in run_columns(program, [(values, world)], policy, computed)]
+    in world (one with the domain it was compiled for): the one-point
+    block of `run_columns`, except that each slot holds its Meaning, not
+    a tuple of one, so a step it misses records one entry in computed,
+    the one a block over that point reads and writes."""
+    return _run(program, ((values, world),), policy, computed, True)
 
 
 def run_columns(program: Program, points, policy: str, computed: dict) -> list[tuple]:
     """The column of every slot of program over points, a sequence of
     (values, world) of one domain: the tuple of the slot's Meanings at
     each point, through the computed table of the module docstring."""
+    return _run(program, points, policy, computed, False)
+
+
+def _run(program: Program, points, policy: str, computed: dict, single: bool) -> list:
+    """The step loop of `run` (single: points is one point, and each
+    slot holds its Meaning) and of `run_columns` (each slot a tuple)."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     out = []
     put = out.append
     get = computed.get
+    fill = _cell if single else _column
+    if single:
+        ((values, world),) = points
 
     def negation(m):
         return negate(m, policy)
 
     for code, a, b in program.steps:
-        # A miss is None and a column of a non-empty block is never
-        # falsy, so `get(key) or ...` fills a column exactly on a miss.
+        # A miss is None, and neither a Meaning nor a column of a
+        # non-empty block is ever falsy (Meaning has no __len__ or
+        # __bool__), so `get(key) or ...` fills a slot exactly on a miss.
         if code == _OR:
             key = (disjoin, out[a], out[b])
-            put(get(key) or _column(computed, key, 1, disjoin))
+            put(get(key) or fill(computed, key, 1, disjoin))
         elif code == _NOT:
             key = (negate, policy, out[a])
-            put(get(key) or _column(computed, key, 2, negation))
+            put(get(key) or fill(computed, key, 2, negation))
         elif code == _ATOM:
-            put(tuple([atom_meaning(world, a, (b,)) for _, world in points]))
+            if single:
+                put(atom_meaning(world, a, (b,)))
+            else:
+                put(tuple([atom_meaning(w, a, (b,)) for _, w in points]))
         elif code == _VAR:
-            put(tuple([values[a] for values, _ in points]))
+            put(values[a] if single else tuple([point[a] for point, _ in points]))
         elif code == _EX:
             key = (disjoin, *[out[i] for i in a])
-            put(get(key) or _column(computed, key, 1, disjoin))
+            put(get(key) or fill(computed, key, 1, disjoin))
         else:
             key = (memberwise_union, *[out[i] for i in a])
-            put(get(key) or _column(computed, key, 1, _union))
+            put(get(key) or fill(computed, key, 1, _union))
     return out
 
 
@@ -386,11 +405,18 @@ def _union(*instances) -> Meaning:
     return memberwise_union(instances)
 
 
+def _cell(computed: dict, key: tuple, heads: int, core) -> Meaning:
+    """The Meaning of key, a head of `heads` items and operand Meanings,
+    on a miss: core(*operands), recorded only once it returns."""
+    return computed.setdefault(key, core(*key[heads:]))
+
+
 def _column(computed: dict, key: tuple, heads: int, core) -> tuple:
     """The column of key, a head of `heads` items and operand columns,
     on a miss: each point's Meaning is the table's under the head and
-    the point's operands, or core(*operands), and the column is recorded
-    only once every point has its Meaning, so a refusal records none."""
+    the point's operands, or core(*operands), recorded as `_cell` does,
+    and the column is recorded only once every point has its Meaning, so
+    a refusal records none."""
     head = key[:heads]
     cells = []
     for operands in zip(*key[heads:]):

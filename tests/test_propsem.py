@@ -12,9 +12,11 @@ from pmsem.meanings import (
     POLICIES,
     Meaning,
     atom_meaning,
+    disjoin,
     is_true,
     meaning,
     meaning_in_world,
+    memberwise_union,
     negate,
     render_meaning,
 )
@@ -691,7 +693,9 @@ def test_columns_hold_what_each_point_runs_to(prop_formulas, fo_formulas, indivi
     """`run_columns` over a block of points, canonical or sampled, and
     over its first point alone, gives at every slot and point the very
     Meaning `run` gives at that point alone, under either policy, with
-    one computed table for the whole program."""
+    one computed table for the whole program.  One-point runs share that
+    table, at every other point before the block and at every point
+    after it, and give the very same Meanings too."""
     mode = "canonical" if seed is None else "sampled"
 
     def points(variables, world):
@@ -709,12 +713,18 @@ def test_columns_hold_what_each_point_runs_to(prop_formulas, fo_formulas, indivi
         computed = {}
         for run_block in (block, block[:1]):
             for policy in POLICIES:
+                before = {k: run(program, values, world, policy, computed)
+                          for k, (values, world) in enumerate(run_block) if k % 2}
                 columns = run_columns(program, run_block, policy, computed)
                 assert len(columns) == len(program.steps)
                 assert {len(column) for column in columns} == {len(run_block)}
                 for k, (values, world) in enumerate(run_block):
                     alone = run(program, values, world, policy, {})
-                    assert all(column[k] is m for column, m in zip(columns, alone))
+                    after = run(program, values, world, policy, computed)
+                    for meanings in ([column[k] for column in columns],
+                                     before.get(k, alone), after):
+                        assert len(meanings) == len(alone)
+                        assert all(m is n for m, n in zip(meanings, alone))
 
 
 def test_a_refusal_in_a_block_records_no_column(monkeypatch):
@@ -741,6 +751,92 @@ def test_a_refusal_in_a_block_records_no_column(monkeypatch):
     columns = run_columns(program, points, "minimal", computed)
     assert columns[program.roots[0]] == (negate(first), negate(second))
     assert calls == [first, second, second]
+
+
+def counting_cores(monkeypatch) -> list:
+    """The computed-table key of every call propsem makes from here on
+    to disjoin, negate and memberwise_union, in call order."""
+    calls = []
+
+    def disjoining(*operands):
+        calls.append((disjoining, *operands))
+        return disjoin(*operands)
+
+    def negating(m, policy="minimal"):
+        calls.append((negating, policy, m))
+        return negate(m, policy)
+
+    def uniting(instances):
+        calls.append((uniting, *instances))
+        return memberwise_union(instances)
+
+    for name, core in (("disjoin", disjoining), ("negate", negating),
+                       ("memberwise_union", uniting)):
+        monkeypatch.setattr(propsem, name, core)
+    return calls
+
+
+@given(st.lists(FO_TREES, min_size=1, max_size=5), st.sampled_from(POLICIES))
+@settings(max_examples=30, deadline=None)
+def test_a_run_records_one_entry_per_missed_core_call(formulas, policy):
+    """`run` on a fresh table calls each core once per distinct
+    operands and records exactly those calls, keyed by the core and the
+    operand Meanings: no key holds a tuple.  With p and q equal, ~p v ~q
+    runs three core steps and records two entries."""
+    world = World(individuals=("a", "b"), predicates=("S",), facts=frozenset({("S", ("a",))}))
+    cases = [(compile_program([parse("~p v ~q")], ["p", "q"]), {"p": P_TRUE, "q": P_TRUE}, None),
+             (compile_program(formulas, ["p"], world), {"p": P_FALSE}, world)]
+    entries = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = counting_cores(monkeypatch)
+        for program, values, at in cases:
+            calls.clear()
+            computed = {}
+            run(program, values, at, policy, computed)
+            assert len(set(calls)) == len(calls) == len(computed)
+            assert set(computed) == set(calls)
+            assert not any(isinstance(item, tuple) for key in computed for item in key)
+            entries.append(len(computed))
+    assert len(cases[0][0].steps) == 5 and entries[0] == 2
+
+
+def test_a_block_after_a_run_calls_no_core_at_its_point(monkeypatch):
+    """A block run on the table a one-point run filled reads that
+    point's Meanings from it: `negate` is called for the other point
+    only, and the block's column holds the run's Meaning itself."""
+    calls = counting_cores(monkeypatch)
+    (first, _), (second, _) = points = [(h.values, None) for h in enumerate_assignments(["p"])]
+    program = compile_program([parse("~p")], ["p"])
+    computed = {}
+    alone = run(program, first, None, "minimal", computed)[program.roots[0]]
+    assert [call[2] for call in calls] == [first["p"]]
+    column = run_columns(program, points, "minimal", computed)[program.roots[0]]
+    assert [call[2] for call in calls] == [first["p"], second["p"]]
+    assert column[0] is alone and column[1] == negate(second["p"])
+
+
+def test_a_refusal_in_a_run_records_nothing(monkeypatch):
+    """A ValueError at a one-point run's second negation comes out of
+    `run` and leaves the table as the first negation left it, so the
+    next run asks `negate` again for the refused operand only."""
+    calls = []
+
+    def refuse_second(m, policy="minimal"):
+        calls.append(m)
+        if len(calls) == 2:
+            raise ValueError("refused")
+        return negate(m, policy)
+
+    monkeypatch.setattr(propsem, "negate", refuse_second)
+    program = compile_program([parse("~~p")], ["p"])
+    values = {"p": P_TRUE}
+    computed = {}
+    with pytest.raises(ValueError, match="refused"):
+        run(program, values, None, "minimal", computed)
+    once = negate(P_TRUE)
+    assert computed == {(refuse_second, "minimal", P_TRUE): once}
+    assert run(program, values, None, "minimal", computed)[program.roots[0]] == negate(once)
+    assert calls == [P_TRUE, once, once]
 
 
 def test_computed_negations_are_kept_per_policy():
